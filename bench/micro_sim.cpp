@@ -1,6 +1,15 @@
-// Microbenchmarks: discrete-event engine primitives.
+// Microbenchmarks: discrete-event engine primitives and channel fan-out.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "mac/channel.hpp"
+#include "mac/mac_base.hpp"
+#include "net/field.hpp"
+#include "net/topology.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -51,6 +60,73 @@ void BM_SimulatorSelfScheduling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100'000);
 }
 BENCHMARK(BM_SimulatorSelfScheduling);
+
+/// Counts deliveries with no protocol reaction, so BM_ChannelFanout
+/// isolates channel fan-out plus event-engine cost.
+class CountingMac final : public wsn::mac::MacBase {
+ public:
+  CountingMac(Simulator& sim, wsn::mac::Channel& channel, wsn::net::NodeId id,
+              const wsn::mac::EnergyParams& energy)
+      : MacBase{sim, channel, id, energy} {}
+
+  void send(wsn::net::Frame /*frame*/) override {}
+  void set_alive(bool alive) override { alive_ = alive; }
+  void arrival_start(const wsn::mac::TransmissionPtr& /*tx*/,
+                     bool /*decodable*/) override {
+    ++arrivals;
+  }
+  void arrival_end(const wsn::mac::TransmissionPtr& /*tx*/) override {
+    ++arrivals;
+  }
+
+  std::uint64_t arrivals = 0;
+};
+
+/// A staggered broadcast storm on the fig-5 350-node field. Every
+/// transmission fans out to the full carrier-sense disc (~150 radios at
+/// this density), the per-event load of §5.1. Items are arrival starts
+/// plus ends, so the reported rate is arrivals per second.
+void BM_ChannelFanout(benchmark::State& state) {
+  const auto transmissions = static_cast<int>(state.range(0));
+  wsn::net::FieldSpec spec;
+  spec.nodes = 350;
+  Rng field_rng{7};
+  const auto positions = wsn::net::generate_connected_field(spec, field_rng);
+  const wsn::net::Topology topo{positions, spec.radio_range_m,
+                                spec.carrier_sense_range_m};
+  const wsn::mac::EnergyParams energy;
+  const Time airtime = Time::micros(500);
+  std::uint64_t arrivals = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Simulator sim;
+    wsn::mac::Channel channel{sim, topo};
+    std::vector<std::unique_ptr<CountingMac>> macs;
+    macs.reserve(topo.node_count());
+    for (wsn::net::NodeId id = 0; id < topo.node_count(); ++id) {
+      macs.push_back(std::make_unique<CountingMac>(sim, channel, id, energy));
+    }
+    for (int i = 0; i < transmissions; ++i) {
+      const auto src = static_cast<wsn::net::NodeId>(
+          static_cast<std::size_t>(i) * 13 % topo.node_count());
+      // Staggered so at most a handful of frames overlap, like real traffic.
+      sim.schedule_at(Time::micros(200) * i, [&channel, src, airtime] {
+        wsn::net::Frame f;
+        f.src = src;
+        f.dst = wsn::net::kBroadcast;
+        f.bytes = 64;
+        channel.begin_transmission(src, std::move(f),
+                                   wsn::mac::FrameKind::kData, airtime);
+      });
+    }
+    state.ResumeTiming();
+    sim.run();
+    for (const auto& m : macs) arrivals += m->arrivals;
+    benchmark::DoNotOptimize(arrivals);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(arrivals));
+}
+BENCHMARK(BM_ChannelFanout)->Arg(2'500)->Unit(benchmark::kMillisecond);
 
 void BM_RngNext(benchmark::State& state) {
   Rng rng{3};

@@ -8,6 +8,7 @@
 //               --aggregation perfect --failures --csv
 //
 // Defaults reproduce one Figure-5 point.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,7 @@
 
 #include "agg/aggregation_fn.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/sweep.hpp"
 
 namespace {
 
@@ -40,6 +42,33 @@ void usage(const char* prog) {
 
 bool flag_eq(const char* a, const char* b) { return std::strcmp(a, b) == 0; }
 
+/// Whole-string integer value of `flag` in [lo, hi]; anything else prints
+/// the reason and exits 2.
+long long_flag(const char* flag, const char* value, long lo, long hi) {
+  const char* reason = nullptr;
+  if (const auto v = wsn::scenario::parse_long(value, lo, hi, &reason)) {
+    return *v;
+  }
+  std::fprintf(stderr,
+               "invalid %s \"%s\": %s (want an integer in [%ld, %ld])\n",
+               flag, value, reason, lo, hi);
+  std::exit(2);
+}
+
+/// Same for a finite real value in [lo, hi].
+double double_flag(const char* flag, const char* value, double lo, double hi) {
+  const char* reason = nullptr;
+  if (const auto v = wsn::scenario::parse_double(value, lo, hi, &reason)) {
+    return *v;
+  }
+  std::fprintf(stderr, "invalid %s \"%s\": %s (want a number in [%g, %g])\n",
+               flag, value, reason, lo, hi);
+  std::exit(2);
+}
+
+/// Upper bound on node, source and sink counts.
+constexpr long kMaxCount = 1'000'000;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -63,7 +92,8 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 0;
     } else if (flag_eq(a, "--nodes")) {
-      cfg.field.nodes = std::strtoul(next(), nullptr, 10);
+      cfg.field.nodes =
+          static_cast<std::size_t>(long_flag(a, next(), 1, kMaxCount));
     } else if (flag_eq(a, "--alg")) {
       const std::string v = next();
       if (v == "opportunistic") {
@@ -85,9 +115,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (flag_eq(a, "--sources")) {
-      cfg.num_sources = std::strtoul(next(), nullptr, 10);
+      cfg.num_sources =
+          static_cast<std::size_t>(long_flag(a, next(), 1, kMaxCount));
     } else if (flag_eq(a, "--sinks")) {
-      cfg.num_sinks = std::strtoul(next(), nullptr, 10);
+      cfg.num_sinks =
+          static_cast<std::size_t>(long_flag(a, next(), 1, kMaxCount));
     } else if (flag_eq(a, "--placement")) {
       const std::string v = next();
       if (v == "corner") {
@@ -114,9 +146,10 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (flag_eq(a, "--duration")) {
-      cfg.duration = sim::Time::seconds(std::strtod(next(), nullptr));
+      cfg.duration = sim::Time::seconds(double_flag(a, next(), 1e-9, 1e9));
     } else if (flag_eq(a, "--seed")) {
-      cfg.seed = std::strtoull(next(), nullptr, 10);
+      cfg.seed =
+          static_cast<std::uint64_t>(long_flag(a, next(), 0, LONG_MAX));
     } else if (flag_eq(a, "--failures")) {
       cfg.failures.enabled = true;
     } else if (flag_eq(a, "--directional")) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "scenario/parallel.hpp"
@@ -19,46 +20,60 @@ void warn_ignored(const char* name, const char* value, const char* reason) {
 
 }  // namespace
 
-long env_long(const char* name, long fallback, long lo, long hi) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return fallback;
+std::optional<long> parse_long(const char* s, long lo, long hi,
+                               const char** reason) {
+  const char* why = nullptr;
   errno = 0;
   char* end = nullptr;
   const long v = std::strtol(s, &end, 10);
   if (end == s || *end != '\0') {
-    warn_ignored(name, s, "not an integer");
-    return fallback;
+    why = "not an integer";
+  } else if (errno == ERANGE) {
+    why = "overflows long";
+  } else if (v < lo || v > hi) {
+    why = "out of range";
+  } else {
+    return v;
   }
-  if (errno == ERANGE) {
-    warn_ignored(name, s, "overflows long");
-    return fallback;
+  if (reason != nullptr) *reason = why;
+  return std::nullopt;
+}
+
+std::optional<double> parse_double(const char* s, double lo, double hi,
+                                   const char** reason) {
+  const char* why = nullptr;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0') {
+    why = "not a number";
+  } else if (errno == ERANGE || !std::isfinite(v)) {
+    why = "not a finite value";
+  } else if (v < lo || v > hi) {
+    why = "out of range";
+  } else {
+    return v;
   }
-  if (v < lo || v > hi) {
-    warn_ignored(name, s, "out of range");
-    return fallback;
-  }
-  return v;
+  if (reason != nullptr) *reason = why;
+  return std::nullopt;
+}
+
+long env_long(const char* name, long fallback, long lo, long hi) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return fallback;
+  const char* reason = nullptr;
+  if (const auto v = parse_long(s, lo, hi, &reason)) return *v;
+  warn_ignored(name, s, reason);
+  return fallback;
 }
 
 double env_double(const char* name, double fallback, double lo, double hi) {
   const char* s = std::getenv(name);
   if (s == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') {
-    warn_ignored(name, s, "not a number");
-    return fallback;
-  }
-  if (errno == ERANGE || !std::isfinite(v)) {
-    warn_ignored(name, s, "not a finite value");
-    return fallback;
-  }
-  if (v < lo || v > hi) {
-    warn_ignored(name, s, "out of range");
-    return fallback;
-  }
-  return v;
+  const char* reason = nullptr;
+  if (const auto v = parse_double(s, lo, hi, &reason)) return *v;
+  warn_ignored(name, s, reason);
+  return fallback;
 }
 
 AveragedPoint run_replicates(const ExperimentConfig& base, int replicates,
@@ -67,29 +82,10 @@ AveragedPoint run_replicates(const ExperimentConfig& base, int replicates,
   if (replicates <= 0) return point;
 
   const auto count = static_cast<std::size_t>(replicates);
-  const auto merge = [&point](const RunResult& res) {
-    point.energy.add(res.metrics.avg_dissipated_energy);
-    point.active_energy.add(res.metrics.avg_active_energy);
-    point.delay.add(res.metrics.avg_delay);
-    point.delivery.add(res.metrics.delivery_ratio);
-    point.degree.add(res.average_degree);
-    ++point.replicates;
-  };
-
-  const int effective = jobs > 0 ? jobs : jobs_from_env();
-  if (effective <= 1 || replicates == 1) {
-    // Serial path (WSN_JOBS=1): run and merge in one pass, no buffering.
-    for (std::size_t r = 0; r < count; ++r) {
-      ExperimentConfig cfg = base;
-      cfg.seed = seed0 + r;
-      merge(run_experiment(cfg));
-    }
-    return point;
-  }
-
-  // Parallel path: every replicate writes its own seed-indexed slot; the
-  // merge below walks the slots in seed order, so the accumulators see the
-  // exact value stream the serial path produces.
+  // Every replicate writes its own seed-indexed slot and the merge walks
+  // the slots in seed order, so the accumulators see the same value stream
+  // whatever the job count (for_each_index runs in order on one thread
+  // when jobs resolve to 1).
   std::vector<RunResult> slots(count);
   for_each_index(
       count,
@@ -99,7 +95,14 @@ AveragedPoint run_replicates(const ExperimentConfig& base, int replicates,
         slots[r] = run_experiment(cfg);
       },
       jobs);
-  for (const RunResult& res : slots) merge(res);
+  for (const RunResult& res : slots) {
+    point.energy.add(res.metrics.avg_dissipated_energy);
+    point.active_energy.add(res.metrics.avg_active_energy);
+    point.delay.add(res.metrics.avg_delay);
+    point.delivery.add(res.metrics.delivery_ratio);
+    point.degree.add(res.average_degree);
+    ++point.replicates;
+  }
   return point;
 }
 

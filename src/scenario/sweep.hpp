@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "scenario/experiment.hpp"
 #include "stats/accumulator.hpp"
@@ -24,10 +25,11 @@ struct AveragedPoint {
 ///
 /// `jobs` > 1 runs the replicates on that many workers; `jobs` <= 0 uses
 /// the WSN_JOBS env default (hardware concurrency); `jobs` == 1 — or
-/// WSN_JOBS=1 — forces the plain serial loop. Every replicate gets its own
-/// Simulator and Rng and writes into a seed-indexed slot; slots are merged
-/// in seed order, so the accumulator streams (and hence every mean, SEM and
-/// digest downstream) are bit-identical for any job count.
+/// WSN_JOBS=1 — runs them in order on the calling thread. Every replicate
+/// gets its own Simulator and Rng and writes into a seed-indexed slot;
+/// slots are merged in seed order, so the accumulator streams (and hence
+/// every mean, SEM and digest downstream) are bit-identical for any job
+/// count.
 AveragedPoint run_replicates(const ExperimentConfig& base, int replicates,
                              std::uint64_t seed0 = 1, int jobs = 0);
 
@@ -37,13 +39,23 @@ AveragedPoint run_replicates(const ExperimentConfig& base, int replicates,
 /// parallel engine is held to against the serial path.
 [[nodiscard]] std::uint64_t digest_of(const AveragedPoint& point);
 
-/// Parses env var `name` as a whole-string integer in [lo, hi]. Unset
-/// returns `fallback`; malformed, partial (e.g. "12abc"), overflowing or
-/// out-of-range values warn on stderr and return `fallback` — they are
-/// never silently truncated the way atoi would.
-long env_long(const char* name, long fallback, long lo, long hi);
+/// Parses `s` as a whole-string base-10 integer in [lo, hi]. Malformed,
+/// partial (e.g. "12abc"), overflowing or out-of-range input returns
+/// nullopt — never a silent truncation the way atoi would — and, when
+/// `reason` is non-null, points it at a short static explanation.
+std::optional<long> parse_long(const char* s, long lo, long hi,
+                               const char** reason = nullptr);
 
 /// Same contract for finite doubles in [lo, hi].
+std::optional<double> parse_double(const char* s, double lo, double hi,
+                                   const char** reason = nullptr);
+
+/// Reads env var `name` with parse_long. Unset returns `fallback`; a value
+/// parse_long rejects warns on stderr with the reason and returns
+/// `fallback`.
+long env_long(const char* name, long fallback, long lo, long hi);
+
+/// Same contract for finite doubles, via parse_double.
 double env_double(const char* name, double fallback, double lo, double hi);
 
 /// Number of fields per sweep point: WSN_FIELDS env var, else `fallback`.

@@ -20,13 +20,14 @@ namespace wsn::sim {
 ///   * alignof(F) <= kAlign,
 ///   * nothrow move constructible (moves happen inside the queue's slab).
 ///
-/// Copyable callables (e.g. std::function, for test convenience) are
-/// accepted and copied in; InlineFn itself is move-only.
+/// Copyable callables (e.g. a type-erased library wrapper, for test
+/// convenience) are accepted and copied in; InlineFn itself is move-only.
 class InlineFn {
  public:
   /// Inline storage size. Sized for the engine's largest closure family
   /// (`[this, shared_ptr, scalar]` ≈ 32 bytes) with headroom for a full
-  /// std::function (32 bytes on libstdc++) so tests can schedule one.
+  /// type-erased library wrapper (32 bytes on libstdc++) so tests can
+  /// schedule one.
   static constexpr std::size_t kInlineBytes = 48;
   static constexpr std::size_t kAlign = 16;
 

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/arena.hpp"
 #include "sim/event_queue.hpp"

@@ -1,9 +1,9 @@
 // Restartable one-shot timer bound to a Simulator.
 #pragma once
 
-#include <functional>
 #include <utility>
 
+#include "sim/inline_fn.hpp"
 #include "sim/simulator.hpp"
 
 namespace wsn::sim {
@@ -18,7 +18,7 @@ namespace wsn::sim {
 /// destruction).
 class Timer {
  public:
-  Timer(Simulator& sim, std::function<void()> on_expire)
+  Timer(Simulator& sim, InlineFn on_expire)
       : sim_{&sim}, on_expire_{std::move(on_expire)} {}
 
   Timer(const Timer&) = delete;
@@ -53,7 +53,7 @@ class Timer {
 
  private:
   Simulator* sim_;
-  std::function<void()> on_expire_;
+  InlineFn on_expire_;
   EventHandle handle_;
 };
 

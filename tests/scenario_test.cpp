@@ -150,7 +150,8 @@ TEST(Sweep, EnvRejectsMalformedValuesLoudly) {
   }
   ::unsetenv("WSN_FIELDS");
 
-  for (const char* bad : {"zero", "0", "-5", "nan", "inf", "1e400", ""}) {
+  for (const char* bad :
+       {"zero", "0", "-5", "5x", "nan", "inf", "1e400", ""}) {
     ::setenv("WSN_SIM_TIME", bad, 1);
     EXPECT_DOUBLE_EQ(sim_seconds_from_env(200.0), 200.0)
         << "WSN_SIM_TIME=" << bad;
@@ -175,6 +176,22 @@ TEST(Sweep, EnvLongValidatesRangeAndShape) {
   ::setenv("WSN_TEST_KNOB", "-1", 1);
   EXPECT_DOUBLE_EQ(env_double("WSN_TEST_KNOB", 1.0, 0.0, 10.0), 1.0);
   ::unsetenv("WSN_TEST_KNOB");
+
+  // The parsers behind the env readers, over the values wsnctl must
+  // refuse for --nodes/--sinks (integers >= 1) and --duration (> 0).
+  for (const char* bad : {"-5", "abc", "0", "5x", ""}) {
+    EXPECT_FALSE(parse_long(bad, 1, 1'000'000).has_value()) << bad;
+  }
+  for (const char* bad : {"-5", "5x", "0", "abc", "nan"}) {
+    EXPECT_FALSE(parse_double(bad, 1e-9, 1e9).has_value()) << bad;
+  }
+  EXPECT_EQ(parse_long("350", 1, 1'000'000), 350);
+  EXPECT_DOUBLE_EQ(parse_double("20", 1e-9, 1e9).value_or(0.0), 20.0);
+  const char* reason = nullptr;
+  EXPECT_FALSE(parse_long("5x", 1, 10, &reason).has_value());
+  EXPECT_STREQ(reason, "not an integer");
+  EXPECT_FALSE(parse_double("-5", 1e-9, 1e9, &reason).has_value());
+  EXPECT_STREQ(reason, "out of range");
 }
 
 TEST(Experiment, PerNodeEnergyExposedAndConsistent) {

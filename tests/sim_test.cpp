@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include <string>
@@ -242,6 +243,24 @@ TEST(Timer, RearmFromCallbackWorks) {
   sim.run();
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(sim.now(), Time::millis(15));
+}
+
+TEST(Timer, DestroyedWhileArmedNeverFires) {
+  // The expiry closure holds only the Timer's `this`, so ~Timer's cancel
+  // is all that keeps a pending expiry from touching a dead Timer (ASan
+  // reports the use-after-free if it ever does).
+  Simulator sim;
+  int doomed_fired = 0;
+  int survivor_fired = 0;
+  auto doomed = std::make_unique<Timer>(sim, [&] { ++doomed_fired; });
+  Timer survivor{sim, [&] { ++survivor_fired; }};
+  doomed->arm(Time::millis(10));
+  survivor.arm(Time::millis(20));
+  doomed.reset();
+  sim.run();
+  EXPECT_EQ(doomed_fired, 0);
+  EXPECT_EQ(survivor_fired, 1);
+  EXPECT_EQ(sim.now(), Time::millis(20));
 }
 
 TEST(Rng, DeterministicForSameSeed) {
