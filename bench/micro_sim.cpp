@@ -67,10 +67,9 @@ class CountingMac final : public wsn::mac::MacBase {
  public:
   CountingMac(Simulator& sim, wsn::mac::Channel& channel, wsn::net::NodeId id,
               const wsn::mac::EnergyParams& energy)
-      : MacBase{sim, channel, id, energy} {}
+      : MacBase{sim, channel, id, energy, 0} {}
 
   void send(wsn::net::Frame /*frame*/) override {}
-  void set_alive(bool alive) override { alive_ = alive; }
   void arrival_start(const wsn::mac::TransmissionPtr& /*tx*/,
                      bool /*decodable*/) override {
     ++arrivals;
@@ -80,6 +79,10 @@ class CountingMac final : public wsn::mac::MacBase {
   }
 
   std::uint64_t arrivals = 0;
+
+ private:
+  void on_tx_end(wsn::mac::FrameKind /*sent*/) override {}
+  void on_power_change(bool /*alive*/) override {}
 };
 
 /// A staggered broadcast storm on the fig-5 350-node field. Every

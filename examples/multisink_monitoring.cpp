@@ -5,14 +5,15 @@
 //
 //   $ ./multisink_monitoring [max_sinks]
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli.hpp"
 #include "scenario/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace wsn;
-  const std::size_t max_sinks =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 4;
+  // 200 nodes less the 5 sources bound the sink count.
+  const auto max_sinks = static_cast<std::size_t>(
+      cli::long_arg(argc, argv, 1, "max_sinks", 4, 1, 195));
 
   std::printf("Monitoring a corner phenomenon from 1..%zu sinks "
               "(200 nodes, 5 corner sources, 120 s)\n\n",

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "agg/set_cover.hpp"
-#include "sim/logger.hpp"
 #include "trace/trace.hpp"
 
 namespace wsn::core {
@@ -128,17 +127,6 @@ void GreedyNode::flush_policy(const std::vector<DataItem>& outgoing,
     d.useful_neighbors.reserve(cover.chosen.size());
     for (std::size_t idx : cover.chosen) {
       d.useful_neighbors.push_back(window[idx].from);
-    }
-    if (sim::Logger::enabled(sim::LogLevel::kTrace)) {
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        const bool chosen = std::find(cover.chosen.begin(), cover.chosen.end(),
-                                      i) != cover.chosen.end();
-        WSN_LOG_AT(sim::LogLevel::kTrace, sim_->now(), "greedy",
-                   "node %u cover: from=%u items=%zu sources=%zu w=%.2f %s",
-                   id(), window[i].from, window[i].items.size(),
-                   family[i].elements.size(), family[i].weight,
-                   chosen ? "CHOSEN" : "-");
-      }
     }
     // set_cover picks each window entry at most once, but two entries can
     // share a sender; dedup only when duplicates are possible.

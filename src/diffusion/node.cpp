@@ -4,12 +4,10 @@
 #include <cassert>
 
 #include "agg/set_cover.hpp"
-#include "sim/logger.hpp"
 #include "trace/trace.hpp"
 
 namespace wsn::diffusion {
 namespace {
-constexpr std::string_view kTag = "diffusion";
 /// Cache-purge cadence. The TTL caches are swept this often, so an entry
 /// lives at most its TTL plus one period (plus the one-second arming
 /// jitter) — the bound the WSN_AUDIT invariant enforces.
@@ -129,8 +127,6 @@ void DiffusionNode::cascade_negative_upstream() {
   for (auto& [nb, st] : neighbor_data_) {
     if (st.last_data + params_.t_n > now) {
       ++stats_.negatives_sent;
-      WSN_LOG_AT(sim::LogLevel::kDebug, now, kTag, "node %u NR(cascade) -> %u",
-                 id(), nb);
       WSN_TRACE_EMIT(sim_, trace::RecordKind::kNegativeSend, id(), nb,
                      trace::NegativeReason::kCascade, 0);
       send_control(nb, make_msg<NegativeReinforcementMsg>());
@@ -320,8 +316,6 @@ void DiffusionNode::activate_source() {
                      rng_.jitter(sim::Time::millis(20)));
   // Stagger first advertisements so co-triggered sources do not collide.
   exploratory_timer_.arm(rng_.jitter(sim::Time::seconds(1.0)));
-  WSN_LOG_AT(sim::LogLevel::kInfo, sim_->now(), kTag, "node %u became source",
-             id());
 }
 
 void DiffusionNode::generate_data_event() {
@@ -481,9 +475,6 @@ void DiffusionNode::propagate_reinforcement(MsgId id_of_expl, bool force) {
 
 void DiffusionNode::handle_reinforcement(const ReinforcementMsg& msg,
                                          net::NodeId from) {
-  WSN_LOG_AT(sim::LogLevel::kTrace, sim_->now(), kTag,
-             "node %u reinforced by %u (msg %llu)", id(), from,
-             static_cast<unsigned long long>(msg.exploratory_id));
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kReinforceRecv, id(), from,
                  msg.exploratory_id, msg.force ? 1 : 0);
   auto [git, fresh] = gradients_.try_emplace(from);
@@ -501,8 +492,6 @@ void DiffusionNode::handle_reinforcement(const ReinforcementMsg& msg,
 }
 
 void DiffusionNode::handle_negative(net::NodeId from) {
-  WSN_LOG_AT(sim::LogLevel::kDebug, sim_->now(), kTag,
-             "node %u negatively reinforced by %u", id(), from);
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kNegativeRecv, id(), from, 0, 0);
   degrade_gradient(from);
   if (!has_data_gradient_out() && !is_sink_) {
@@ -685,9 +674,13 @@ void DiffusionNode::flush() {
     // own provider (a split-horizon black hole). Either way this node is
     // not delivering: shed the demand and, if we are a source, re-advertise.
     stats_.items_dropped_no_gradient += union_scratch_.size();
-    WSN_LOG_AT(sim::LogLevel::kDebug, now, kTag,
-               "node %u dropped %zu items (no usable gradient, source=%d)",
-               id(), union_scratch_.size(), source_active_ ? 1 : 0);
+    // lint:trace-ok — batch guard: skip the per-item loop when tracing off
+    if (sim_->tracer() != nullptr) {
+      for (const DataItem& item : union_scratch_) {
+        WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemDropped, id(),
+                       trace::kNoPeer, item.key.packed(), 0);
+      }
+    }
     cascade_negative_upstream();
     if (source_active_ &&
         now - last_orphan_exploratory_ > params_.interest_period) {
@@ -712,8 +705,6 @@ void DiffusionNode::run_truncation() {
     const bool was_useful = st.last_useful + params_.t_n > now;
     if (still_sending && !was_useful) {
       ++stats_.negatives_sent;
-      WSN_LOG_AT(sim::LogLevel::kDebug, now, kTag, "node %u NR(trunc) -> %u",
-                 id(), nb);
       WSN_TRACE_EMIT(sim_, trace::RecordKind::kNegativeSend, id(), nb,
                      trace::NegativeReason::kTruncation, 0);
       send_control(nb, make_msg<NegativeReinforcementMsg>());

@@ -3,19 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/audit.hpp"
-#include "sim/logger.hpp"
-
 namespace wsn::mac {
-
-namespace {
-constexpr std::string_view kTag = "mac";
-}
 
 CsmaMac::CsmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
                  const PhyParams& phy, const EnergyParams& energy,
                  sim::Rng rng)
-    : MacBase{sim, channel, id, energy},
+    : MacBase{sim, channel, id, energy, phy.queue_limit},
       phy_{phy},
       rng_{rng},
       cw_{phy.cw_min},
@@ -23,66 +16,18 @@ CsmaMac::CsmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
       slot_timer_{sim, [this] { on_slot_elapsed(); }},
       ack_timer_{sim, [this] { on_ack_timeout(); }} {}
 
-void CsmaMac::audit_frame_conservation() const {
-  WSN_AUDIT_CHECK(audit_accepted_ == audit_completed_ + queue_.size(),
-                  "MAC frame conservation broken: accepted != "
-                  "completed + queued");
-}
-
 void CsmaMac::send(net::Frame frame) {
-  if (!alive_) return;
-  if (queue_.size() >= phy_.queue_limit) {
-    ++stats_.drops_queue_full;
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacDrop, id_, frame.dst,
-                   trace::DropReason::kQueueFull, queue_.size());
-    return;
-  }
-  frame.src = id_;
-  queue_.push_back(Outgoing{std::move(frame), 0});
-  ++audit_accepted_;
-  audit_frame_conservation();
-  if (state_ == State::kIdle) start_contention();
+  if (enqueue(std::move(frame)) && state_ == State::kIdle) start_contention();
 }
 
-void CsmaMac::set_alive(bool alive) {
-  if (alive == alive_) return;
-  alive_ = alive;
-  if (!alive) {
-    // Power down: abort any in-flight frame, drop state, stop drawing power.
-    if (outgoing_tx_) outgoing_tx_->aborted = true;
-    outgoing_tx_.reset();
-    transmitting_ = false;
-    pending_ack_tx_ = false;
-    audit_completed_ += queue_.size();  // power-down flush drops the queue
-    queue_.clear();
-    arrivals_.clear();
-    active_arrivals_ = 0;
-    backoff_slots_ = -1;
-    cw_ = phy_.cw_min;
-    state_ = State::kIdle;
-    difs_timer_.cancel();
-    slot_timer_.cancel();
-    ack_timer_.cancel();
-    if (tx_end_event_.valid()) {
-      sim_->cancel(tx_end_event_);
-      tx_end_event_ = sim::EventHandle{};
-    }
-    set_radio_state(RadioState::kOff);
-  } else {
-    set_radio_state(RadioState::kIdle);
-  }
-}
-
-void CsmaMac::update_radio_state() {
-  RadioState s = RadioState::kIdle;
-  if (!alive_) {
-    s = RadioState::kOff;
-  } else if (transmitting_) {
-    s = RadioState::kTx;
-  } else if (active_arrivals_ > 0) {
-    s = RadioState::kRx;
-  }
-  set_radio_state(s);
+void CsmaMac::on_power_change(bool alive) {
+  if (alive) return;
+  backoff_slots_ = -1;
+  cw_ = phy_.cw_min;
+  state_ = State::kIdle;
+  difs_timer_.cancel();
+  slot_timer_.cancel();
+  ack_timer_.cancel();
 }
 
 std::uint32_t CsmaMac::draw_backoff() {
@@ -138,40 +83,16 @@ void CsmaMac::start_transmission() {
     state_ = State::kIdle;
     return;
   }
-  Outgoing& out = queue_.front();
   state_ = State::kTransmit;
-  transmitting_ = true;
-  // Our own carrier corrupts anything we were mid-receiving (half duplex).
-  for (auto& [txp, st] : arrivals_) st.corrupt = true;
-  update_radio_state();
-
-  const sim::Time airtime = phy_.frame_airtime(out.frame.bytes);
-  outgoing_tx_ =
-      channel_->begin_transmission(id_, out.frame, FrameKind::kData, airtime);
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxStart, id_, out.frame.dst,
-                 outgoing_tx_->id, out.frame.bytes);
-  ++stats_.frames_sent;
-  stats_.bytes_sent += out.frame.bytes;
-  if (out.attempts > 0) ++stats_.retries;
-  tx_end_event_ = sim_->schedule_in(airtime, [this] { on_tx_end(); });
-  WSN_LOG_AT(sim::LogLevel::kTrace, sim_->now(), kTag, "node %u tx %u bytes to %u",
-             id_, out.frame.bytes, out.frame.dst);
+  transmit_head(phy_.frame_airtime(queue_.front().frame.bytes));
 }
 
-void CsmaMac::on_tx_end() {
-  tx_end_event_ = sim::EventHandle{};
-  transmitting_ = false;
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxEnd, id_, trace::kNoPeer,
-                 outgoing_tx_ ? outgoing_tx_->id : 0, 0);
-  outgoing_tx_.reset();
-  update_radio_state();
-
-  if (pending_ack_tx_) {
+void CsmaMac::on_tx_end(FrameKind sent) {
+  if (sent == FrameKind::kAck) {
     // The frame that just ended was an ACK we sent on behalf of a received
     // unicast; it did not come from the queue. Resume whatever we were
     // doing: kWaitAck keeps waiting (its timer is untouched), contention
     // restarts, and an idle MAC with queued work starts contending.
-    pending_ack_tx_ = false;
     if (state_ == State::kContend ||
         (state_ == State::kIdle && !queue_.empty())) {
       start_contention();
@@ -183,9 +104,7 @@ void CsmaMac::on_tx_end() {
     state_ = State::kIdle;
     return;
   }
-  const Outgoing& out = queue_.front();
-  const bool is_unicast = out.frame.dst != net::kBroadcast;
-  if (is_unicast) {
+  if (queue_.front().frame.dst != net::kBroadcast) {
     state_ = State::kWaitAck;
     ack_timer_.arm(phy_.ack_timeout());
   } else {
@@ -194,12 +113,7 @@ void CsmaMac::on_tx_end() {
 }
 
 void CsmaMac::on_ack_timeout() {
-  Outgoing& out = queue_.front();
-  ++out.attempts;
-  if (out.attempts > phy_.max_retries) {
-    ++stats_.drops_retry_exhausted;
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacDrop, id_, out.frame.dst,
-                   trace::DropReason::kRetryExhausted, out.attempts);
+  if (++queue_.front().attempts > phy_.max_retries) {
     finish_current(false);
   } else {
     cw_ = std::min(cw_ * 2 + 1, phy_.cw_max);
@@ -208,16 +122,7 @@ void CsmaMac::on_ack_timeout() {
 }
 
 void CsmaMac::finish_current(bool success) {
-  if (user_ != nullptr && queue_.front().frame.dst != net::kBroadcast) {
-    if (success) {
-      user_->mac_send_succeeded(queue_.front().frame);
-    } else {
-      user_->mac_send_failed(queue_.front().frame);
-    }
-  }
-  queue_.pop_front();
-  ++audit_completed_;
-  audit_frame_conservation();
+  complete_head(success);
   cw_ = phy_.cw_min;
   backoff_slots_ = -1;
   if (queue_.empty()) {
@@ -236,63 +141,27 @@ void CsmaMac::send_ack(net::NodeId to) {
     // Preempt whatever contention was in progress.
     difs_timer_.cancel();
     slot_timer_.cancel();
-    transmitting_ = true;
-    pending_ack_tx_ = true;
-    for (auto& [txp, st] : arrivals_) st.corrupt = true;
-    update_radio_state();
-    net::Frame ack;
-    ack.src = id_;
-    ack.dst = to;
-    ack.bytes = 0;
-    const sim::Time airtime = phy_.ack_airtime();
-    const TransmissionPtr ack_tx =
-        channel_->begin_transmission(id_, ack, FrameKind::kAck, airtime);
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxStart, id_, to, ack_tx->id,
-                   0);
-    ++stats_.acks_sent;
-    tx_end_event_ = sim_->schedule_in(airtime, [this] { on_tx_end(); });
+    transmit_ack(to, phy_.ack_airtime());
   });
 }
 
 void CsmaMac::arrival_start(const TransmissionPtr& tx, bool decodable) {
   if (!alive_) return;
-  const bool was_busy = medium_busy();
   // Overlap with anything already arriving corrupts both (no capture).
-  const bool corrupt = transmitting_ || active_arrivals_ > 0;
+  const bool was_busy = medium_busy();
   for (auto& [txp, st] : arrivals_) {
-    if (!st.corrupt && st.decodable) {
-      ++stats_.arrivals_corrupted;
-      WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacCollision, id_, txp->src,
-                     txp->id, 0);
-    }
+    if (!st.corrupt && st.decodable) count_collision(*txp);
     st.corrupt = true;
   }
-  if (corrupt && decodable) {
-    ++stats_.arrivals_corrupted;
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacCollision, id_, tx->src,
-                   tx->id, 0);
-  }
-  arrivals_.emplace(tx.get(), ArrivalState{corrupt, decodable});
-  ++active_arrivals_;
-  WSN_AUDIT_CHECK(
-      arrivals_.size() == static_cast<std::size_t>(active_arrivals_),
-      "arrival ledger out of sync with active-arrival count");
-  update_radio_state();
+  if (was_busy && decodable) count_collision(*tx);
+  add_arrival(tx, ArrivalState{was_busy, decodable});
   if (!was_busy) medium_became_busy();
 }
 
 void CsmaMac::arrival_end(const TransmissionPtr& tx) {
-  if (!alive_) return;
-  auto it = arrivals_.find(tx.get());
-  if (it == arrivals_.end()) return;  // node was down at arrival start
-  const bool deliverable =
-      it->second.decodable && !it->second.corrupt && !tx->aborted;
-  arrivals_.erase(it);
-  --active_arrivals_;
-  WSN_AUDIT_CHECK(active_arrivals_ >= 0,
-                  "more arrival ends than arrival starts");
-  update_radio_state();
-  if (deliverable) deliver(*tx);
+  const ArrivalEnd end = end_arrival(*tx);
+  if (end == ArrivalEnd::kUntracked) return;
+  if (end == ArrivalEnd::kClean) deliver(*tx);
   if (!medium_busy()) medium_became_idle();
 }
 
@@ -308,9 +177,7 @@ void CsmaMac::deliver(const Transmission& tx) {
   }
   if (f.dst != id_ && f.dst != net::kBroadcast) return;  // overheard only
   if (f.dst == id_) send_ack(f.src);
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacRx, id_, f.src, tx.id, f.bytes);
-  ++stats_.frames_delivered;
-  if (user_ != nullptr) user_->mac_receive(f);
+  hand_up(tx);
 }
 
 }  // namespace wsn::mac

@@ -6,9 +6,7 @@
 #include "mac/mac_base.hpp"
 #include "mac/params.hpp"
 #include "net/types.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/random.hpp"
-#include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 
@@ -26,7 +24,6 @@ class CsmaMac final : public MacBase {
           const PhyParams& phy, const EnergyParams& energy, sim::Rng rng);
 
   void send(net::Frame frame) override;
-  void set_alive(bool alive) override;
 
   void arrival_start(const TransmissionPtr& tx, bool decodable) override;
   void arrival_end(const TransmissionPtr& tx) override;
@@ -39,22 +36,14 @@ class CsmaMac final : public MacBase {
     kWaitAck,     ///< unicast sent, ACK pending
   };
 
-  struct Outgoing {
-    net::Frame frame;
-    int attempts = 0;
-  };
-
-  [[nodiscard]] bool medium_busy() const {
-    return transmitting_ || active_arrivals_ > 0;
-  }
-  void update_radio_state();
+  void on_tx_end(FrameKind sent) override;
+  void on_power_change(bool alive) override;
   void medium_became_busy();
   void medium_became_idle();
   void start_contention();
   void on_difs_elapsed();
   void on_slot_elapsed();
   void start_transmission();
-  void on_tx_end();
   void on_ack_timeout();
   void finish_current(bool success);
   void send_ack(net::NodeId to);
@@ -65,36 +54,12 @@ class CsmaMac final : public MacBase {
   sim::Rng rng_;
 
   State state_ = State::kIdle;
-  sim::RingQueue<Outgoing> queue_;
   std::uint32_t cw_;
   std::int32_t backoff_slots_ = -1;  ///< -1: not drawn yet for this attempt
-
-  bool transmitting_ = false;
-  TransmissionPtr outgoing_tx_;       ///< in-flight frame (for abort)
-  bool pending_ack_tx_ = false;       ///< an ACK is scheduled to transmit
-
-  int active_arrivals_ = 0;
-  // In-flight arrivals at this radio. Flat map: a handful of concurrent
-  // arrivals at most, keyed by transmission identity; pointer order is
-  // fine because every use is a lookup or an order-insensitive flag sweep.
-  struct ArrivalState {
-    bool corrupt = false;
-    bool decodable = true;
-  };
-  sim::FlatMap<const Transmission*, ArrivalState> arrivals_;
 
   sim::Timer difs_timer_;
   sim::Timer slot_timer_;
   sim::Timer ack_timer_;
-  sim::EventHandle tx_end_event_;
-
-  // Frame-conservation ledger (audit builds check it; counters are cheap
-  // enough to keep unconditionally so the ABI does not fork on WSN_AUDIT).
-  // Invariant: accepted == completed + queue_.size() at every quiescent
-  // point, i.e. every accepted frame is eventually delivered-or-dropped.
-  std::uint64_t audit_accepted_ = 0;   ///< frames admitted to the queue
-  std::uint64_t audit_completed_ = 0;  ///< acked, broadcast-sent, or dropped
-  void audit_frame_conservation() const;
 };
 
 }  // namespace wsn::mac

@@ -1,0 +1,112 @@
+#include "mac/mac_base.hpp"
+
+#include <utility>
+
+namespace wsn::mac {
+
+void MacBase::set_alive(bool alive) {
+  if (alive == alive_) return;
+  alive_ = alive;
+  if (!alive) {
+    // Power down: abort any in-flight frame, drop state, stop drawing power.
+    if (outgoing_tx_) outgoing_tx_->aborted = true;
+    outgoing_tx_.reset();
+    transmitting_ = false;
+    audit_completed_ += queue_.size();  // power-down flush drops the queue
+    queue_.clear();
+    arrivals_.clear();
+    if (tx_end_event_.valid()) {
+      sim_->cancel(tx_end_event_);
+      tx_end_event_ = sim::EventHandle{};
+    }
+  }
+  update_radio_state();
+  on_power_change(alive);
+}
+
+bool MacBase::enqueue(net::Frame frame) {
+  if (!alive_) return false;
+  if (queue_.size() >= queue_limit_) {
+    ++stats_.drops_queue_full;
+    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacDrop, id_, frame.dst,
+                   trace::DropReason::kQueueFull, queue_.size());
+    return false;
+  }
+  frame.src = id_;
+  queue_.push_back(Outgoing{std::move(frame), 0});
+  ++audit_accepted_;
+  audit_frame_conservation();
+  return true;
+}
+
+void MacBase::begin_tx(const net::Frame& frame, FrameKind kind,
+                       sim::Time airtime) {
+  transmitting_ = true;
+  // Our own carrier corrupts anything we were mid-receiving (half duplex).
+  corrupt_arrivals();
+  update_radio_state();
+  TransmissionPtr tx = channel_->begin_transmission(id_, frame, kind, airtime);
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxStart, id_, frame.dst, tx->id,
+                 frame.bytes);
+  if (kind == FrameKind::kData) outgoing_tx_ = std::move(tx);
+  tx_end_event_ = sim_->schedule_in(airtime, [this] { end_tx(); });
+}
+
+void MacBase::transmit_head(sim::Time airtime) {
+  const Outgoing& out = queue_.front();
+  begin_tx(out.frame, FrameKind::kData, airtime);
+  ++stats_.frames_sent;
+  stats_.bytes_sent += out.frame.bytes;
+  if (out.attempts > 0) ++stats_.retries;
+}
+
+void MacBase::transmit_ack(net::NodeId to, sim::Time airtime) {
+  net::Frame ack;
+  ack.src = id_;
+  ack.dst = to;
+  ack.bytes = 0;
+  begin_tx(ack, FrameKind::kAck, airtime);
+  ++stats_.acks_sent;
+}
+
+void MacBase::end_tx() {
+  tx_end_event_ = sim::EventHandle{};
+  transmitting_ = false;
+  // Only data frames are kept in outgoing_tx_, so its absence means the
+  // frame that just ended was an ACK (traced with tx id 0).
+  const FrameKind sent = outgoing_tx_ ? FrameKind::kData : FrameKind::kAck;
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxEnd, id_, trace::kNoPeer,
+                 outgoing_tx_ ? outgoing_tx_->id : 0, 0);
+  outgoing_tx_.reset();
+  update_radio_state();
+  on_tx_end(sent);
+}
+
+void MacBase::complete_head(bool success) {
+  const Outgoing& out = queue_.front();
+  const net::Frame& f = out.frame;
+  if (!success) {
+    ++stats_.drops_retry_exhausted;
+    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacDrop, id_, f.dst,
+                   trace::DropReason::kRetryExhausted, out.attempts);
+  }
+  if (user_ != nullptr && f.dst != net::kBroadcast) {
+    if (success) {
+      user_->mac_send_succeeded(f);
+    } else {
+      user_->mac_send_failed(f);
+    }
+  }
+  queue_.pop_front();
+  ++audit_completed_;
+  audit_frame_conservation();
+}
+
+void MacBase::hand_up(const Transmission& tx) {
+  const net::Frame& f = tx.frame;
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacRx, id_, f.src, tx.id, f.bytes);
+  ++stats_.frames_delivered;
+  if (user_ != nullptr) user_->mac_receive(f);
+}
+
+}  // namespace wsn::mac

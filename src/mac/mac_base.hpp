@@ -1,4 +1,5 @@
-// Abstract link layer: what the diffusion stack needs from a MAC.
+// Abstract link layer: what the diffusion stack needs from a MAC, plus the
+// radio core every MAC shares.
 #pragma once
 
 #include <bit>
@@ -7,6 +8,9 @@
 #include "mac/channel.hpp"
 #include "mac/energy.hpp"
 #include "net/types.hpp"
+#include "sim/audit.hpp"
+#include "sim/flat_map.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
 
@@ -38,14 +42,23 @@ struct MacStats {
 };
 
 /// Base class for link layers (CSMA/CA and TDMA implementations provided).
-/// Owns the pieces every MAC shares: identity, liveness, the energy meter
-/// and the user hook; concrete MACs implement medium access and implement
-/// the channel-facing arrival callbacks.
+///
+/// Owns the radio core every MAC shares: identity, liveness, the energy
+/// meter, the user hook, the outgoing queue, the in-flight arrival ledger
+/// and the transmit/receive bookkeeping, so every MAC counter and MAC
+/// trace record except `kMacBackoff` has exactly one emission site, here.
+/// Concrete MACs implement only the access policy: when to transmit the
+/// queue head, which arrival starts collide, and what follows the end of
+/// their own transmission.
 class MacBase {
  public:
   MacBase(sim::Simulator& sim, Channel& channel, net::NodeId id,
-          const EnergyParams& energy)
-      : sim_{&sim}, channel_{&channel}, id_{id}, meter_{energy} {
+          const EnergyParams& energy, std::size_t queue_limit)
+      : sim_{&sim},
+        channel_{&channel},
+        id_{id},
+        meter_{energy},
+        queue_limit_{queue_limit} {
     channel.attach(id, this);
   }
   virtual ~MacBase() = default;
@@ -59,9 +72,10 @@ class MacBase {
   /// full or the node is down.
   virtual void send(net::Frame frame) = 0;
 
-  /// Powers the node down/up. Down: queue flushed, timers cancelled, any
-  /// in-flight transmission aborted, zero energy draw.
-  virtual void set_alive(bool alive) = 0;
+  /// Powers the node down/up. Down: queue flushed, in-flight transmission
+  /// aborted, arrivals forgotten, zero energy draw; the access policy resets
+  /// its own timers in `on_power_change`.
+  void set_alive(bool alive);
 
   [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] net::NodeId id() const { return id_; }
@@ -86,6 +100,35 @@ class MacBase {
   virtual void arrival_end(const TransmissionPtr& tx) = 0;
 
  protected:
+  struct Outgoing {
+    net::Frame frame;
+    int attempts = 0;
+  };
+
+  /// One in-flight arrival at this radio.
+  struct ArrivalState {
+    bool corrupt = false;
+    bool decodable = true;
+  };
+
+  /// What `end_arrival` found.
+  enum class ArrivalEnd {
+    kUntracked,  ///< not in the ledger: the radio was down when it started
+    kLost,       ///< corrupt, carrier-sense only, or aborted by its sender
+    kClean,      ///< decodable and intact: hand it to `deliver`
+  };
+
+  /// Called once per own transmission, after the shared tx-end bookkeeping
+  /// (`kMacTxEnd`, radio state). `sent` says whether it was a data frame
+  /// (the queue head) or an ACK.
+  virtual void on_tx_end(FrameKind sent) = 0;
+  /// Called by `set_alive` after the shared power-down/up reset.
+  virtual void on_power_change(bool alive) = 0;
+
+  [[nodiscard]] bool medium_busy() const {
+    return transmitting_ || !arrivals_.empty();
+  }
+
   /// Radio-state transition with energy-sample tracing: accumulates the
   /// meter exactly like a direct set_state call, and emits one trace
   /// record per actual state change (not per refresh).
@@ -99,6 +142,61 @@ class MacBase {
     }
   }
 
+  /// Derives the radio state from liveness, transmission and arrivals.
+  void update_radio_state() {
+    RadioState s = RadioState::kIdle;
+    if (!alive_) {
+      s = RadioState::kOff;
+    } else if (transmitting_) {
+      s = RadioState::kTx;
+    } else if (!arrivals_.empty()) {
+      s = RadioState::kRx;
+    }
+    set_radio_state(s);
+  }
+
+  /// Counts and traces one corrupted arrival of a decodable frame.
+  void count_collision(const Transmission& tx) {
+    ++stats_.arrivals_corrupted;
+    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacCollision, id_, tx.src, tx.id,
+                   0);
+  }
+
+  /// Marks every arrival still in flight corrupt (no capture, half duplex).
+  void corrupt_arrivals() {
+    for (auto& [txp, st] : arrivals_) st.corrupt = true;
+  }
+
+  /// Enters an arrival into the ledger and refreshes the radio state.
+  void add_arrival(const TransmissionPtr& tx, ArrivalState st) {
+    arrivals_.emplace(tx.get(), st);
+    update_radio_state();
+  }
+
+  /// Removes an arrival from the ledger and refreshes the radio state.
+  ArrivalEnd end_arrival(const Transmission& tx) {
+    auto it = arrivals_.find(&tx);
+    if (it == arrivals_.end()) return ArrivalEnd::kUntracked;
+    const bool clean =
+        it->second.decodable && !it->second.corrupt && !tx.aborted;
+    arrivals_.erase(it);
+    update_radio_state();
+    return clean ? ArrivalEnd::kClean : ArrivalEnd::kLost;
+  }
+
+  /// Queue admission: stamps and queues `frame`, or counts and traces a
+  /// queue-full drop. Returns whether the frame was queued.
+  bool enqueue(net::Frame frame);
+  /// Puts the queue head on the air for `airtime`.
+  void transmit_head(sim::Time airtime);
+  /// Puts an ACK to `to` on the air for `airtime`.
+  void transmit_ack(net::NodeId to, sim::Time airtime);
+  /// Retires the queue head and tells the user a unicast's outcome. Failure
+  /// means its retries ran out: counted and traced as a drop first.
+  void complete_head(bool success);
+  /// Hands a clean data frame addressed here (or broadcast) to the user.
+  void hand_up(const Transmission& tx);
+
   sim::Simulator* sim_;
   Channel* channel_;
   net::NodeId id_;
@@ -106,6 +204,33 @@ class MacBase {
   MacUser* user_ = nullptr;
   bool alive_ = true;
   MacStats stats_;
+
+  std::size_t queue_limit_;
+  sim::RingQueue<Outgoing> queue_;
+  bool transmitting_ = false;
+  // In-flight arrivals at this radio. Flat map: a handful of concurrent
+  // arrivals at most, keyed by transmission identity; pointer order is
+  // fine because every use is a lookup or an order-insensitive flag sweep.
+  sim::FlatMap<const Transmission*, ArrivalState> arrivals_;
+
+ private:
+  void begin_tx(const net::Frame& frame, FrameKind kind, sim::Time airtime);
+  void end_tx();
+  void audit_frame_conservation() const {
+    WSN_AUDIT_CHECK(audit_accepted_ == audit_completed_ + queue_.size(),
+                    "MAC frame conservation broken: accepted != "
+                    "completed + queued");
+  }
+
+  TransmissionPtr outgoing_tx_;  ///< in-flight data frame (for abort)
+  sim::EventHandle tx_end_event_;
+
+  // Frame-conservation ledger (audit builds check it; counters are cheap
+  // enough to keep unconditionally so the ABI does not fork on WSN_AUDIT).
+  // Invariant: accepted == completed + queue_.size() at every quiescent
+  // point, i.e. every accepted frame is eventually delivered-or-dropped.
+  std::uint64_t audit_accepted_ = 0;   ///< frames admitted to the queue
+  std::uint64_t audit_completed_ = 0;  ///< acked, broadcast-sent, or dropped
 };
 
 }  // namespace wsn::mac

@@ -7,7 +7,7 @@ namespace wsn::mac {
 TdmaMac::TdmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
                  std::uint32_t num_slots, const TdmaParams& params,
                  const EnergyParams& energy)
-    : MacBase{sim, channel, id, energy},
+    : MacBase{sim, channel, id, energy, params.queue_limit},
       params_{params},
       num_slots_{num_slots},
       slot_timer_{sim, [this] { on_slot_start(); }} {
@@ -16,84 +16,34 @@ TdmaMac::TdmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
 
 void TdmaMac::schedule_next_slot() { slot_timer_.arm(cycle_duration()); }
 
-void TdmaMac::send(net::Frame frame) {
-  if (!alive_) return;
-  if (queue_.size() >= params_.queue_limit) {
-    ++stats_.drops_queue_full;
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacDrop, id_, frame.dst,
-                   trace::DropReason::kQueueFull, queue_.size());
+void TdmaMac::send(net::Frame frame) { enqueue(std::move(frame)); }
+
+void TdmaMac::on_power_change(bool alive) {
+  if (!alive) {
+    awaiting_ack_ = false;
+    slot_timer_.cancel();
     return;
   }
-  frame.src = id_;
-  queue_.push_back(Outgoing{std::move(frame), 0});
-}
-
-void TdmaMac::set_alive(bool alive) {
-  if (alive == alive_) return;
-  alive_ = alive;
-  if (!alive) {
-    if (outgoing_tx_) outgoing_tx_->aborted = true;
-    outgoing_tx_.reset();
-    transmitting_ = false;
-    awaiting_ack_ = false;
-    ack_tx_in_progress_ = false;
-    queue_.clear();
-    arrivals_.clear();
-    active_arrivals_ = 0;
-    slot_timer_.cancel();
-    if (tx_end_event_.valid()) {
-      sim_->cancel(tx_end_event_);
-      tx_end_event_ = sim::EventHandle{};
-    }
-    set_radio_state(RadioState::kOff);
-  } else {
-    set_radio_state(RadioState::kIdle);
-    // Rejoin the schedule at our next slot boundary.
-    const auto cycle = cycle_duration().as_nanos();
-    const auto offset = (params_.slot_duration() * id_).as_nanos();
-    const auto now = sim_->now().as_nanos();
-    const auto phase = (now - offset) % cycle;
-    slot_timer_.arm(sim::Time::nanos(phase == 0 ? 0 : cycle - phase));
-  }
+  // Rejoin the schedule at our next slot boundary.
+  const auto cycle = cycle_duration().as_nanos();
+  const auto offset = (params_.slot_duration() * id_).as_nanos();
+  const auto now = sim_->now().as_nanos();
+  const auto phase = (now - offset) % cycle;
+  slot_timer_.arm(sim::Time::nanos(phase == 0 ? 0 : cycle - phase));
 }
 
 void TdmaMac::on_slot_start() {
   schedule_next_slot();
   if (!alive_ || queue_.empty() || transmitting_) return;
-
-  Outgoing& out = queue_.front();
-  transmitting_ = true;
-  for (auto& [txp, ok] : arrivals_) ok = false;  // half duplex corrupts rx
-  update_radio_state();
-
-  const sim::Time airtime = params_.payload_airtime(out.frame.bytes);
-  outgoing_tx_ =
-      channel_->begin_transmission(id_, out.frame, FrameKind::kData, airtime);
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxStart, id_, out.frame.dst,
-                 outgoing_tx_->id, out.frame.bytes);
-  ++stats_.frames_sent;
-  stats_.bytes_sent += out.frame.bytes;
-  if (out.attempts > 0) ++stats_.retries;
-  awaiting_ack_ = out.frame.dst != net::kBroadcast;
-  tx_end_event_ = sim_->schedule_in(airtime, [this] { on_tx_end(); });
+  const net::Frame& head = queue_.front().frame;
+  awaiting_ack_ = head.dst != net::kBroadcast;
+  transmit_head(params_.payload_airtime(head.bytes));
 }
 
-void TdmaMac::on_tx_end() {
-  tx_end_event_ = sim::EventHandle{};
-  transmitting_ = false;
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxEnd, id_, trace::kNoPeer,
-                 outgoing_tx_ ? outgoing_tx_->id : 0, 0);
-  outgoing_tx_.reset();
-  update_radio_state();
-
-  if (ack_tx_in_progress_) {  // the frame that ended was an ACK we sent
-    ack_tx_in_progress_ = false;
-    return;
-  }
-  if (queue_.empty()) return;
-  Outgoing& out = queue_.front();
-  if (out.frame.dst == net::kBroadcast) {
-    queue_.pop_front();
+void TdmaMac::on_tx_end(FrameKind sent) {
+  if (sent == FrameKind::kAck || queue_.empty()) return;
+  if (queue_.front().frame.dst == net::kBroadcast) {
+    complete_head(true);
     return;
   }
   // Unicast: wait out the ACK window at the end of our slot.
@@ -102,55 +52,25 @@ void TdmaMac::on_tx_end() {
   sim_->schedule_in(window, [this] {
     if (!alive_ || !awaiting_ack_ || queue_.empty()) return;
     awaiting_ack_ = false;
-    Outgoing& head = queue_.front();
-    if (++head.attempts > params_.max_retries) {
-      ++stats_.drops_retry_exhausted;
-      WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacDrop, id_, head.frame.dst,
-                     trace::DropReason::kRetryExhausted, head.attempts);
-      if (user_ != nullptr) user_->mac_send_failed(head.frame);
-      queue_.pop_front();
-    }
-    // else: the frame stays queued for our next slot.
+    // Otherwise the frame stays queued for our next slot.
+    if (++queue_.front().attempts > params_.max_retries) complete_head(false);
   });
-}
-
-void TdmaMac::update_radio_state() {
-  RadioState s = RadioState::kIdle;
-  if (!alive_) {
-    s = RadioState::kOff;
-  } else if (transmitting_) {
-    s = RadioState::kTx;
-  } else if (active_arrivals_ > 0) {
-    s = RadioState::kRx;
-  }
-  set_radio_state(s);
 }
 
 void TdmaMac::arrival_start(const TransmissionPtr& tx, bool decodable) {
   if (!alive_) return;
   // The global schedule is collision-free; overlap can still occur around
   // ACKs of a frame we cannot decode, so treat overlaps as corruption.
-  const bool clean = !transmitting_ && active_arrivals_ == 0;
-  if (!clean) {
-    ++stats_.arrivals_corrupted;
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacCollision, id_, tx->src,
-                   tx->id, 0);
-    for (auto& [txp, ok] : arrivals_) ok = false;
+  const bool overlap = medium_busy();
+  if (overlap) {
+    count_collision(*tx);
+    corrupt_arrivals();
   }
-  arrivals_.emplace(tx.get(), decodable && clean);
-  ++active_arrivals_;
-  update_radio_state();
+  add_arrival(tx, ArrivalState{overlap, decodable});
 }
 
 void TdmaMac::arrival_end(const TransmissionPtr& tx) {
-  if (!alive_) return;
-  auto it = arrivals_.find(tx.get());
-  if (it == arrivals_.end()) return;
-  const bool deliverable = it->second && !tx->aborted;
-  arrivals_.erase(it);
-  --active_arrivals_;
-  update_radio_state();
-  if (deliverable) deliver(*tx);
+  if (end_arrival(*tx) == ArrivalEnd::kClean) deliver(*tx);
 }
 
 void TdmaMac::deliver(const Transmission& tx) {
@@ -158,8 +78,7 @@ void TdmaMac::deliver(const Transmission& tx) {
   if (tx.kind == FrameKind::kAck) {
     if (f.dst == id_ && awaiting_ack_ && !queue_.empty()) {
       awaiting_ack_ = false;
-      if (user_ != nullptr) user_->mac_send_succeeded(queue_.front().frame);
-      queue_.pop_front();
+      complete_head(true);
     }
     return;
   }
@@ -168,25 +87,10 @@ void TdmaMac::deliver(const Transmission& tx) {
     // Acknowledge inside the sender's slot, a SIFS after the data.
     sim_->schedule_in(params_.sifs, [this, to = f.src] {
       if (!alive_ || transmitting_) return;
-      transmitting_ = true;
-      ack_tx_in_progress_ = true;
-      update_radio_state();
-      net::Frame ack;
-      ack.src = id_;
-      ack.dst = to;
-      ack.bytes = 0;
-      const sim::Time airtime = params_.ack_airtime();
-      const TransmissionPtr ack_tx =
-          channel_->begin_transmission(id_, ack, FrameKind::kAck, airtime);
-      WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxStart, id_, to, ack_tx->id,
-                     0);
-      ++stats_.acks_sent;
-      tx_end_event_ = sim_->schedule_in(airtime, [this] { on_tx_end(); });
+      transmit_ack(to, params_.ack_airtime());
     });
   }
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacRx, id_, f.src, tx.id, f.bytes);
-  ++stats_.frames_delivered;
-  if (user_ != nullptr) user_->mac_receive(f);
+  hand_up(tx);
 }
 
 }  // namespace wsn::mac

@@ -6,8 +6,6 @@
 
 #include "mac/mac_base.hpp"
 #include "mac/params.hpp"
-#include "sim/flat_map.hpp"
-#include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 
@@ -58,7 +56,6 @@ class TdmaMac final : public MacBase {
           const EnergyParams& energy);
 
   void send(net::Frame frame) override;
-  void set_alive(bool alive) override;
 
   void arrival_start(const TransmissionPtr& tx, bool decodable) override;
   void arrival_end(const TransmissionPtr& tx) override;
@@ -68,30 +65,16 @@ class TdmaMac final : public MacBase {
   }
 
  private:
-  struct Outgoing {
-    net::Frame frame;
-    int attempts = 0;
-  };
-
+  void on_tx_end(FrameKind sent) override;
+  void on_power_change(bool alive) override;
   void on_slot_start();
   void schedule_next_slot();
-  void on_tx_end();
-  void update_radio_state();
   void deliver(const Transmission& tx);
 
   TdmaParams params_;
   std::uint32_t num_slots_;
-  sim::RingQueue<Outgoing> queue_;
-
-  bool transmitting_ = false;
   bool awaiting_ack_ = false;
-  bool ack_tx_in_progress_ = false;
-  TransmissionPtr outgoing_tx_;
-  int active_arrivals_ = 0;
-  sim::FlatMap<const Transmission*, bool> arrivals_;  // -> decodable
-
   sim::Timer slot_timer_;
-  sim::EventHandle tx_end_event_;
 };
 
 }  // namespace wsn::mac

@@ -21,9 +21,10 @@ namespace wsn::scenario {
 /// merging in index order, never from scheduling.
 ///
 /// Thread-safety contract for tasks: a task may touch only its own slot
-/// plus state that is thread-safe process-wide (sim::Logger, the WSN_AUDIT
-/// counters). Everything a `run_experiment` call uses is otherwise local to
-/// the call, so replicates parallelise without locks in the hot path.
+/// plus state that is thread-safe process-wide (the WSN_AUDIT counters,
+/// the flight-recorder registry). Everything a `run_experiment` call uses
+/// is otherwise local to the call, so replicates parallelise without locks
+/// in the hot path.
 class ThreadPool {
  public:
   /// Spawns `workers` (>= 1) threads that idle until work arrives.

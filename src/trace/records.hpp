@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 
 namespace wsn::trace {
 
@@ -43,6 +44,8 @@ enum class RecordKind : std::uint16_t {
   kEnergySample,     ///< node, a=RadioState, b=bit pattern of joules so far
   kNodeDown,         ///< node powered off by the failure process
   kNodeUp,           ///< node revived by the failure process
+  // --- Appended kinds ------------------------------------------------------
+  kItemDropped,      ///< node, a=packed key; no usable gradient at flush
   kCount             ///< sentinel, not a record kind
 };
 
@@ -101,6 +104,11 @@ struct CounterTable {
 
 /// Stable dotted name, e.g. "mac.tx_start"; "?" for out-of-range values.
 [[nodiscard]] const char* kind_name(RecordKind kind);
+
+/// Writes one record as a text line: `prefix`, time, kind name, fields.
+/// The one formatter behind `trace_tool dump`/`diff` and the flight
+/// recorder dump.
+void print_record(std::FILE* out, const char* prefix, const Record& r);
 
 /// Component prefix of a kind ("mac", "channel", "diffusion", "cache",
 /// "gradient", "item", "energy", "failure").

@@ -90,6 +90,7 @@ const char* kind_name(RecordKind kind) {
     case RecordKind::kEnergySample: return "energy.sample";
     case RecordKind::kNodeDown: return "failure.node_down";
     case RecordKind::kNodeUp: return "failure.node_up";
+    case RecordKind::kItemDropped: return "item.dropped";
     case RecordKind::kCount: break;
   }
   return "?";
@@ -122,13 +123,22 @@ const char* kind_component(RecordKind kind) {
     case RecordKind::kTreeChange: return "gradient";
     case RecordKind::kItemGenerated:
     case RecordKind::kItemForward:
-    case RecordKind::kItemDelivered: return "item";
+    case RecordKind::kItemDelivered:
+    case RecordKind::kItemDropped: return "item";
     case RecordKind::kEnergySample: return "energy";
     case RecordKind::kNodeDown:
     case RecordKind::kNodeUp: return "failure";
     case RecordKind::kCount: break;
   }
   return "?";
+}
+
+void print_record(std::FILE* out, const char* prefix, const Record& r) {
+  std::fprintf(out,
+               "%st=%.9fs %-26s node=%" PRIu32 " peer=%" PRIu32 " a=%" PRIu64
+               " b=%" PRIu64 "\n",
+               prefix, static_cast<double>(r.t_ns) * 1e-9, kind_name(r.kind),
+               r.node, r.peer, r.a, r.b);
 }
 
 TraceSpec spec_from_env() {
@@ -256,13 +266,7 @@ void Tracer::dump_all_rings(std::FILE* out) {
                  "[wsn-trace] flight recorder (seed %" PRIu64 "): last %zu of "
                  "%" PRIu64 " records\n",
                  t->seed_, records.size(), t->ring_seen_);
-    for (const Record& r : records) {
-      std::fprintf(out,
-                   "[wsn-trace]   t=%.9fs %-26s node=%" PRIu32 " peer=%" PRIu32
-                   " a=%" PRIu64 " b=%" PRIu64 "\n",
-                   static_cast<double>(r.t_ns) * 1e-9, kind_name(r.kind),
-                   r.node, r.peer, r.a, r.b);
-    }
+    for (const Record& r : records) print_record(out, "[wsn-trace]   ", r);
   }
   std::fflush(out);
 }

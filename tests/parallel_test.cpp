@@ -3,7 +3,7 @@
 // bit-identical (digest-equal) to the serial path for any job count.
 //
 // CI runs this binary under ThreadSanitizer with WSN_JOBS=4, so every data
-// race between replicate workers (logger, audit counters, slot writes)
+// race between replicate workers (audit counters, slot writes)
 // is a test failure, not just a wrong number.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "scenario/experiment.hpp"
 #include "scenario/parallel.hpp"
 #include "scenario/sweep.hpp"
-#include "sim/logger.hpp"
 
 namespace wsn::scenario {
 namespace {
@@ -146,17 +145,6 @@ TEST(ParallelReplicates, DifferentSeedsStillDiverge) {
   const ExperimentConfig cfg = small_config(core::Algorithm::kGreedy);
   EXPECT_NE(digest_of(run_replicates(cfg, 4, 1, 4)),
             digest_of(run_replicates(cfg, 4, 100, 4)));
-}
-
-TEST(ParallelReplicates, ConcurrentLoggingIsSafe) {
-  // Raise the log level so replicate workers actually hit the logger while
-  // running concurrently; under tsan this is the logger race detector.
-  const sim::LogLevel old = sim::Logger::level();
-  sim::Logger::set_level(sim::LogLevel::kError);
-  const ExperimentConfig cfg = small_config(core::Algorithm::kGreedy);
-  const AveragedPoint p = run_replicates(cfg, 4, 1, 4);
-  sim::Logger::set_level(old);
-  EXPECT_EQ(p.replicates, 4);
 }
 
 }  // namespace

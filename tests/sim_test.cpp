@@ -8,7 +8,6 @@
 #include <string>
 
 #include "sim/event_queue.hpp"
-#include "sim/logger.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
@@ -407,54 +406,6 @@ TEST_P(EventQueueProperty, RandomScheduleIsOrdered) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 99, 12345));
-
-class LoggerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    saved_ = Logger::level();
-    Logger::set_level(LogLevel::kInfo);
-  }
-  void TearDown() override { Logger::set_level(saved_); }
-
- private:
-  LogLevel saved_;
-};
-
-TEST_F(LoggerTest, FormatsArgumentsPrintfStyle) {
-  ::testing::internal::CaptureStderr();
-  Logger::log(LogLevel::kInfo, Time::seconds(1.5), "test", "node %u cost %.2f",
-              7u, 3.125);
-  const std::string out = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(out.find("node 7 cost 3.12"), std::string::npos) << out;
-  EXPECT_NE(out.find("1.500000"), std::string::npos) << out;
-}
-
-TEST_F(LoggerTest, TruncatedLinesEndWithAVisibleMarker) {
-  const std::string big(700, 'x');
-  ::testing::internal::CaptureStderr();
-  Logger::log(LogLevel::kInfo, Time::zero(), "test", "head %s", big.c_str());
-  const std::string out = ::testing::internal::GetCapturedStderr();
-  // The 512-byte line buffer cuts the message; the tail must carry the
-  // UTF-8 "…" marker so truncation is visible, and nothing past the buffer
-  // may leak through.
-  EXPECT_NE(out.find("\xe2\x80\xa6"), std::string::npos) << out;
-  EXPECT_LT(out.size(), 600u);
-  EXPECT_NE(out.find("xxxx"), std::string::npos);
-}
-
-TEST_F(LoggerTest, ShortLinesCarryNoMarker) {
-  ::testing::internal::CaptureStderr();
-  Logger::log(LogLevel::kInfo, Time::zero(), "test", "fits fine: %d", 42);
-  const std::string out = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(out.find("fits fine: 42"), std::string::npos);
-  EXPECT_EQ(out.find("\xe2\x80\xa6"), std::string::npos) << out;
-}
-
-TEST_F(LoggerTest, DisabledLevelsEmitNothing) {
-  ::testing::internal::CaptureStderr();
-  Logger::log(LogLevel::kDebug, Time::zero(), "test", "below the level");
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-}
 
 }  // namespace
 }  // namespace wsn::sim

@@ -1,61 +1,15 @@
 // Unit + integration tests for the TDMA MAC (paper §4.2's alternative).
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
-#include "mac/channel.hpp"
 #include "mac/tdma_mac.hpp"
-#include "net/topology.hpp"
+#include "mac_rig.hpp"
 #include "scenario/experiment.hpp"
-#include "sim/simulator.hpp"
 
 namespace wsn::mac {
 namespace {
 
-struct TestUser final : MacUser {
-  std::vector<net::Frame> received;
-  int failed = 0;
-  int succeeded = 0;
-  void mac_receive(const net::Frame& f) override { received.push_back(f); }
-  void mac_send_failed(const net::Frame&) override { ++failed; }
-  void mac_send_succeeded(const net::Frame&) override { ++succeeded; }
-};
-
-class TdmaRig {
- public:
-  explicit TdmaRig(std::vector<net::Vec2> positions, double range = 40.0)
-      : topo_{std::move(positions), range}, channel_{sim_, topo_} {
-    for (net::NodeId i = 0; i < topo_.node_count(); ++i) {
-      users_.push_back(std::make_unique<TestUser>());
-      macs_.push_back(std::make_unique<TdmaMac>(
-          sim_, channel_, i, static_cast<std::uint32_t>(topo_.node_count()),
-          params_, energy_));
-      macs_.back()->set_user(users_.back().get());
-    }
-  }
-
-  TdmaMac& mac(net::NodeId i) { return *macs_[i]; }
-  TestUser& user(net::NodeId i) { return *users_[i]; }
-  sim::Simulator& sim() { return sim_; }
-  const TdmaParams& params() const { return params_; }
-
-  static net::Frame frame(net::NodeId dst, std::uint32_t bytes = 64) {
-    net::Frame f;
-    f.dst = dst;
-    f.bytes = bytes;
-    return f;
-  }
-
- private:
-  sim::Simulator sim_;
-  net::Topology topo_;
-  Channel channel_;
-  TdmaParams params_;
-  EnergyParams energy_;
-  std::vector<std::unique_ptr<TestUser>> users_;
-  std::vector<std::unique_ptr<TdmaMac>> macs_;
-};
+using testing::MacKind;
+using testing::MacRig;
 
 TEST(TdmaParams, SlotMath) {
   TdmaParams p;
@@ -64,18 +18,18 @@ TEST(TdmaParams, SlotMath) {
 }
 
 TEST(Tdma, UnicastDeliveredAndAcked) {
-  TdmaRig rig{{{0, 0}, {20, 0}}};
-  rig.mac(0).send(TdmaRig::frame(1));
-  rig.sim().run_until(rig.mac(0).cycle_duration() * 2);
+  MacRig rig{{{0, 0}, {20, 0}}, 40.0, 0.0, MacKind::kTdma};
+  rig.mac(0).send(MacRig::frame(1));
+  rig.sim().run_until(rig.tdma_cycle() * 2);
   ASSERT_EQ(rig.user(1).received.size(), 1u);
   EXPECT_EQ(rig.user(0).succeeded, 1);
   EXPECT_EQ(rig.mac(1).stats().acks_sent, 1u);
 }
 
 TEST(Tdma, BroadcastReachesNeighbours) {
-  TdmaRig rig{{{0, 0}, {20, 0}, {35, 0}, {200, 0}}};
-  rig.mac(0).send(TdmaRig::frame(net::kBroadcast));
-  rig.sim().run_until(rig.mac(0).cycle_duration());
+  MacRig rig{{{0, 0}, {20, 0}, {35, 0}, {200, 0}}, 40.0, 0.0, MacKind::kTdma};
+  rig.mac(0).send(MacRig::frame(net::kBroadcast));
+  rig.sim().run_until(rig.tdma_cycle());
   EXPECT_EQ(rig.user(1).received.size(), 1u);
   EXPECT_EQ(rig.user(2).received.size(), 1u);
   EXPECT_EQ(rig.user(3).received.size(), 0u);
@@ -83,13 +37,13 @@ TEST(Tdma, BroadcastReachesNeighbours) {
 
 TEST(Tdma, SimultaneousSendersNeverCollide) {
   // All three within range; the schedule serialises them perfectly.
-  TdmaRig rig{{{0, 0}, {15, 0}, {30, 0}}};
+  MacRig rig{{{0, 0}, {15, 0}, {30, 0}}, 40.0, 0.0, MacKind::kTdma};
   for (int k = 0; k < 5; ++k) {
-    rig.mac(0).send(TdmaRig::frame(net::kBroadcast));
-    rig.mac(1).send(TdmaRig::frame(net::kBroadcast));
-    rig.mac(2).send(TdmaRig::frame(net::kBroadcast));
+    rig.mac(0).send(MacRig::frame(net::kBroadcast));
+    rig.mac(1).send(MacRig::frame(net::kBroadcast));
+    rig.mac(2).send(MacRig::frame(net::kBroadcast));
   }
-  rig.sim().run_until(rig.mac(0).cycle_duration() * 8);
+  rig.sim().run_until(rig.tdma_cycle() * 8);
   EXPECT_EQ(rig.mac(0).stats().arrivals_corrupted, 0u);
   EXPECT_EQ(rig.mac(1).stats().arrivals_corrupted, 0u);
   // Node 1 hears 5 frames from each side.
@@ -97,30 +51,30 @@ TEST(Tdma, SimultaneousSendersNeverCollide) {
 }
 
 TEST(Tdma, RetryThenFailureOnDeadReceiver) {
-  TdmaRig rig{{{0, 0}, {20, 0}}};
+  MacRig rig{{{0, 0}, {20, 0}}, 40.0, 0.0, MacKind::kTdma};
   rig.mac(1).set_alive(false);
-  rig.mac(0).send(TdmaRig::frame(1));
-  rig.sim().run_until(rig.mac(0).cycle_duration() * 6);
+  rig.mac(0).send(MacRig::frame(1));
+  rig.sim().run_until(rig.tdma_cycle() * 6);
   EXPECT_EQ(rig.user(0).failed, 1);
   EXPECT_EQ(rig.mac(0).stats().drops_retry_exhausted, 1u);
   EXPECT_EQ(rig.mac(0).stats().retries,
-            static_cast<std::uint64_t>(rig.params().max_retries));
+            static_cast<std::uint64_t>(rig.tdma().max_retries));
 }
 
 TEST(Tdma, RevivedNodeRejoinsSchedule) {
-  TdmaRig rig{{{0, 0}, {20, 0}}};
+  MacRig rig{{{0, 0}, {20, 0}}, 40.0, 0.0, MacKind::kTdma};
   rig.mac(1).set_alive(false);
-  rig.sim().run_until(rig.mac(0).cycle_duration());
+  rig.sim().run_until(rig.tdma_cycle());
   rig.mac(1).set_alive(true);
-  rig.mac(1).send(TdmaRig::frame(0));
-  rig.sim().run_until(rig.mac(0).cycle_duration() * 3);
+  rig.mac(1).send(MacRig::frame(0));
+  rig.sim().run_until(rig.tdma_cycle() * 3);
   EXPECT_EQ(rig.user(0).received.size(), 1u);
 }
 
 TEST(Tdma, ThroughputOneFramePerCycle) {
-  TdmaRig rig{{{0, 0}, {20, 0}}};
-  for (int k = 0; k < 10; ++k) rig.mac(0).send(TdmaRig::frame(1));
-  rig.sim().run_until(rig.mac(0).cycle_duration() * 4);
+  MacRig rig{{{0, 0}, {20, 0}}, 40.0, 0.0, MacKind::kTdma};
+  for (int k = 0; k < 10; ++k) rig.mac(0).send(MacRig::frame(1));
+  rig.sim().run_until(rig.tdma_cycle() * 4);
   // At most one frame per owned slot: 4 cycles → ≤4 (first slot may be
   // missed depending on phase).
   EXPECT_LE(rig.user(1).received.size(), 4u);

@@ -272,6 +272,48 @@ TEST(Trace, ParallelReplicatesTraceBitIdenticalToSerial) {
   }
 }
 
+TEST(Trace, CountersMatchLayerStats) {
+  // Every counted MAC and protocol event is also traced, at the same site:
+  // the per-layer stats structs and the per-kind trace tallies must agree
+  // across both MACs, both instantiations and the failure process.
+  std::uint64_t dropped_items = 0;
+  for (const auto mac : {scenario::MacType::kCsma, scenario::MacType::kTdma}) {
+    for (const auto alg :
+         {core::Algorithm::kOpportunistic, core::Algorithm::kGreedy}) {
+      for (const bool failures : {false, true}) {
+        scenario::ExperimentConfig cfg;
+        cfg.field.nodes = 200;
+        cfg.mac_type = mac;
+        cfg.algorithm = alg;
+        cfg.failures.enabled = failures;
+        cfg.duration = sim::Time::seconds(60.0);
+        cfg.seed = 3;
+        cfg.trace.ring_capacity = 16;  // ring only: counters, no file
+        SCOPED_TRACE(::testing::Message()
+                     << (mac == scenario::MacType::kCsma ? "csma" : "tdma")
+                     << " " << core::to_string(alg)
+                     << (failures ? " failures" : ""));
+        const scenario::RunResult res = scenario::run_experiment(cfg);
+        const CounterTable& c = res.trace_counters;
+        const diffusion::ProtocolStats& p = res.protocol;
+        EXPECT_GT(res.frames_sent, 0u);
+        EXPECT_EQ(res.frames_sent, c.of(RecordKind::kMacTxStart));
+        EXPECT_EQ(res.arrivals_corrupted, c.of(RecordKind::kMacCollision));
+        EXPECT_EQ(res.drops, c.of(RecordKind::kMacDrop));
+        EXPECT_EQ(p.interests_sent, c.of(RecordKind::kInterestSend));
+        EXPECT_EQ(p.exploratory_sent, c.of(RecordKind::kExploratorySend));
+        EXPECT_EQ(p.data_sent, c.of(RecordKind::kDataSend));
+        EXPECT_EQ(p.icm_sent, c.of(RecordKind::kIcmSend));
+        EXPECT_EQ(p.reinforcements_sent, c.of(RecordKind::kReinforceSend));
+        EXPECT_EQ(p.negatives_sent, c.of(RecordKind::kNegativeSend));
+        EXPECT_EQ(p.items_dropped_no_gradient, c.of(RecordKind::kItemDropped));
+        dropped_items += p.items_dropped_no_gradient;
+      }
+    }
+  }
+  EXPECT_GT(dropped_items, 0u);  // the item.dropped equality is not vacuous
+}
+
 #if WSN_AUDIT_ENABLED
 TEST(Trace, AuditViolationDumpsTheFlightRecorder) {
   Tracer tracer{Tracer::Options{

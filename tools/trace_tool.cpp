@@ -1,9 +1,10 @@
-// CLI over src/trace binary traces: summary | path <item-key> | diff.
+// CLI over src/trace binary traces: summary | dump | path <item-key> | diff.
 //
 //   trace_tool summary FILE         per-kind/per-component/per-node counters
+//   trace_tool dump FILE            every record as one text line
 //   trace_tool path FILE SRC:SEQ    hop-by-hop reconstruction of one data
 //                                   item from generation to each delivery
-//                                   (SRC:SEQ, or the packed 64-bit key)
+//                                   or drop (SRC:SEQ, or the packed key)
 //   trace_tool diff A B             byte-exact comparison of two same-seed
 //                                   traces; prints the first divergent
 //                                   record and exits 1 on divergence
@@ -29,16 +30,10 @@ using wsn::trace::TraceReader;
 int usage() {
   std::fprintf(stderr,
                "usage: trace_tool summary FILE\n"
+               "       trace_tool dump FILE\n"
                "       trace_tool path FILE <source:seq | packed-key>\n"
                "       trace_tool diff FILE_A FILE_B\n");
   return 2;
-}
-
-void print_record(const char* prefix, const Record& r) {
-  std::printf("%st=%.9fs %-26s node=%" PRIu32 " peer=%" PRIu32 " a=%" PRIu64
-              " b=%" PRIu64 "\n",
-              prefix, static_cast<double>(r.t_ns) * 1e-9,
-              wsn::trace::kind_name(r.kind), r.node, r.peer, r.a, r.b);
 }
 
 int cmd_summary(const std::string& path) {
@@ -99,6 +94,17 @@ int cmd_summary(const std::string& path) {
   return 0;
 }
 
+int cmd_dump(const std::string& path) {
+  TraceReader reader{path};
+  Record r;
+  while (reader.next(r)) wsn::trace::print_record(stdout, "", r);
+  if (!reader.ok()) {
+    std::fprintf(stderr, "trace_tool: %s\n", reader.error().c_str());
+    return 2;
+  }
+  return 0;
+}
+
 bool parse_item_key(const char* arg, std::uint64_t& key) {
   const char* colon = std::strchr(arg, ':');
   char* end = nullptr;
@@ -152,6 +158,12 @@ int cmd_path(const std::string& path, const char* key_arg) {
         std::printf("  t=%.6fs delivered at sink %" PRIu32 " (delay %.6fs)\n",
                     t, r.node, static_cast<double>(r.b) * 1e-9);
         break;
+      case RecordKind::kItemDropped:
+        ++hits;
+        std::printf("  t=%.6fs dropped at node %" PRIu32
+                    " (no usable gradient)\n",
+                    t, r.node);
+        break;
       default:
         break;  // same `a` value in an unrelated kind (e.g. a msg id)
     }
@@ -184,9 +196,9 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
   if (diff.has_a || diff.has_b) {
     std::printf("first divergent record: index %" PRIu64 "\n",
                 diff.first_diff_index);
-    if (diff.has_a) print_record("  A: ", diff.a);
+    if (diff.has_a) wsn::trace::print_record(stdout, "  A: ", diff.a);
     else            std::printf("  A: <end of trace>\n");
-    if (diff.has_b) print_record("  B: ", diff.b);
+    if (diff.has_b) wsn::trace::print_record(stdout, "  B: ", diff.b);
     else            std::printf("  B: <end of trace>\n");
   }
   return 1;
@@ -198,6 +210,7 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string cmd = argv[1];
   if (cmd == "summary" && argc == 3) return cmd_summary(argv[2]);
+  if (cmd == "dump" && argc == 3) return cmd_dump(argv[2]);
   if (cmd == "path" && argc == 4) return cmd_path(argv[2], argv[3]);
   if (cmd == "diff" && argc == 4) return cmd_diff(argv[2], argv[3]);
   return usage();
