@@ -11,7 +11,6 @@ int main() {
   const int fields = scenario::fields_from_env();
   const double secs = scenario::sim_seconds_from_env(200.0);
 
-  bench::ResultsJson json{"ablation_mac"};
   std::printf("=== Ablation: CSMA/CA vs TDMA link layer (greedy) ===\n");
   std::printf("fields/point=%d sim=%.0fs\n", fields, secs);
   std::printf("%-8s %-6s | %-12s | %-12s | %-9s | %-9s\n", "nodes", "mac",
@@ -28,12 +27,10 @@ int main() {
       std::printf("%-8zu %-6s | %12.5f | %12.5f | %9.3f | %9.3f\n", nodes,
                   mac, p.energy.mean(), p.active_energy.mean(),
                   p.delay.mean(), p.delivery.mean());
-      json.add(std::to_string(nodes), mac, p);
     }
   }
   std::printf("expected: TDMA delivers without any collisions but pays "
               "cycle-bound latency that grows with node count; CSMA keeps "
               "delay flat and loses a little to contention.\n");
-  json.write(fields, secs);
   return 0;
 }

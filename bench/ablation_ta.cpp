@@ -10,7 +10,6 @@ int main() {
   const int fields = scenario::fields_from_env();
   const double secs = scenario::sim_seconds_from_env(200.0);
 
-  bench::ResultsJson json{"ablation_ta"};
   std::printf("=== Ablation: aggregation delay T_a (greedy, 250 nodes) ===\n");
   std::printf("fields/point=%d sim=%.0fs (T_n kept at 4*T_a per the paper)\n",
               fields, secs);
@@ -29,10 +28,8 @@ int main() {
                 p.delivery.mean());
     char label[32];
     std::snprintf(label, sizeof label, "%.2f", ta);
-    json.add(label, "greedy", p);
   }
   std::printf("expected: larger T_a lowers tx+rx energy (bigger aggregates, "
               "fewer transmissions) and raises delay roughly linearly.\n");
-  json.write(fields, secs);
   return 0;
 }

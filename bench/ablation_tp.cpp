@@ -11,7 +11,6 @@ int main() {
   const int fields = scenario::fields_from_env();
   const double secs = scenario::sim_seconds_from_env(200.0);
 
-  bench::ResultsJson json{"ablation_tp"};
   std::printf("=== Ablation: reinforcement wait T_p (greedy, 250 nodes) ===\n");
   std::printf("fields/point=%d sim=%.0fs\n", fields, secs);
   std::printf("%-8s | %-12s | %-12s | %-9s | %-9s\n", "T_p [s]",
@@ -28,11 +27,9 @@ int main() {
                 p.delivery.mean());
     char label[32];
     std::snprintf(label, sizeof label, "%.2f", tp);
-    json.add(label, "greedy", p);
   }
   std::printf("expected: energy (tx+rx) falls from T_p=0 to the paper's "
               "T_p=1 s as ICMs get time to arrive; beyond that, little "
               "change but slower tree setup.\n");
-  json.write(fields, secs);
   return 0;
 }

@@ -9,7 +9,6 @@ int main() {
   const int fields = scenario::fields_from_env();
   const double secs = scenario::sim_seconds_from_env(200.0);
 
-  bench::ResultsJson json{"ablation_truncation"};
   std::printf("=== Ablation: path truncation on/off (250 nodes) ===\n");
   std::printf("fields/point=%d sim=%.0fs\n", fields, secs);
   std::printf("%-22s | %-12s | %-12s | %-9s | %-9s\n", "variant",
@@ -29,12 +28,9 @@ int main() {
       std::printf("%-22s | %12.5f | %12.5f | %9.3f | %9.3f\n", label,
                   p.energy.mean(), p.active_energy.mean(), p.delay.mean(),
                   p.delivery.mean());
-      json.add(std::string(core::to_string(alg)),
-               trunc ? "trunc" : "no-trunc", p);
     }
   }
   std::printf("expected: disabling truncation raises tx+rx energy for both "
               "variants (stale duplicate paths keep transmitting).\n");
-  json.write(fields, secs);
   return 0;
 }

@@ -11,24 +11,18 @@
 //   WSN_JOBS=<n>      parallel replicate workers  (default: hardware
 //                     concurrency; 1 forces the serial path; results are
 //                     bit-identical either way)
-// Machine-readable output:
-//   - set WSN_CSV=<dir> and each figure harness appends its series to
-//     <dir>/<figure>.csv for plotting (see plots/); the header is written
-//     only when the file is created, so multi-figure and re-runs into one
-//     dir compose.
-//   - each harness also writes results/BENCH_<figure>.json (points, means,
-//     SEMs, wall-clock seconds, jobs, seed0) so the perf trajectory is
-//     tracked across PRs; override the dir with WSN_RESULTS (empty
-//     disables).
+// Machine-readable output: set WSN_CSV=<dir> and each figure harness
+// appends its series to <dir>/<figure>.csv for plotting (see plots/); the
+// header is written only when the file is created, so multi-figure and
+// re-runs into one dir compose. Performance is tracked by perfbench, not
+// by these harnesses.
 #pragma once
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,7 +40,7 @@ inline FILE*& csv_file() {
 }
 }  // namespace detail
 
-/// Formats one CSV/JSON-ish numeric field; NaN (unknown, e.g. the SEM of a
+/// Formats one CSV numeric field; NaN (unknown, e.g. the SEM of a
 /// single-field run) becomes the empty string instead of a fake 0.
 inline std::string csv_field(double v, int precision = 6) {
   if (std::isnan(v)) return "";
@@ -106,125 +100,6 @@ inline SweepPoint run_point(std::string label, scenario::ExperimentConfig base,
   p.greedy = scenario::run_replicates(base, fields, seed0);
   return p;
 }
-
-/// Collects a harness's points and writes results/BENCH_<figure>.json at
-/// the end of the run: every (label, series) pair with per-metric
-/// mean/SEM/n, plus wall-clock seconds, the job count and seed0. NaN SEMs
-/// (single-field runs) are emitted as null. All adds happen on the main
-/// thread, after the parallel replicates of a point have been merged.
-class ResultsJson {
- public:
-  explicit ResultsJson(std::string figure)
-      : figure_{std::move(figure)},
-        start_{std::chrono::steady_clock::now()} {}
-
-  void add(const std::string& label, const std::string& series,
-           const scenario::AveragedPoint& p) {
-    Entry e;
-    e.label = label;
-    e.series = series;
-    e.metrics.push_back(metric("energy", p.energy));
-    e.metrics.push_back(metric("active_energy", p.active_energy));
-    e.metrics.push_back(metric("delay", p.delay));
-    e.metrics.push_back(metric("delivery", p.delivery));
-    e.metrics.push_back(metric("degree", p.degree));
-    entries_.push_back(std::move(e));
-  }
-
-  void add(const SweepPoint& p) {
-    add(p.label, "opportunistic", p.opportunistic);
-    add(p.label, "greedy", p.greedy);
-  }
-
-  /// For harnesses whose rows are not AveragedPoints (lifetime, GIT/SPT).
-  void add(const std::string& label, const std::string& series,
-           std::initializer_list<
-               std::pair<const char*, const stats::Accumulator*>>
-               metrics) {
-    Entry e;
-    e.label = label;
-    e.series = series;
-    for (const auto& [name, acc] : metrics) {
-      e.metrics.push_back(metric(name, *acc));
-    }
-    entries_.push_back(std::move(e));
-  }
-
-  void write(int fields, double sim_seconds, std::uint64_t seed0 = 1) const {
-    const char* env_dir = std::getenv("WSN_RESULTS");
-    const std::string dir = env_dir != nullptr ? env_dir : "results";
-    if (dir.empty()) return;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::string path = dir + "/BENCH_" + figure_ + ".json";
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "[bench] cannot write %s: %s\n", path.c_str(),
-                   std::strerror(errno));
-      return;
-    }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start_)
-            .count();
-    std::fprintf(f,
-                 "{\n  \"figure\": \"%s\",\n  \"fields\": %d,\n"
-                 "  \"sim_seconds\": %.6g,\n  \"seed0\": %llu,\n"
-                 "  \"jobs\": %d,\n  \"wall_seconds\": %.3f,\n"
-                 "  \"points\": [\n",
-                 figure_.c_str(), fields, sim_seconds,
-                 static_cast<unsigned long long>(seed0),
-                 scenario::jobs_from_env(), wall);
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      std::fprintf(f, "    {\"label\": \"%s\", \"series\": \"%s\", ",
-                   e.label.c_str(), e.series.c_str());
-      std::fprintf(f, "\"metrics\": {");
-      for (std::size_t m = 0; m < e.metrics.size(); ++m) {
-        const Metric& mt = e.metrics[m];
-        std::fprintf(f, "\"%s\": {\"n\": %llu, \"mean\": %s, \"sem\": %s}%s",
-                     mt.name.c_str(),
-                     static_cast<unsigned long long>(mt.n),
-                     json_num(mt.mean).c_str(), json_num(mt.sem).c_str(),
-                     m + 1 < e.metrics.size() ? ", " : "");
-      }
-      std::fprintf(f, "}}%s\n", i + 1 < entries_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s (%.1fs wall, %d jobs)\n", path.c_str(), wall,
-                scenario::jobs_from_env());
-  }
-
- private:
-  struct Metric {
-    std::string name;
-    std::uint64_t n = 0;
-    double mean = 0.0;
-    double sem = 0.0;
-  };
-  struct Entry {
-    std::string label;
-    std::string series;
-    std::vector<Metric> metrics;
-  };
-
-  static Metric metric(const char* name, const stats::Accumulator& a) {
-    return Metric{name, a.count(), a.mean(), a.sem()};
-  }
-
-  /// JSON has no NaN/Inf literals; unknown values become null.
-  static std::string json_num(double v) {
-    if (!std::isfinite(v)) return "null";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-  }
-
-  std::string figure_;
-  std::chrono::steady_clock::time_point start_;
-  std::vector<Entry> entries_;
-};
 
 inline void print_figure_header(const char* figure, const char* description,
                                 int fields, double sim_seconds,

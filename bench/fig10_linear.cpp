@@ -9,7 +9,6 @@ int main() {
   const double secs = scenario::sim_seconds_from_env(200.0);
 
   bench::open_csv("fig10_linear");
-  bench::ResultsJson json{"fig10_linear"};
   bench::print_figure_header("Figure 10", "linear aggregation z = 28d + 36 "
                              "(350 nodes, corner sources)",
                              fields, secs, "sources");
@@ -21,13 +20,11 @@ int main() {
     cfg.diffusion.aggregation = std::make_shared<agg::LinearAggregation>(28, 36);
     const auto p = bench::run_point(std::to_string(sources), cfg, fields);
     bench::print_point(p);
-    json.add(p);
   }
   bench::print_expectation(
       "the inefficient aggregation function bites harder as sources grow: "
       "at 10+ sources greedy's savings are a few points lower than under "
       "perfect aggregation (paper: 36% vs 43% at 10 sources).");
   bench::close_csv();
-  json.write(fields, secs);
   return 0;
 }

@@ -9,7 +9,6 @@ int main() {
   const double secs = scenario::sim_seconds_from_env(200.0);
 
   bench::open_csv("fig5_density");
-  bench::ResultsJson json{"fig5_density"};
   bench::print_figure_header(
       "Figure 5", "impact of network density (static network)", fields, secs,
       "nodes");
@@ -19,13 +18,11 @@ int main() {
     cfg.duration = sim::Time::seconds(secs);
     const auto p = bench::run_point(std::to_string(nodes), cfg, fields);
     bench::print_point(p);
-    json.add(p);
   }
   bench::print_expectation(
       "(a) energy rises with density for both; greedy ≈ opportunistic at 50 "
       "nodes, down to ~55% of it at 300-350 (clearest in the tx+rx column); "
       "(b) delay comparable; (c) delivery ≈ 1 for both.");
   bench::close_csv();
-  json.write(fields, secs);
   return 0;
 }

@@ -8,7 +8,6 @@ int main() {
   const double secs = scenario::sim_seconds_from_env(200.0);
 
   bench::open_csv("fig6_failures");
-  bench::ResultsJson json{"fig6_failures"};
   bench::print_figure_header(
       "Figure 6", "impact of node failures (20% down, rotating every 30 s)",
       fields, secs, "nodes");
@@ -19,7 +18,6 @@ int main() {
     cfg.failures.enabled = true;
     const auto p = bench::run_point(std::to_string(nodes), cfg, fields);
     bench::print_point(p);
-    json.add(p);
   }
   bench::print_expectation(
       "delivery drops for both; greedy suffers more at low density (single "
@@ -27,6 +25,5 @@ int main() {
       "fewer nodes to failure); opportunistic pays more energy per received "
       "event where its delivery is lower.");
   bench::close_csv();
-  json.write(fields, secs);
   return 0;
 }

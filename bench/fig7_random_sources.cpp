@@ -8,7 +8,6 @@ int main() {
   const double secs = scenario::sim_seconds_from_env(200.0);
 
   bench::open_csv("fig7_random_sources");
-  bench::ResultsJson json{"fig7_random_sources"};
   bench::print_figure_header("Figure 7",
                              "random source placement (5 sources anywhere)",
                              fields, secs, "nodes");
@@ -19,12 +18,10 @@ int main() {
     cfg.source_placement = scenario::SourcePlacement::kRandom;
     const auto p = bench::run_point(std::to_string(nodes), cfg, fields);
     bench::print_point(p);
-    json.add(p);
   }
   bench::print_expectation(
       "greedy's savings shrink (paper: to ~30%) because scattered sources "
       "offer little early path sharing even on a greedy tree.");
   bench::close_csv();
-  json.write(fields, secs);
   return 0;
 }

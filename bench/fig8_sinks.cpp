@@ -9,7 +9,6 @@ int main() {
   const double secs = scenario::sim_seconds_from_env(200.0);
 
   bench::open_csv("fig8_sinks");
-  bench::ResultsJson json{"fig8_sinks"};
   bench::print_figure_header("Figure 8", "impact of the number of sinks "
                              "(350 nodes, 5 corner sources)",
                              fields, secs, "sinks");
@@ -20,13 +19,11 @@ int main() {
     cfg.num_sinks = sinks;
     const auto p = bench::run_point(std::to_string(sinks), cfg, fields);
     bench::print_point(p);
-    json.add(p);
   }
   bench::print_expectation(
       "with more (scattered) sinks the energy gap closes — like random "
       "source placement — but greedy keeps a delivery-ratio edge because "
       "early aggregation lowers overall traffic.");
   bench::close_csv();
-  json.write(fields, secs);
   return 0;
 }

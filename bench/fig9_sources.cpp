@@ -8,7 +8,6 @@ int main() {
   const double secs = scenario::sim_seconds_from_env(200.0);
 
   bench::open_csv("fig9_sources");
-  bench::ResultsJson json{"fig9_sources"};
   bench::print_figure_header("Figure 9", "impact of the number of sources "
                              "(350 nodes, perfect aggregation)",
                              fields, secs, "sources");
@@ -19,7 +18,6 @@ int main() {
     cfg.num_sources = sources;
     const auto p = bench::run_point(std::to_string(sources), cfg, fields);
     bench::print_point(p);
-    json.add(p);
   }
   bench::print_expectation(
       "with many sources packed into the fixed 80×80 m corner the workload "
@@ -27,6 +25,5 @@ int main() {
       "optimisation, so greedy's edge converges toward the opportunistic "
       "baseline.");
   bench::close_csv();
-  json.write(fields, secs);
   return 0;
 }

@@ -74,7 +74,6 @@ ModelResult evaluate(std::size_t nodes, int trials, MakeInstance make,
 
 int main() {
   const int trials = scenario::fields_from_env(20);
-  bench::ResultsJson json{"git_vs_spt"};
   std::printf("=== GIT vs SPT (abstract tree-level comparison, §1/§6) ===\n");
   std::printf("trials/point=%d; savings = 1 - GIT/SPT transmissions\n", trials);
   std::printf("%-6s | %-22s | %-22s | %-22s | %s\n", "nodes",
@@ -105,13 +104,6 @@ int main() {
                 nodes, er.savings.mean(), er.savings.stddev(),
                 rs.savings.mean(), rs.savings.stddev(), corner.savings.mean(),
                 corner.savings.stddev(), rs.git_over_opt.mean());
-    json.add(std::to_string(nodes), "event_radius",
-             {{"savings_pct", &er.savings}});
-    json.add(std::to_string(nodes), "random_sources",
-             {{"savings_pct", &rs.savings},
-              {"git_over_opt", &rs.git_over_opt}});
-    json.add(std::to_string(nodes), "corner",
-             {{"savings_pct", &corner.savings}});
   }
   std::printf(
       "paper-expected shape: event-radius and random-sources savings stay "
@@ -119,6 +111,5 @@ int main() {
       "to each other) yields much larger savings — the regime where the "
       "paper's greedy aggregation shines. GIT stays within 2x of the exact "
       "Steiner optimum (Takahashi-Matsuyama bound).\n");
-  json.write(trials, 0.0);
   return 0;
 }

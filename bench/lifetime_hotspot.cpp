@@ -59,7 +59,6 @@ int main() {
   const int fields = scenario::fields_from_env();
   const double secs = scenario::sim_seconds_from_env(200.0);
 
-  bench::ResultsJson json{"lifetime_hotspot"};
   std::printf("=== Traffic concentration & lifetime (250 nodes, 8 corner "
               "sources) ===\n");
   std::printf("fields/point=%d sim=%.0fs; lifetime = 18.7 kJ battery / "
@@ -80,13 +79,6 @@ int main() {
                   label, row.max_node.mean(), row.mean_node.mean(),
                   row.stddev_node.mean(), row.delivery.mean(),
                   row.lifetime_days.mean());
-      json.add(std::string(core::to_string(alg)),
-               linear ? "linear" : "perfect",
-               {{"max_node_j", &row.max_node},
-                {"mean_node_j", &row.mean_node},
-                {"stddev_node_j", &row.stddev_node},
-                {"delivery", &row.delivery},
-                {"lifetime_days", &row.lifetime_days}});
     }
   }
   std::printf("expected: greedy's trunk is busy, but the baseline's "
@@ -94,6 +86,5 @@ int main() {
               "up with lower mean, lower spread and a cooler hottest node, "
               "so the first-death lifetime improves (paper §3's favourable "
               "regime); linear aggregation narrows the gap.\n");
-  json.write(fields, secs);
   return 0;
 }

@@ -296,13 +296,6 @@ void DiffusionNode::handle_interest(const InterestMsg& msg, net::NodeId from) {
 
 // ------------------------------------------------------------------ source
 
-bool DiffusionNode::passes_filters(const DataItem& item) const {
-  for (const auto& f : filters_) {
-    if (!f(item)) return false;
-  }
-  return true;
-}
-
 void DiffusionNode::activate_source() {
   source_active_ = true;
   // Sources triggered by the same phenomenon sample in near-lockstep
@@ -330,7 +323,7 @@ void DiffusionNode::generate_data_event() {
                  item.key.packed(), 0);
 
   seen_items_[item.key.packed()] = sim_->now();
-  if (passes_filters(item) && pending_keys_.insert(item.key.packed()).second) {
+  if (pending_keys_.insert(item.key.packed()).second) {
     pending_.push_back(PendingItem{item, id()});
   }
   IncomingAgg& self = next_window_slot();
@@ -544,8 +537,7 @@ void DiffusionNode::handle_data(const DataMsg& msg, net::NodeId from) {
                      trace::kNoPeer, item.key.packed(),
                      now.as_nanos() - item.gen_time_ns);
     }
-    if (passes_filters(item) &&
-        pending_keys_.insert(item.key.packed()).second) {
+    if (pending_keys_.insert(item.key.packed()).second) {
       pending_.push_back(PendingItem{item, from});
     }
   }

@@ -70,16 +70,6 @@ class DiffusionNode : public mac::MacUser {
   /// Call once after construction, before Simulator::run.
   void start();
 
-  /// Application-specific in-network processing hook (paper §2: nodes
-  /// "trigger application-specific filters"). Every data item entering this
-  /// node's forwarding pipeline — received or self-generated — is offered
-  /// to each filter; returning false drops it (suppression). Filters do
-  /// not affect what a sink *records*, only what it forwards.
-  using ItemFilter = std::function<bool(const DataItem&)>;
-  void add_item_filter(ItemFilter filter) {
-    filters_.push_back(std::move(filter));
-  }
-
   // --- inspection (tests, tree extraction, examples) ---
   [[nodiscard]] net::NodeId id() const { return mac_->id(); }
   [[nodiscard]] bool is_sink() const { return is_sink_; }
@@ -235,7 +225,6 @@ class DiffusionNode : public mac::MacUser {
   void housekeeping();
 
   void activate_source();
-  [[nodiscard]] bool passes_filters(const DataItem& item) const;
   void refresh_gradient(net::NodeId nb);
   void degrade_gradient(net::NodeId nb);
   void maybe_early_flush();
@@ -321,9 +310,6 @@ class DiffusionNode : public mac::MacUser {
   /// Tears down demand toward upstreams after we lost all downstream data
   /// gradients; rate-limited to once per T_n to damp cascade storms.
   void cascade_negative_upstream();
-
-  // application-level forwarding filters
-  std::vector<ItemFilter> filters_;
 
   // timers
   sim::Timer interest_timer_;

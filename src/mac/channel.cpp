@@ -36,6 +36,9 @@ void Channel::sweep_arrival_starts(const TransmissionPtr& tx) {
   // receive energy for it); only the decodable prefix of the audible list
   // (== nodes within radio range) can decode it. Liveness is sampled here,
   // at delivery time.
+  WSN_AUDIT_CHECK(tx->id > last_start_swept_,
+                  "arrival-start sweeps out of transmission order");
+  last_start_swept_ = tx->id;
   const auto audible = topo_->audible(tx->src);
   const std::size_t prefix = topo_->decodable_prefix(tx->src);
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kChannelSweep, tx->src,

@@ -67,6 +67,12 @@ class Channel {
   [[nodiscard]] std::uint64_t transmissions_started() const {
     return next_tx_id_ - 1;
   }
+  /// Id of the latest transmission whose arrival-start sweep has run.
+  /// Start sweeps run in id order (one fixed propagation delay, FIFO ties),
+  /// so every transmission with a larger id is still to be swept.
+  [[nodiscard]] std::uint64_t last_start_swept() const {
+    return last_start_swept_;
+  }
 
  private:
   void sweep_arrival_starts(const TransmissionPtr& tx);
@@ -77,6 +83,7 @@ class Channel {
   sim::Time propagation_;
   std::vector<MacBase*> macs_;
   std::uint64_t next_tx_id_ = 1;
+  std::uint64_t last_start_swept_ = 0;
 };
 
 }  // namespace wsn::mac

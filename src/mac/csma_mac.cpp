@@ -145,26 +145,6 @@ void CsmaMac::send_ack(net::NodeId to) {
   });
 }
 
-void CsmaMac::arrival_start(const TransmissionPtr& tx, bool decodable) {
-  if (!alive_) return;
-  // Overlap with anything already arriving corrupts both (no capture).
-  const bool was_busy = medium_busy();
-  for (auto& [txp, st] : arrivals_) {
-    if (!st.corrupt && st.decodable) count_collision(*txp);
-    st.corrupt = true;
-  }
-  if (was_busy && decodable) count_collision(*tx);
-  add_arrival(tx, ArrivalState{was_busy, decodable});
-  if (!was_busy) medium_became_busy();
-}
-
-void CsmaMac::arrival_end(const TransmissionPtr& tx) {
-  const ArrivalEnd end = end_arrival(*tx);
-  if (end == ArrivalEnd::kUntracked) return;
-  if (end == ArrivalEnd::kClean) deliver(*tx);
-  if (!medium_busy()) medium_became_idle();
-}
-
 void CsmaMac::deliver(const Transmission& tx) {
   const net::Frame& f = tx.frame;
   if (tx.kind == FrameKind::kAck) {

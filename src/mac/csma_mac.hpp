@@ -25,9 +25,6 @@ class CsmaMac final : public MacBase {
 
   void send(net::Frame frame) override;
 
-  void arrival_start(const TransmissionPtr& tx, bool decodable) override;
-  void arrival_end(const TransmissionPtr& tx) override;
-
  private:
   enum class State {
     kIdle,        ///< nothing to send
@@ -38,8 +35,9 @@ class CsmaMac final : public MacBase {
 
   void on_tx_end(FrameKind sent) override;
   void on_power_change(bool alive) override;
-  void medium_became_busy();
-  void medium_became_idle();
+  void deliver(const Transmission& tx) override;
+  void medium_became_busy() override;
+  void medium_became_idle() override;
   void start_contention();
   void on_difs_elapsed();
   void on_slot_elapsed();
@@ -47,7 +45,6 @@ class CsmaMac final : public MacBase {
   void on_ack_timeout();
   void finish_current(bool success);
   void send_ack(net::NodeId to);
-  void deliver(const Transmission& tx);
   [[nodiscard]] std::uint32_t draw_backoff();
 
   PhyParams phy_;

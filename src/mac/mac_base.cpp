@@ -14,11 +14,14 @@ void MacBase::set_alive(bool alive) {
     transmitting_ = false;
     audit_completed_ += queue_.size();  // power-down flush drops the queue
     queue_.clear();
-    arrivals_.clear();
+    in_flight_ = 0;
+    clean_ = nullptr;
     if (tx_end_event_.valid()) {
       sim_->cancel(tx_end_event_);
       tx_end_event_ = sim::EventHandle{};
     }
+  } else {
+    powered_up_after_ = channel_->last_start_swept();
   }
   update_radio_state();
   on_power_change(alive);
@@ -43,7 +46,7 @@ void MacBase::begin_tx(const net::Frame& frame, FrameKind kind,
                        sim::Time airtime) {
   transmitting_ = true;
   // Our own carrier corrupts anything we were mid-receiving (half duplex).
-  corrupt_arrivals();
+  clean_ = nullptr;
   update_radio_state();
   TransmissionPtr tx = channel_->begin_transmission(id_, frame, kind, airtime);
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxStart, id_, frame.dst, tx->id,
@@ -80,6 +83,32 @@ void MacBase::end_tx() {
   outgoing_tx_.reset();
   update_radio_state();
   on_tx_end(sent);
+}
+
+void MacBase::arrival_start(const TransmissionPtr& tx, bool decodable) {
+  const bool was_busy = medium_busy();
+  if (clean_ != nullptr) {
+    count_collision(*clean_);
+    clean_ = nullptr;
+  }
+  if (was_busy && decodable) count_collision(*tx);
+  if (!was_busy && decodable) clean_ = tx.get();
+  ++in_flight_;
+  audit_receive_path();
+  update_radio_state();
+  if (!was_busy) medium_became_busy();
+}
+
+void MacBase::arrival_end(const TransmissionPtr& tx) {
+  if (tx->id <= powered_up_after_) return;  // never counted in
+  WSN_AUDIT_CHECK(in_flight_ > 0, "arrival ended with none in flight");
+  --in_flight_;
+  const bool clean = clean_ == tx.get();
+  if (clean) clean_ = nullptr;
+  audit_receive_path();
+  update_radio_state();
+  if (clean && !tx->aborted) deliver(*tx);
+  if (!medium_busy()) medium_became_idle();
 }
 
 void MacBase::complete_head(bool success) {

@@ -9,7 +9,6 @@
 #include "mac/energy.hpp"
 #include "net/types.hpp"
 #include "sim/audit.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace.hpp"
@@ -44,12 +43,19 @@ struct MacStats {
 /// Base class for link layers (CSMA/CA and TDMA implementations provided).
 ///
 /// Owns the radio core every MAC shares: identity, liveness, the energy
-/// meter, the user hook, the outgoing queue, the in-flight arrival ledger
-/// and the transmit/receive bookkeeping, so every MAC counter and MAC
-/// trace record except `kMacBackoff` has exactly one emission site, here.
-/// Concrete MACs implement only the access policy: when to transmit the
-/// queue head, which arrival starts collide, and what follows the end of
-/// their own transmission.
+/// meter, the user hook, the outgoing queue, the receive path and the
+/// transmit/receive bookkeeping, so every MAC counter and MAC trace record
+/// except `kMacBackoff` has exactly one emission site, here. Concrete MACs
+/// implement only the access policy: when to transmit the queue head, what
+/// a clean received frame means, and what follows the end of their own
+/// transmission.
+///
+/// The receive path needs no per-arrival state. There is no capture, so
+/// any overlap corrupts every frame in the air (and our own transmission
+/// corrupts whatever we were receiving): at most one arrival — a decodable
+/// one that started on an idle medium and has not been overlapped since —
+/// can still be clean. The radio keeps that one (`clean_`) plus a count of
+/// arrivals in flight.
 class MacBase {
  public:
   MacBase(sim::Simulator& sim, Channel& channel, net::NodeId id,
@@ -58,7 +64,8 @@ class MacBase {
         channel_{&channel},
         id_{id},
         meter_{energy},
-        queue_limit_{queue_limit} {
+        queue_limit_{queue_limit},
+        powered_up_after_{channel.last_start_swept()} {
     channel.attach(id, this);
   }
   virtual ~MacBase() = default;
@@ -74,12 +81,17 @@ class MacBase {
 
   /// Powers the node down/up. Down: queue flushed, in-flight transmission
   /// aborted, arrivals forgotten, zero energy draw; the access policy resets
-  /// its own timers in `on_power_change`.
+  /// its own timers in `on_power_change`. Up: arrivals whose start sweep ran
+  /// before this instant are ignored when they end.
   void set_alive(bool alive);
 
   [[nodiscard]] bool alive() const { return alive_; }
   [[nodiscard]] net::NodeId id() const { return id_; }
   [[nodiscard]] const MacStats& stats() const { return stats_; }
+  /// Whether the radio is transmitting or receiving any arrival.
+  [[nodiscard]] bool medium_busy() const {
+    return transmitting_ || in_flight_ > 0;
+  }
 
   /// Energy consumed up to `now`.
   [[nodiscard]] double energy_joules(sim::Time now) {
@@ -95,27 +107,17 @@ class MacBase {
   // --- Channel-facing interface (called by Channel's scheduled events) ---
   /// `decodable` is false for carrier-sense-only arrivals (audible but out
   /// of radio range): they occupy the medium and cost receive energy but
-  /// can never be delivered.
-  virtual void arrival_start(const TransmissionPtr& tx, bool decodable) = 0;
-  virtual void arrival_end(const TransmissionPtr& tx) = 0;
+  /// can never be delivered. Every overlap counts one collision per
+  /// decodable frame it corrupts: the clean victim first, then the
+  /// newcomer. Virtual only so channel-level test fakes can record the
+  /// sweeps; the MACs do not override these.
+  virtual void arrival_start(const TransmissionPtr& tx, bool decodable);
+  virtual void arrival_end(const TransmissionPtr& tx);
 
  protected:
   struct Outgoing {
     net::Frame frame;
     int attempts = 0;
-  };
-
-  /// One in-flight arrival at this radio.
-  struct ArrivalState {
-    bool corrupt = false;
-    bool decodable = true;
-  };
-
-  /// What `end_arrival` found.
-  enum class ArrivalEnd {
-    kUntracked,  ///< not in the ledger: the radio was down when it started
-    kLost,       ///< corrupt, carrier-sense only, or aborted by its sender
-    kClean,      ///< decodable and intact: hand it to `deliver`
   };
 
   /// Called once per own transmission, after the shared tx-end bookkeeping
@@ -124,10 +126,14 @@ class MacBase {
   virtual void on_tx_end(FrameKind sent) = 0;
   /// Called by `set_alive` after the shared power-down/up reset.
   virtual void on_power_change(bool alive) = 0;
-
-  [[nodiscard]] bool medium_busy() const {
-    return transmitting_ || !arrivals_.empty();
-  }
+  /// A decodable frame ended intact (not overlapped, not aborted).
+  virtual void deliver(const Transmission& tx) = 0;
+  /// An arrival started while the radio was neither transmitting nor
+  /// receiving. Default: ignore.
+  virtual void medium_became_busy() {}
+  /// The last arrival in flight ended and the radio is not transmitting.
+  /// Called after `deliver`. Default: ignore.
+  virtual void medium_became_idle() {}
 
   /// Radio-state transition with energy-sample tracing: accumulates the
   /// meter exactly like a direct set_state call, and emits one trace
@@ -149,39 +155,10 @@ class MacBase {
       s = RadioState::kOff;
     } else if (transmitting_) {
       s = RadioState::kTx;
-    } else if (!arrivals_.empty()) {
+    } else if (in_flight_ > 0) {
       s = RadioState::kRx;
     }
     set_radio_state(s);
-  }
-
-  /// Counts and traces one corrupted arrival of a decodable frame.
-  void count_collision(const Transmission& tx) {
-    ++stats_.arrivals_corrupted;
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacCollision, id_, tx.src, tx.id,
-                   0);
-  }
-
-  /// Marks every arrival still in flight corrupt (no capture, half duplex).
-  void corrupt_arrivals() {
-    for (auto& [txp, st] : arrivals_) st.corrupt = true;
-  }
-
-  /// Enters an arrival into the ledger and refreshes the radio state.
-  void add_arrival(const TransmissionPtr& tx, ArrivalState st) {
-    arrivals_.emplace(tx.get(), st);
-    update_radio_state();
-  }
-
-  /// Removes an arrival from the ledger and refreshes the radio state.
-  ArrivalEnd end_arrival(const Transmission& tx) {
-    auto it = arrivals_.find(&tx);
-    if (it == arrivals_.end()) return ArrivalEnd::kUntracked;
-    const bool clean =
-        it->second.decodable && !it->second.corrupt && !tx.aborted;
-    arrivals_.erase(it);
-    update_radio_state();
-    return clean ? ArrivalEnd::kClean : ArrivalEnd::kLost;
   }
 
   /// Queue admission: stamps and queues `frame`, or counts and traces a
@@ -208,19 +185,35 @@ class MacBase {
   std::size_t queue_limit_;
   sim::RingQueue<Outgoing> queue_;
   bool transmitting_ = false;
-  // In-flight arrivals at this radio. Flat map: a handful of concurrent
-  // arrivals at most, keyed by transmission identity; pointer order is
-  // fine because every use is a lookup or an order-insensitive flag sweep.
-  sim::FlatMap<const Transmission*, ArrivalState> arrivals_;
 
  private:
   void begin_tx(const net::Frame& frame, FrameKind kind, sim::Time airtime);
   void end_tx();
+  /// Counts and traces one corrupted arrival of a decodable frame.
+  void count_collision(const Transmission& tx) {
+    ++stats_.arrivals_corrupted;
+    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacCollision, id_, tx.src, tx.id,
+                   0);
+  }
+  void audit_receive_path() const {
+    WSN_AUDIT_CHECK(clean_ == nullptr || (in_flight_ == 1 && !transmitting_),
+                    "clean arrival while another arrival or our own "
+                    "transmission overlaps it");
+  }
   void audit_frame_conservation() const {
     WSN_AUDIT_CHECK(audit_accepted_ == audit_completed_ + queue_.size(),
                     "MAC frame conservation broken: accepted != "
                     "completed + queued");
   }
+
+  std::uint32_t in_flight_ = 0;  ///< arrivals being received, any kind
+  /// The one arrival that can still be delivered, or null. Never dangles:
+  /// it is cleared at its own end, by any overlap, and at power-down.
+  const Transmission* clean_ = nullptr;
+  /// Id of the last transmission start-swept before this radio's latest
+  /// power-up (or construction). Arrivals up to it were never counted in,
+  /// so their ends are ignored.
+  std::uint64_t powered_up_after_;
 
   TransmissionPtr outgoing_tx_;  ///< in-flight data frame (for abort)
   sim::EventHandle tx_end_event_;

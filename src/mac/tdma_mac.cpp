@@ -57,22 +57,6 @@ void TdmaMac::on_tx_end(FrameKind sent) {
   });
 }
 
-void TdmaMac::arrival_start(const TransmissionPtr& tx, bool decodable) {
-  if (!alive_) return;
-  // The global schedule is collision-free; overlap can still occur around
-  // ACKs of a frame we cannot decode, so treat overlaps as corruption.
-  const bool overlap = medium_busy();
-  if (overlap) {
-    count_collision(*tx);
-    corrupt_arrivals();
-  }
-  add_arrival(tx, ArrivalState{overlap, decodable});
-}
-
-void TdmaMac::arrival_end(const TransmissionPtr& tx) {
-  if (end_arrival(*tx) == ArrivalEnd::kClean) deliver(*tx);
-}
-
 void TdmaMac::deliver(const Transmission& tx) {
   const net::Frame& f = tx.frame;
   if (tx.kind == FrameKind::kAck) {

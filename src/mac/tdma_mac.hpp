@@ -57,9 +57,6 @@ class TdmaMac final : public MacBase {
 
   void send(net::Frame frame) override;
 
-  void arrival_start(const TransmissionPtr& tx, bool decodable) override;
-  void arrival_end(const TransmissionPtr& tx) override;
-
   [[nodiscard]] sim::Time cycle_duration() const {
     return params_.slot_duration() * num_slots_;
   }
@@ -67,9 +64,9 @@ class TdmaMac final : public MacBase {
  private:
   void on_tx_end(FrameKind sent) override;
   void on_power_change(bool alive) override;
+  void deliver(const Transmission& tx) override;
   void on_slot_start();
   void schedule_next_slot();
-  void deliver(const Transmission& tx);
 
   TdmaParams params_;
   std::uint32_t num_slots_;

@@ -167,26 +167,6 @@ TEST(Diffusion, TwoSourcesBothDelivered) {
   EXPECT_GT(rig.node(2).stats().aggregates_received, 0u);
 }
 
-TEST(Diffusion, ItemFiltersSuppressForwarding) {
-  // Y topology: sources 3 and 4 behind relay 2. A filter at the relay
-  // suppresses source 4's items; the sink only sees source 3's.
-  std::vector<net::Vec2> y{{0, 0}, {30, 0}, {60, 0}, {90, 15}, {90, -15}};
-  ProtocolRig rig{y, Algorithm::kOpportunistic};
-  rig.node(0).make_sink(rig.whole_field());
-  rig.node(3).set_detecting(true);
-  rig.node(4).set_detecting(true);
-  rig.node(2).add_item_filter(
-      [](const DataItem& item) { return item.key.source != 4; });
-  rig.start_all();
-  rig.run_for(30.0);
-
-  // Both sources generated, but only source 3's items got through.
-  EXPECT_GT(rig.collector().distinct_generated(), 80u);
-  EXPECT_GT(rig.collector().distinct_received(), 40u);
-  EXPECT_LT(rig.collector().distinct_received(),
-            rig.collector().distinct_generated() * 6 / 10);
-}
-
 TEST(Diffusion, DuplicateSuppressionCachesExpireByTtl) {
   // Duplicate suppression must be a *bounded* memory, not a permanent one:
   // a data msg id is suppressed inside cache_ttl but accepted again after

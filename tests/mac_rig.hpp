@@ -49,6 +49,7 @@ class MacRig {
   mac::MacBase& mac(net::NodeId i) { return *macs_[i]; }
   RecordingUser& user(net::NodeId i) { return *users_[i]; }
   sim::Simulator& sim() { return sim_; }
+  mac::Channel& channel() { return channel_; }
   const mac::PhyParams& phy() const { return phy_; }
   const mac::TdmaParams& tdma() const { return tdma_; }
   const mac::EnergyParams& energy() const { return energy_; }

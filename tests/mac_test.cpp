@@ -12,12 +12,17 @@
 #include "mac_rig.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "trace/trace.hpp"
 
 namespace wsn::mac {
 namespace {
 
 using testing::MacKind;
 using testing::MacRig;
+
+std::string mac_kind_name(MacKind kind) {
+  return kind == MacKind::kCsma ? "csma" : "tdma";
+}
 
 TEST(PhyParams, AirtimeMath) {
   PhyParams phy;
@@ -231,6 +236,10 @@ TEST_P(MacFuzz, InvariantsUnderRandomTraffic) {
     sent += st.frames_sent;
     delivered += st.frames_delivered;
     drops += st.drops_queue_full + st.drops_retry_exhausted;
+    // A quiesced CSMA run leaves no arrival in flight anywhere.
+    if (kind == MacKind::kCsma) {
+      EXPECT_FALSE(rig.mac(i).medium_busy());
+    }
     // Energy is always within the physical envelope.
     const double j = rig.mac(i).energy_joules(rig.sim().now());
     EXPECT_GE(j, 0.0);
@@ -249,10 +258,162 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(MacKind::kCsma, MacKind::kTdma),
                        ::testing::Range<std::uint64_t>(1, 9)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) == MacKind::kCsma ? "csma"
-                                                                   : "tdma") +
-             "_" + std::to_string(std::get<1>(info.param));
+      return mac_kind_name(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param));
     });
+
+/// Puts a broadcast data frame from `src` on the air through the channel
+/// alone, bypassing the sender's access policy.
+TransmissionPtr inject(MacRig& rig, net::NodeId src, sim::Time airtime) {
+  net::Frame f = MacRig::frame(net::kBroadcast);
+  f.src = src;
+  return rig.channel().begin_transmission(src, std::move(f), FrameKind::kData,
+                                          airtime);
+}
+
+/// `inject` at absolute time `at`; the transmission lands in `*out`.
+void inject_at(MacRig& rig, sim::Time at, net::NodeId src, sim::Time airtime,
+               TransmissionPtr* out = nullptr) {
+  rig.sim().schedule_at(at, [&rig, src, airtime, out] {
+    auto tx = inject(rig, src, airtime);
+    if (out != nullptr) *out = std::move(tx);
+  });
+}
+
+/// The receive path is shared, so both MACs must count collisions alike:
+/// one per decodable frame an overlap corrupts, the victim first.
+class MacOverlap : public ::testing::TestWithParam<MacKind> {};
+
+std::vector<trace::Record> collisions(const trace::Tracer& tracer) {
+  std::vector<trace::Record> out;
+  for (const trace::Record& r : tracer.ring_snapshot()) {
+    if (r.kind == trace::RecordKind::kMacCollision) out.push_back(r);
+  }
+  return out;
+}
+
+TEST_P(MacOverlap, TwoDecodableFramesBothCountAsCollisions) {
+  // 0 and 2 are hidden from each other; 1 decodes both.
+  trace::Tracer tracer{
+      trace::Tracer::Options{.path = "", .ring_capacity = 1024}};
+  MacRig rig{{{-30, 0}, {0, 0}, {30, 0}}, 40.0, 0.0, GetParam()};
+  rig.sim().set_tracer(&tracer);
+  TransmissionPtr a, b;
+  inject_at(rig, sim::Time::zero(), 0, sim::Time::micros(500), &a);
+  inject_at(rig, sim::Time::micros(100), 2, sim::Time::micros(500), &b);
+  rig.sim().run_until(sim::Time::millis(2));
+
+  EXPECT_EQ(rig.mac(1).stats().arrivals_corrupted, 2u);
+  EXPECT_TRUE(rig.user(1).received.empty());
+  const auto recs = collisions(tracer);
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].node, 1u);  // the victim first ...
+  EXPECT_EQ(recs[0].a, a->id);
+  EXPECT_EQ(recs[1].node, 1u);  // ... then the newcomer
+  EXPECT_EQ(recs[1].a, b->id);
+}
+
+TEST_P(MacOverlap, CarrierSenseOnlyNewcomerCountsOnlyTheVictim) {
+  // 1 decodes 0 but only carrier-senses 2; 0 and 2 cannot hear each other.
+  trace::Tracer tracer{
+      trace::Tracer::Options{.path = "", .ring_capacity = 1024}};
+  MacRig rig{{{-30, 0}, {0, 0}, {60, 0}}, 40.0, 88.0, GetParam()};
+  rig.sim().set_tracer(&tracer);
+  TransmissionPtr a;
+  inject_at(rig, sim::Time::zero(), 0, sim::Time::micros(500), &a);
+  inject_at(rig, sim::Time::micros(100), 2, sim::Time::micros(500));
+  rig.sim().run_until(sim::Time::millis(2));
+
+  EXPECT_EQ(rig.mac(1).stats().arrivals_corrupted, 1u);
+  EXPECT_TRUE(rig.user(1).received.empty());
+  const auto recs = collisions(tracer);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].node, 1u);
+  EXPECT_EQ(recs[0].peer, 0u);
+  EXPECT_EQ(recs[0].a, a->id);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothMacs, MacOverlap,
+    ::testing::Values(MacKind::kCsma, MacKind::kTdma),
+    [](const auto& info) { return mac_kind_name(info.param); });
+
+/// A power cycle while a frame is in the air: the frame's end must be
+/// ignored (nothing delivered, no count underflow, no idle signal while
+/// another frame is still arriving) and the radio must receive normally
+/// afterwards. Node 1 receives; 0 and 2 are hidden from each other.
+class MacPowerCycle : public ::testing::TestWithParam<MacKind> {
+ protected:
+  // The channel's default propagation delay: a frame begun at t reaches
+  // the receivers (its arrival-start sweep) at t + kProp.
+  static constexpr sim::Time kProp = sim::Time::micros(1);
+  static constexpr sim::Time kAir = sim::Time::micros(1000);
+
+  MacRig rig_{{{-30, 0}, {0, 0}, {30, 0}}, 40.0, 0.0, GetParam()};
+
+  void power_at(sim::Time at, bool alive) {
+    rig_.sim().schedule_at(at, [this, alive] { rig_.mac(1).set_alive(alive); });
+  }
+
+  /// Frame A from node 0 begins at t=0, so its end sweep runs at
+  /// kProp + kAir. Frame C from node 2 starts later on what node 1 sees as
+  /// an idle medium and outlasts A: at A's (ignored) end node 1 must still
+  /// be busy with C, and C must then be delivered.
+  void expect_a_ignored_and_c_received() {
+    inject_at(rig_, sim::Time::micros(200), 2, kAir);
+    bool busy_after_a = false;
+    const sim::Time after_a = kProp + kAir + sim::Time::micros(1);
+    rig_.sim().schedule_at(after_a, [this, &busy_after_a] {
+      busy_after_a = rig_.mac(1).medium_busy();
+    });
+    rig_.sim().run_until(sim::Time::millis(5));
+
+    EXPECT_TRUE(busy_after_a);
+    EXPECT_FALSE(rig_.mac(1).medium_busy());
+    ASSERT_EQ(rig_.user(1).received.size(), 1u);
+    EXPECT_EQ(rig_.user(1).received[0].src, 2u);
+    EXPECT_EQ(rig_.mac(1).stats().arrivals_corrupted, 0u);
+  }
+};
+
+TEST_P(MacPowerCycle, DownAtStartSweepUpAtEnd) {
+  rig_.mac(1).set_alive(false);
+  inject_at(rig_, sim::Time::zero(), 0, kAir);
+  power_at(sim::Time::micros(100), true);
+  expect_a_ignored_and_c_received();
+}
+
+TEST_P(MacPowerCycle, DownAndUpWithinOneArrival) {
+  inject_at(rig_, sim::Time::zero(), 0, kAir);
+  power_at(sim::Time::micros(100), false);
+  power_at(sim::Time::micros(150), true);
+  expect_a_ignored_and_c_received();
+}
+
+TEST_P(MacPowerCycle, StartSweepBeforePowerUpAtTheSameInstant) {
+  rig_.mac(1).set_alive(false);
+  inject(rig_, 0, kAir);  // A's start sweep is queued before the power-up
+  power_at(kProp, true);
+  expect_a_ignored_and_c_received();
+}
+
+TEST_P(MacPowerCycle, PowerUpBeforeStartSweepAtTheSameInstant) {
+  rig_.mac(1).set_alive(false);
+  power_at(kProp, true);  // queued before A's start sweep: A is received
+  inject(rig_, 0, kAir);
+  inject_at(rig_, sim::Time::micros(1500), 2, kAir);
+  rig_.sim().run_until(sim::Time::millis(5));
+
+  EXPECT_FALSE(rig_.mac(1).medium_busy());
+  ASSERT_EQ(rig_.user(1).received.size(), 2u);
+  EXPECT_EQ(rig_.user(1).received[0].src, 0u);
+  EXPECT_EQ(rig_.user(1).received[1].src, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothMacs, MacPowerCycle,
+    ::testing::Values(MacKind::kCsma, MacKind::kTdma),
+    [](const auto& info) { return mac_kind_name(info.param); });
 
 TEST(Mac, BidirectionalTrafficCompletes) {
   MacRig rig{{{0, 0}, {20, 0}}, 40.0};
@@ -285,6 +446,7 @@ class RecorderMac final : public MacBase {
  private:
   void on_tx_end(FrameKind /*sent*/) override {}
   void on_power_change(bool /*alive*/) override {}
+  void deliver(const Transmission& /*tx*/) override {}
 
   std::vector<std::pair<net::NodeId, bool>>* starts_;
   std::vector<net::NodeId>* ends_;
