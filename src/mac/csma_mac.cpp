@@ -13,7 +13,11 @@ CsmaMac::CsmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
       rng_{rng},
       cw_{phy.cw_min},
       difs_timer_{sim, [this] { on_difs_elapsed(); }},
-      slot_timer_{sim, [this] { on_slot_elapsed(); }},
+      backoff_timer_{sim,
+                     [this] {
+                       backoff_slots_ = 0;
+                       start_transmission();
+                     }},
       ack_timer_{sim, [this] { on_ack_timeout(); }} {}
 
 void CsmaMac::send(net::Frame frame) {
@@ -26,7 +30,7 @@ void CsmaMac::on_power_change(bool alive) {
   cw_ = phy_.cw_min;
   state_ = State::kIdle;
   difs_timer_.cancel();
-  slot_timer_.cancel();
+  backoff_timer_.cancel();
   ack_timer_.cancel();
 }
 
@@ -42,12 +46,21 @@ void CsmaMac::start_contention() {
 }
 
 void CsmaMac::medium_became_busy() {
-  if (state_ == State::kContend) {
-    // Freeze: DIFS restarts and the remaining backoff resumes after the
-    // medium has been idle for DIFS again.
-    difs_timer_.cancel();
-    slot_timer_.cancel();
-  }
+  // Freeze: DIFS restarts and the remaining backoff resumes after the
+  // medium has been idle for DIFS again.
+  if (state_ == State::kContend) freeze_contention();
+}
+
+void CsmaMac::freeze_contention() {
+  difs_timer_.cancel();
+  if (!backoff_timer_.armed()) return;
+  // Charge the slots that elapsed in this stint. A boundary exactly at
+  // `now` counts: the per-slot model's tick there was scheduled a slot
+  // earlier than whatever is freezing us now, so it fired first.
+  const std::int64_t elapsed = (sim_->now() - stint_start_).as_nanos();
+  backoff_slots_ -=
+      static_cast<std::int32_t>(elapsed / phy_.slot.as_nanos());
+  backoff_timer_.cancel();
 }
 
 void CsmaMac::medium_became_idle() {
@@ -64,17 +77,9 @@ void CsmaMac::on_difs_elapsed() {
   if (backoff_slots_ == 0) {
     start_transmission();
   } else {
-    slot_timer_.arm(phy_.slot);
-  }
-}
-
-void CsmaMac::on_slot_elapsed() {
-  if (medium_busy()) return;
-  --backoff_slots_;
-  if (backoff_slots_ <= 0) {
-    start_transmission();
-  } else {
-    slot_timer_.arm(phy_.slot);
+    // One timer for the whole stint; a freeze charges the elapsed slots.
+    stint_start_ = sim_->now();
+    backoff_timer_.arm(phy_.slot * backoff_slots_);
   }
 }
 
@@ -138,9 +143,11 @@ void CsmaMac::send_ack(net::NodeId to) {
   // instant, the ACK is skipped (sender will retry).
   sim_->schedule_in(phy_.sifs, [this, to] {
     if (!alive_ || transmitting_) return;
-    // Preempt whatever contention was in progress.
-    difs_timer_.cancel();
-    slot_timer_.cancel();
+    // Preempt whatever contention was in progress. This can cancel a DIFS
+    // but never finds a backoff stint armed: the reception we acknowledge
+    // froze any stint at its start, and a new one needs DIFS > SIFS of
+    // idle medium after it ended. The freeze is kept as a guard.
+    freeze_contention();
     transmit_ack(to, phy_.ack_airtime());
   });
 }

@@ -40,7 +40,8 @@ class CsmaMac final : public MacBase {
   void medium_became_idle() override;
   void start_contention();
   void on_difs_elapsed();
-  void on_slot_elapsed();
+  /// Cancels DIFS and any backoff stint, keeping the slots still owed.
+  void freeze_contention();
   void start_transmission();
   void on_ack_timeout();
   void finish_current(bool success);
@@ -53,9 +54,12 @@ class CsmaMac final : public MacBase {
   State state_ = State::kIdle;
   std::uint32_t cw_;
   std::int32_t backoff_slots_ = -1;  ///< -1: not drawn yet for this attempt
+  /// When the armed backoff stint began counting down `backoff_slots_`.
+  sim::Time stint_start_;
 
   sim::Timer difs_timer_;
-  sim::Timer slot_timer_;
+  /// Expires when a whole stint of `backoff_slots_` idle slots has elapsed.
+  sim::Timer backoff_timer_;
   sim::Timer ack_timer_;
 };
 

@@ -85,32 +85,6 @@ void MacBase::end_tx() {
   on_tx_end(sent);
 }
 
-void MacBase::arrival_start(const TransmissionPtr& tx, bool decodable) {
-  const bool was_busy = medium_busy();
-  if (clean_ != nullptr) {
-    count_collision(*clean_);
-    clean_ = nullptr;
-  }
-  if (was_busy && decodable) count_collision(*tx);
-  if (!was_busy && decodable) clean_ = tx.get();
-  ++in_flight_;
-  audit_receive_path();
-  update_radio_state();
-  if (!was_busy) medium_became_busy();
-}
-
-void MacBase::arrival_end(const TransmissionPtr& tx) {
-  if (tx->id <= powered_up_after_) return;  // never counted in
-  WSN_AUDIT_CHECK(in_flight_ > 0, "arrival ended with none in flight");
-  --in_flight_;
-  const bool clean = clean_ == tx.get();
-  if (clean) clean_ = nullptr;
-  audit_receive_path();
-  update_radio_state();
-  if (clean && !tx->aborted) deliver(*tx);
-  if (!medium_busy()) medium_became_idle();
-}
-
 void MacBase::complete_head(bool success) {
   const Outgoing& out = queue_.front();
   const net::Frame& f = out.frame;

@@ -109,10 +109,34 @@ class MacBase {
   /// of radio range): they occupy the medium and cost receive energy but
   /// can never be delivered. Every overlap counts one collision per
   /// decodable frame it corrupts: the clean victim first, then the
-  /// newcomer. Virtual only so channel-level test fakes can record the
-  /// sweeps; the MACs do not override these.
-  virtual void arrival_start(const TransmissionPtr& tx, bool decodable);
-  virtual void arrival_end(const TransmissionPtr& tx);
+  /// newcomer. Inline and non-virtual so each channel sweep compiles to
+  /// one loop; MACs react through the hooks below, which run only when the
+  /// medium changes state or a frame is delivered.
+  void arrival_start(const TransmissionPtr& tx, bool decodable) {
+    const bool was_busy = medium_busy();
+    if (clean_ != nullptr) {
+      count_collision(*clean_);
+      clean_ = nullptr;
+    }
+    if (was_busy && decodable) count_collision(*tx);
+    if (!was_busy && decodable) clean_ = tx.get();
+    ++in_flight_;
+    audit_receive_path();
+    update_radio_state();
+    if (!was_busy) medium_became_busy();
+  }
+
+  void arrival_end(const TransmissionPtr& tx) {
+    if (tx->id <= powered_up_after_) return;  // never counted in
+    WSN_AUDIT_CHECK(in_flight_ > 0, "arrival ended with none in flight");
+    --in_flight_;
+    const bool clean = clean_ == tx.get();
+    if (clean) clean_ = nullptr;
+    audit_receive_path();
+    update_radio_state();
+    if (clean && !tx->aborted) deliver(*tx);
+    if (!medium_busy()) medium_became_idle();
+  }
 
  protected:
   struct Outgoing {

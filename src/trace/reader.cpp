@@ -1,7 +1,12 @@
 #include "trace/reader.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 
 namespace wsn::trace {
 namespace {
@@ -87,7 +92,152 @@ bool TraceReader::next(Record& out) {
   return true;
 }
 
-TraceDiff diff_traces(const std::string& path_a, const std::string& path_b) {
+namespace {
+
+/// Kinds whose `a` is a transmission id (`mac.tx_end` only when non-zero:
+/// an ACK's end carries 0).
+bool carries_tx_id(const Record& r) {
+  switch (r.kind) {
+    case RecordKind::kMacTxStart:
+    case RecordKind::kMacRx:
+    case RecordKind::kMacCollision:
+    case RecordKind::kChannelSweep:
+      return true;
+    case RecordKind::kMacTxEnd:
+      return r.a != 0;
+    default:
+      return false;
+  }
+}
+
+/// A record as the canonical diff compares it. For kinds that carry a
+/// transmission id, `key.a` holds the transmission's sender and
+/// `tx_start_ns` its start time, which name it uniquely (a radio sends one
+/// frame at a time); `raw` is the record as written, for reporting.
+struct CanonicalRecord {
+  Record key;
+  std::int64_t tx_start_ns = -1;
+  Record raw;
+
+  [[nodiscard]] auto order() const {
+    return std::tie(key.t_ns, key.kind, key.node, key.peer, key.a, key.b,
+                    tx_start_ns);
+  }
+  bool operator<(const CanonicalRecord& o) const { return order() < o.order(); }
+  bool operator==(const CanonicalRecord& o) const {
+    return order() == o.order();
+  }
+};
+
+/// Reads a time-ordered trace one nanosecond at a time: each group holds
+/// every record of one instant, renamed and sorted.
+class GroupReader {
+ public:
+  explicit GroupReader(TraceReader& reader) : reader_{&reader} { advance(); }
+
+  [[nodiscard]] bool done() const { return !has_next_; }
+  [[nodiscard]] std::int64_t next_t_ns() const { return next_.t_ns; }
+
+  /// Appends the group at `next_t_ns()` to `out`, sorted.
+  void read_group(std::vector<CanonicalRecord>& out) {
+    const std::int64_t t = next_.t_ns;
+    while (has_next_ && next_.t_ns == t) {
+      out.push_back(canonical(next_));
+      advance();
+    }
+    std::sort(out.begin(), out.end());
+  }
+
+ private:
+  void advance() { has_next_ = reader_->next(next_); }
+
+  CanonicalRecord canonical(const Record& r) {
+    CanonicalRecord c{r, -1, r};
+    if (r.kind == RecordKind::kMacTxStart) starts_[r.a] = {r.node, r.t_ns};
+    if (!carries_tx_id(r)) return c;
+    // Every record naming a transmission follows its tx_start; an id with
+    // no tx_start in this trace is compared as written.
+    const auto it = starts_.find(r.a);
+    if (it != starts_.end()) {
+      c.key.a = it->second.first;
+      c.tx_start_ns = it->second.second;
+    }
+    return c;
+  }
+
+  TraceReader* reader_;
+  Record next_;
+  bool has_next_ = false;
+  /// tx id -> (sender, start ns); looked up only, never iterated.
+  std::unordered_map<std::uint64_t, std::pair<std::uint32_t, std::int64_t>>
+      starts_;
+};
+
+void diff_exact(TraceReader& a, TraceReader& b, TraceDiff& diff) {
+  for (std::uint64_t index = 0;; ++index) {
+    Record ra;
+    Record rb;
+    const bool got_a = a.next(ra);
+    const bool got_b = b.next(rb);
+    if (!a.ok() || !b.ok()) return;
+    if (!got_a && !got_b) break;  // both exhausted
+    if (!got_a || !got_b || !(ra == rb)) {
+      diff.first_diff_index = index;
+      diff.first_diff_t_ns = got_a ? ra.t_ns : rb.t_ns;
+      diff.has_a = got_a;
+      diff.has_b = got_b;
+      if (got_a) diff.a = ra;
+      if (got_b) diff.b = rb;
+      return;
+    }
+  }
+  diff.identical = true;
+}
+
+/// Sets `out` to the first record of sorted group `from` that sorted group
+/// `in` lacks; `has` says whether there is one.
+void first_missing(const std::vector<CanonicalRecord>& from,
+                   const std::vector<CanonicalRecord>& in, bool& has,
+                   Record& out) {
+  std::vector<CanonicalRecord> only;
+  std::set_difference(from.begin(), from.end(), in.begin(), in.end(),
+                      std::back_inserter(only));
+  has = !only.empty();
+  if (has) out = only.front().raw;
+}
+
+void diff_canonical(TraceReader& a, TraceReader& b, TraceDiff& diff) {
+  GroupReader groups_a{a};
+  GroupReader groups_b{b};
+  std::vector<CanonicalRecord> ga;
+  std::vector<CanonicalRecord> gb;
+  std::uint64_t index = 0;
+  while (!groups_a.done() || !groups_b.done()) {
+    // The earlier next instant of the two; an ended trace has none.
+    std::int64_t t = groups_a.done() ? groups_b.next_t_ns()
+                                     : groups_a.next_t_ns();
+    if (!groups_b.done()) t = std::min(t, groups_b.next_t_ns());
+    ga.clear();
+    gb.clear();
+    if (!groups_a.done() && groups_a.next_t_ns() == t) groups_a.read_group(ga);
+    if (!groups_b.done() && groups_b.next_t_ns() == t) groups_b.read_group(gb);
+    if (!a.ok() || !b.ok()) return;
+    if (ga != gb) {
+      diff.first_diff_index = index;
+      diff.first_diff_t_ns = t;
+      first_missing(ga, gb, diff.has_a, diff.a);
+      first_missing(gb, ga, diff.has_b, diff.b);
+      return;
+    }
+    index += ga.size();
+  }
+  diff.identical = true;
+}
+
+}  // namespace
+
+TraceDiff diff_traces(const std::string& path_a, const std::string& path_b,
+                      DiffMode mode) {
   TraceDiff diff;
   TraceReader a{path_a};
   TraceReader b{path_b};
@@ -95,32 +245,23 @@ TraceDiff diff_traces(const std::string& path_a, const std::string& path_b) {
     diff.error = !a.ok() ? a.error() : b.error();
     return diff;
   }
-  diff.comparable = true;
   diff.header_differs = a.header().seed != b.header().seed ||
                         a.header().config_digest != b.header().config_digest;
-  std::uint64_t index = 0;
-  for (;; ++index) {
-    Record ra;
-    Record rb;
-    const bool got_a = a.next(ra);
-    const bool got_b = b.next(rb);
-    if (!a.ok() || !b.ok()) {
-      diff.comparable = false;
-      diff.error = !a.ok() ? a.error() : b.error();
-      return diff;
-    }
-    if (!got_a && !got_b) break;  // both exhausted
-    if (!got_a || !got_b || !(ra == rb)) {
-      diff.first_diff_index = index;
-      diff.has_a = got_a;
-      diff.has_b = got_b;
-      if (got_a) diff.a = ra;
-      if (got_b) diff.b = rb;
-      return diff;
-    }
+  if (mode == DiffMode::kExact) {
+    diff_exact(a, b, diff);
+  } else {
+    diff_canonical(a, b, diff);
   }
-  diff.identical = !diff.header_differs;
-  if (diff.header_differs) diff.first_diff_index = 0;
+  if (!a.ok() || !b.ok()) {
+    diff.identical = false;
+    diff.error = !a.ok() ? a.error() : b.error();
+    return diff;
+  }
+  diff.comparable = true;
+  if (diff.header_differs && diff.identical) {
+    diff.identical = false;
+    diff.first_diff_index = 0;
+  }
   return diff;
 }
 

@@ -43,17 +43,34 @@ class TraceReader {
   std::string error_;
 };
 
-/// Outcome of comparing two same-seed traces record by record. The record
-/// encoding is canonical (same records ⇔ same bytes), so record-wise
+/// How `diff_traces` compares two traces.
+enum class DiffMode {
+  /// Record by record, in order: byte-exactness.
+  kExact,
+  /// Up to the order of records within one nanosecond, with transmission
+  /// ids renamed to (sender, start time). Two same-seed runs whose events
+  /// at one instant dispatch in a different order, or whose same-instant
+  /// transmissions swap ids, compare equal.
+  kCanonical,
+};
+
+/// Outcome of comparing two same-seed traces. In exact mode the record
+/// encoding is canonical (same records <=> same bytes), so record-wise
 /// equality plus equal record counts is byte-exactness.
 struct TraceDiff {
   bool comparable = false;  ///< both files opened and parsed
   bool identical = false;
   bool header_differs = false;
-  /// Index of the first divergent record (or of the first record present
-  /// in only one trace when one is a prefix of the other).
+  /// Exact mode: index of the first divergent record (or of the first
+  /// record present in only one trace when one is a prefix of the other).
+  /// Canonical mode: index in trace A of the first record of the first
+  /// divergent nanosecond.
   std::uint64_t first_diff_index = 0;
-  bool has_a = false;  ///< trace A still had a record at the divergence
+  /// Time of the divergent record (exact) or nanosecond (canonical).
+  std::int64_t first_diff_t_ns = 0;
+  /// Exact mode: the divergent records. Canonical mode: a record of that
+  /// nanosecond found only in A (`a`) and one found only in B (`b`).
+  bool has_a = false;
   bool has_b = false;
   Record a;
   Record b;
@@ -62,6 +79,7 @@ struct TraceDiff {
 
 /// Compares two binary traces; prints nothing (callers format the result).
 [[nodiscard]] TraceDiff diff_traces(const std::string& path_a,
-                                    const std::string& path_b);
+                                    const std::string& path_b,
+                                    DiffMode mode = DiffMode::kExact);
 
 }  // namespace wsn::trace

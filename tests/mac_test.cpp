@@ -2,7 +2,11 @@
 // random-traffic fuzzing of both MACs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <numbers>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -426,30 +430,236 @@ TEST(Mac, BidirectionalTrafficCompletes) {
   EXPECT_EQ(rig.user(0).received.size(), 20u);
 }
 
-/// Records the order in which the channel's batched sweeps hit this radio.
+// Backoff freeze accounting. CsmaMac counts a backoff stint of n slots
+// with one timer and, when an arrival freezes it, charges
+// floor(elapsed / slot) slots. That must equal the per-slot model, in
+// which every slot boundary is a tick event scheduled one slot (20 us)
+// before it fires. Tie rule: a boundary that falls exactly on the
+// freezing instant counts. Its tick was scheduled 20 us earlier, the
+// arrival sweep that freezes only 1 us (propagation) earlier, so the tick
+// had the lower sequence number and fired first. An ACK cannot freeze an
+// armed stint: it goes out SIFS after a reception whose start already
+// froze the stint, and a new stint needs DIFS (> SIFS) of idle medium, so
+// send_ack's freeze is a guard that never charges a slot.
+//
+// With one timer per stint the transmission's expiry gets its sequence
+// number at stint start, so events of different nodes at the same
+// nanosecond can dispatch in a new order. That cannot change an outcome:
+// a transmission reaches other radios only after the propagation delay, a
+// second arrival in the same nanosecond adds zero energy, and either order
+// corrupts the same frames.
+struct FreezeRun {
+  std::int64_t slots_drawn = -1;
+  sim::Time drawn_at;
+  sim::Time tx_start;
+};
+
+/// Node 0 contends for one broadcast from t = 0; node 1's MAC stays
+/// silent, but when `arrival` is set a raw 300 us frame from node 1
+/// reaches node 0 at exactly that instant.
+FreezeRun contend(std::optional<sim::Time> arrival) {
+  MacRig rig{{{0, 0}, {10, 0}}, 40.0};
+  trace::Tracer tracer{trace::Tracer::Options{
+      .path = "", .ring_capacity = 256, .seed = 0, .config_digest = 0}};
+  rig.sim().set_tracer(&tracer);
+  rig.mac(0).send(MacRig::frame(net::kBroadcast));
+  if (arrival) {
+    // The channel's default propagation delay equals the PHY's.
+    rig.sim().schedule_at(*arrival - rig.phy().propagation, [&rig] {
+      net::Frame f = MacRig::frame(net::kBroadcast);
+      f.src = 1;
+      rig.channel().begin_transmission(1, std::move(f), FrameKind::kData,
+                                       sim::Time::micros(300));
+    });
+  }
+  rig.sim().run();
+  rig.sim().set_tracer(nullptr);
+  FreezeRun run;
+  for (const trace::Record& r : tracer.ring_snapshot()) {
+    if (r.node != 0) continue;
+    if (r.kind == trace::RecordKind::kMacBackoff) {
+      run.slots_drawn = static_cast<std::int64_t>(r.a);
+      run.drawn_at = sim::Time::nanos(r.t_ns);
+    } else if (r.kind == trace::RecordKind::kMacTxStart) {
+      run.tx_start = sim::Time::nanos(r.t_ns);
+    }
+  }
+  return run;
+}
+
+/// The undisturbed run's draw n and a slot k with 1 <= k < n to freeze in.
+struct Undisturbed {
+  PhyParams phy;
+  sim::Time airtime = sim::Time::micros(300);  // node 1's raw frame
+  sim::Time stint_start = phy.difs;            // DIFS from t = 0
+  FreezeRun free = contend(std::nullopt);
+  std::int64_t n = free.slots_drawn;
+  std::int64_t k = n / 2;
+};
+
+TEST(MacBackoff, UndisturbedStintTransmitsAfterTheDrawnSlots) {
+  const Undisturbed u;
+  EXPECT_EQ(u.free.drawn_at, u.stint_start);
+  ASSERT_GE(u.n, 2) << "node 0's first draw must leave a slot to freeze in";
+  EXPECT_EQ(u.free.tx_start, u.stint_start + u.phy.slot * u.n);
+}
+
+TEST(MacBackoff, ArrivalOnASlotBoundaryConsumesThatSlot) {
+  const Undisturbed u;
+  ASSERT_GE(u.k, 1);
+  const sim::Time at = u.stint_start + u.phy.slot * u.k;
+  const FreezeRun run = contend(at);
+  EXPECT_EQ(run.tx_start,
+            at + u.airtime + u.phy.difs + u.phy.slot * (u.n - u.k));
+}
+
+TEST(MacBackoff, ArrivalInsideASlotDoesNotConsumeIt) {
+  const Undisturbed u;
+  ASSERT_GE(u.k, 1);
+  const sim::Time at =
+      u.stint_start + u.phy.slot * u.k - sim::Time::micros(7);
+  const FreezeRun run = contend(at);
+  EXPECT_EQ(run.tx_start,
+            at + u.airtime + u.phy.difs + u.phy.slot * (u.n - (u.k - 1)));
+}
+
+TEST(MacBackoff, ArrivalDuringDifsConsumesNoSlot) {
+  const Undisturbed u;
+  const sim::Time at = sim::Time::micros(30);
+  ASSERT_LT(at, u.stint_start);
+  const FreezeRun run = contend(at);
+  // DIFS restarts after the frame; the backoff is drawn only then.
+  EXPECT_EQ(run.slots_drawn, u.n);
+  EXPECT_EQ(run.drawn_at, at + u.airtime + u.phy.difs);
+  EXPECT_EQ(run.tx_start, at + u.airtime + u.phy.difs + u.phy.slot * u.n);
+}
+
+// DCF oracle (Bianchi, "Performance analysis of the IEEE 802.11
+// distributed coordination function", IEEE JSAC 18(3), 2000). N saturated
+// senders in one clique see a per-attempt collision probability p that
+// solves p = 1 - (1 - tau(p))^(N-1), where tau is the per-slot attempt
+// probability of the finite-retry backoff chain with m + 1 stages of
+// windows W * 2^i:
+//   tau(p) = 2 S1 / (W S2 + S1),  S1 = sum p^i,  S2 = sum (2p)^i,  i = 0..m.
+// This MAC draws from 0..cw with cw = 31 doubling to 1023 over 5
+// retransmissions, so W = 32 and m = 5.
+//
+// The measured rate may sit a little below the model's. The model assumes
+// a collision probability independent of the backoff stage (decoupling),
+// and it ignores that this MAC waits DIFS after every busy period and has
+// no post-backoff. Those simplifications are worth a few percent at these
+// N, so the tolerance is 8 % relative, fixed before the test was run.
+double bianchi_collision_probability(int senders) {
+  constexpr double kW = 32.0;
+  constexpr int kM = 5;
+  const auto tau = [](double p) {
+    double s1 = 0.0;
+    double s2 = 0.0;
+    for (int i = 0; i <= kM; ++i) {
+      s1 += std::pow(p, i);
+      s2 += std::pow(2.0 * p, i);
+    }
+    return 2.0 * s1 / (kW * s2 + s1);
+  };
+  // p - (1 - (1 - tau(p))^(N-1)) rises monotonically in p: bisect.
+  double lo = 0.0;
+  double hi = 1.0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const double p = (lo + hi) / 2.0;
+    if (p > 1.0 - std::pow(1.0 - tau(p), senders - 1)) {
+      hi = p;
+    } else {
+      lo = p;
+    }
+  }
+  return (lo + hi) / 2.0;
+}
+
+/// Keeps one unicast to node 0 queued at all times: each outcome refills.
+struct SaturatedSender final : mac::MacUser {
+  MacBase* mac = nullptr;
+  void mac_receive(const net::Frame& /*f*/) override {}
+  void mac_send_succeeded(const net::Frame& /*f*/) override { refill(); }
+  void mac_send_failed(const net::Frame& /*f*/) override { refill(); }
+  void refill() const { mac->send(MacRig::frame(0)); }
+};
+
+class DcfOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(DcfOracle, SaturatedCliqueMatchesBianchiCollisionProbability) {
+  const int senders = GetParam();
+  // Receiver 0 at the centre, senders on a 5 m circle: one clique.
+  std::vector<net::Vec2> positions{{0, 0}};
+  for (int i = 0; i < senders; ++i) {
+    const double angle = 2.0 * std::numbers::pi * i / senders;
+    positions.push_back({5.0 * std::cos(angle), 5.0 * std::sin(angle)});
+  }
+  MacRig rig{positions, 40.0};
+  rig.mac(0).set_user(nullptr);  // count receptions in stats only
+  std::vector<SaturatedSender> users(static_cast<std::size_t>(senders));
+  for (int i = 0; i < senders; ++i) {
+    const auto id = static_cast<net::NodeId>(i + 1);
+    users[static_cast<std::size_t>(i)].mac = &rig.mac(id);
+    rig.mac(id).set_user(&users[static_cast<std::size_t>(i)]);
+    users[static_cast<std::size_t>(i)].refill();
+  }
+  rig.sim().run_until(sim::Time::seconds(60.0));
+
+  std::uint64_t sent = 0;
+  std::uint64_t failed_attempts = 0;
+  for (int i = 1; i <= senders; ++i) {
+    const MacStats& st = rig.mac(static_cast<net::NodeId>(i)).stats();
+    sent += st.frames_sent;
+    failed_attempts += st.retries + st.drops_retry_exhausted;
+  }
+  ASSERT_GT(sent, 10'000u);
+  const double measured =
+      static_cast<double>(failed_attempts) / static_cast<double>(sent);
+  const double model = bianchi_collision_probability(senders);
+  EXPECT_NEAR(measured, model, 0.08 * model)
+      << senders << " senders: measured " << measured << ", model " << model;
+}
+
+INSTANTIATE_TEST_SUITE_P(Clique, DcfOracle, ::testing::Values(5, 10, 20),
+                         [](const auto& info) {
+                           return std::to_string(info.param) + "_senders";
+                         });
+
+/// Records the channel sweeps through the receive core's hooks. Node 0 is
+/// the only transmitter and its frames never overlap, so every arrival
+/// start finds an idle medium (one `medium_became_busy`) and every end
+/// empties it (one `medium_became_idle`). A start is logged with whether
+/// the radio is in node 0's radio range; `deliver` then shows that the
+/// sweep passed that decodable flag on: only in-range radios receive.
+struct SweepLog {
+  std::vector<std::pair<net::NodeId, bool>> starts;
+  std::vector<net::NodeId> ends;
+  std::vector<net::NodeId> delivered;
+};
+
 class RecorderMac final : public MacBase {
  public:
   RecorderMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
-              const EnergyParams& energy,
-              std::vector<std::pair<net::NodeId, bool>>& starts,
-              std::vector<net::NodeId>& ends)
-      : MacBase{sim, channel, id, energy, 0}, starts_{&starts}, ends_{&ends} {}
+              const EnergyParams& energy, SweepLog& log)
+      : MacBase{sim, channel, id, energy, 0}, log_{&log} {}
 
   void send(net::Frame /*frame*/) override {}
-  void arrival_start(const TransmissionPtr& /*tx*/, bool decodable) override {
-    starts_->emplace_back(id(), decodable);
-  }
-  void arrival_end(const TransmissionPtr& /*tx*/) override {
-    ends_->push_back(id());
-  }
 
  private:
   void on_tx_end(FrameKind /*sent*/) override {}
   void on_power_change(bool /*alive*/) override {}
-  void deliver(const Transmission& /*tx*/) override {}
+  void medium_became_busy() override {
+    const auto in_range = channel_->topology().neighbors(0);
+    log_->starts.emplace_back(
+        id(), std::find(in_range.begin(), in_range.end(), id()) !=
+                  in_range.end());
+  }
+  void deliver(const Transmission& /*tx*/) override {
+    log_->delivered.push_back(id());
+  }
+  void medium_became_idle() override { log_->ends.push_back(id()); }
 
-  std::vector<std::pair<net::NodeId, bool>>* starts_;
-  std::vector<net::NodeId>* ends_;
+  SweepLog* log_;
 };
 
 TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
@@ -463,12 +673,10 @@ TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
       {{0, 0}, {10, 0}, {20, 0}, {30, 0}, {50, 0}, {70, 0}}, 40.0, 80.0};
   Channel channel{sim, topo};
   EnergyParams energy;
-  std::vector<std::pair<net::NodeId, bool>> starts;
-  std::vector<net::NodeId> ends;
+  SweepLog log;
   std::vector<std::unique_ptr<RecorderMac>> macs;
   for (net::NodeId i = 0; i < topo.node_count(); ++i) {
-    macs.push_back(
-        std::make_unique<RecorderMac>(sim, channel, i, energy, starts, ends));
+    macs.push_back(std::make_unique<RecorderMac>(sim, channel, i, energy, log));
   }
   macs[2]->set_alive(false);
 
@@ -484,12 +692,12 @@ TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
 
   const std::vector<std::pair<net::NodeId, bool>> want_starts{
       {1, true}, {3, true}, {4, false}, {5, false}};
-  EXPECT_EQ(starts, want_starts);
-  EXPECT_EQ(ends, (std::vector<net::NodeId>{1, 3, 4, 5}));
+  EXPECT_EQ(log.starts, want_starts);
+  EXPECT_EQ(log.ends, (std::vector<net::NodeId>{1, 3, 4, 5}));
+  EXPECT_EQ(log.delivered, (std::vector<net::NodeId>{1, 3}));
 
   // A node that dies between the sweeps misses the end sweep too.
-  starts.clear();
-  ends.clear();
+  log = SweepLog{};
   macs[2]->set_alive(true);
   net::Frame g;
   g.src = 0;
@@ -502,8 +710,9 @@ TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
   sim.run();
   const std::vector<std::pair<net::NodeId, bool>> want_starts2{
       {1, true}, {2, true}, {3, true}, {4, false}, {5, false}};
-  EXPECT_EQ(starts, want_starts2);
-  EXPECT_EQ(ends, (std::vector<net::NodeId>{1, 2, 4, 5}));
+  EXPECT_EQ(log.starts, want_starts2);
+  EXPECT_EQ(log.ends, (std::vector<net::NodeId>{1, 2, 4, 5}));
+  EXPECT_EQ(log.delivered, (std::vector<net::NodeId>{1, 2}));
 }
 
 }  // namespace

@@ -157,18 +157,20 @@ TEST(ProtocolPool, EstablishedDataPathIsAllocationFreeAtSteadyState) {
 }
 
 // Fig-5-style fields: the pool must absorb per-send message traffic, so
-// total heap allocations stay a small constant per dispatched event even
-// across a full experiment (interest floods, exploratory floods, failures'
-// worth of cache churn). The seed harness ran at ~the same order of
-// allocations *per data packet*; with the pool, the whole-run average must
-// stay under one allocation per two events (warm-up amortised).
+// total heap allocations stay a small constant per data frame the MACs put
+// on the air, even across a full experiment (interest floods, exploratory
+// floods, failures' worth of cache churn). Frames, not dispatched events,
+// are the unit: the event count depends on how the MAC schedules its
+// timers, while allocations follow the traffic. The recorded runs measure
+// 7.42 / 5.96 / 5.87 allocations per frame (50 nodes; 350 nodes seeds 1
+// and 2); the ceiling of 7.7 keeps the binding 50-node case at 96 % of it.
 //
 // The 350-node, 5 sim-s runs are the dense fig-5 point at smoke length.
 // Every pooled slot must be back by harvest, and the pool may create at
 // most 1.9x the slots it created when these ceilings were recorded (336
 // for seed 1, 329 for seed 2; 46 for the 50-node run), so a pool that
 // stops recycling fails here rather than in a timing run.
-TEST(ProtocolPool, Fig5RunStaysUnderAllocsPerEventCeiling) {
+TEST(ProtocolPool, Fig5RunStaysUnderAllocsPerFrameCeiling) {
   struct Case {
     std::size_t nodes;
     double seconds;
@@ -188,7 +190,7 @@ TEST(ProtocolPool, Fig5RunStaysUnderAllocsPerEventCeiling) {
     const scenario::RunResult result = scenario::run_experiment(cfg);
     const auto after = g_allocs.load(std::memory_order_relaxed);
 
-    ASSERT_GT(result.events_dispatched, 10'000u);
+    ASSERT_GT(result.frames_sent, 1'000u);
     EXPECT_GT(result.pool_acquires, 0u);
     EXPECT_GT(result.pool_slots_created, 0u);
     EXPECT_LE(result.pool_slots_created, c.max_slots_created);
@@ -198,9 +200,9 @@ TEST(ProtocolPool, Fig5RunStaysUnderAllocsPerEventCeiling) {
     // No pooled message outlives its last frame: none is held at harvest.
     EXPECT_EQ(result.pool_slots_live, 0u);
 #if !WSN_TEST_UNDER_SANITIZER
-    const double per_event = static_cast<double>(after - before) /
-                             static_cast<double>(result.events_dispatched);
-    EXPECT_LT(per_event, 0.5) << "allocs/event regressed: " << per_event;
+    const double per_frame = static_cast<double>(after - before) /
+                             static_cast<double>(result.frames_sent);
+    EXPECT_LT(per_frame, 7.7) << "allocs/frame regressed: " << per_frame;
 #else
     (void)before;
     (void)after;

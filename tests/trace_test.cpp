@@ -188,6 +188,111 @@ TEST(Trace, DiffFlagsPrefixTracesAndHeaderMismatches) {
   std::remove(pb.c_str());
 }
 
+/// Writes `records` as a seed-5 trace at `path`.
+void write_trace(const std::string& path, const std::vector<Record>& records) {
+  Tracer tracer{Tracer::Options{
+      .path = path, .ring_capacity = 0, .seed = 5, .config_digest = 9}};
+  for (const Record& r : records) {
+    tracer.emit(r.kind, sim::Time::nanos(r.t_ns), r.node, r.peer, r.a, r.b);
+  }
+}
+
+TEST(Trace, CanonicalDiffIgnoresSameInstantOrder) {
+  const std::string pa = tmp_path("wsn_trace_canon_order_a.bin");
+  const std::string pb = tmp_path("wsn_trace_canon_order_b.bin");
+  const Record backoff = rec(100, RecordKind::kMacBackoff, 1, kNoPeer, 4, 31);
+  const Record sample = rec(100, RecordKind::kEnergySample, 2, kNoPeer, 3,
+                            0x3f50624dd2f1a9fcULL);
+  const Record later = rec(200, RecordKind::kNodeDown, 3, kNoPeer, 0, 0);
+  write_trace(pa, {backoff, sample, later});
+  write_trace(pb, {sample, backoff, later});
+
+  const TraceDiff exact = diff_traces(pa, pb);
+  ASSERT_TRUE(exact.comparable) << exact.error;
+  EXPECT_FALSE(exact.identical);
+  EXPECT_EQ(exact.first_diff_index, 0u);
+
+  const TraceDiff canonical = diff_traces(pa, pb, DiffMode::kCanonical);
+  ASSERT_TRUE(canonical.comparable) << canonical.error;
+  EXPECT_TRUE(canonical.identical);
+  std::remove(pa.c_str());
+  std::remove(pb.c_str());
+}
+
+TEST(Trace, CanonicalDiffNamesTransmissionsBySenderAndStart) {
+  // Nodes 1 and 2 start transmitting in the same nanosecond; the two runs
+  // hand out their tx ids in opposite orders. Node 3 decodes node 1's
+  // frame and counts node 2's as a collision.
+  const auto run = [](std::uint64_t id1, std::uint64_t id2, bool node1_first,
+                      std::uint64_t rx_id) {
+    const Record s1 = rec(100, RecordKind::kMacTxStart, 1, 3, id1, 64);
+    const Record s2 = rec(100, RecordKind::kMacTxStart, 2, 3, id2, 64);
+    const Record w1 = rec(1'100, RecordKind::kChannelSweep, 1, kNoPeer, id1, 2);
+    const Record w2 = rec(1'100, RecordKind::kChannelSweep, 2, kNoPeer, id2, 2);
+    std::vector<Record> out = node1_first ? std::vector<Record>{s1, s2, w1, w2}
+                                          : std::vector<Record>{s2, s1, w2, w1};
+    out.push_back(rec(1'100, RecordKind::kMacCollision, 3, 2, id2, 0));
+    out.push_back(rec(500'100, RecordKind::kMacTxEnd, 1, kNoPeer, id1, 0));
+    out.push_back(rec(500'100, RecordKind::kMacTxEnd, 2, kNoPeer, id2, 0));
+    out.push_back(rec(501'100, RecordKind::kMacRx, 3, 1, rx_id, 64));
+    out.push_back(rec(700'000, RecordKind::kMacTxEnd, 3, kNoPeer, 0, 0));
+    return out;
+  };
+  const std::string pa = tmp_path("wsn_trace_canon_ids_a.bin");
+  const std::string pb = tmp_path("wsn_trace_canon_ids_b.bin");
+  const std::string pc = tmp_path("wsn_trace_canon_ids_c.bin");
+  write_trace(pa, run(7, 8, true, 7));
+  write_trace(pb, run(8, 7, false, 8));
+  // Control: node 3 claims to have received node 2's transmission instead.
+  write_trace(pc, run(8, 7, false, 7));
+
+  EXPECT_FALSE(diff_traces(pa, pb).identical);
+  const TraceDiff swapped = diff_traces(pa, pb, DiffMode::kCanonical);
+  ASSERT_TRUE(swapped.comparable) << swapped.error;
+  EXPECT_TRUE(swapped.identical);
+
+  const TraceDiff wrong = diff_traces(pa, pc, DiffMode::kCanonical);
+  ASSERT_TRUE(wrong.comparable) << wrong.error;
+  EXPECT_FALSE(wrong.identical);
+  EXPECT_EQ(wrong.first_diff_t_ns, 501'100);
+  ASSERT_TRUE(wrong.has_a);
+  ASSERT_TRUE(wrong.has_b);
+  EXPECT_EQ(wrong.a.a, 7u);
+  EXPECT_EQ(wrong.b.a, 7u);  // same raw id, different transmission
+  std::remove(pa.c_str());
+  std::remove(pb.c_str());
+  std::remove(pc.c_str());
+}
+
+TEST(Trace, CanonicalDiffStillCatchesAChangedValue) {
+  const std::string pa = tmp_path("wsn_trace_canon_value_a.bin");
+  const std::string pb = tmp_path("wsn_trace_canon_value_b.bin");
+  const Record first = rec(50, RecordKind::kMacBackoff, 1, kNoPeer, 4, 31);
+  const Record sample = rec(100, RecordKind::kEnergySample, 2, kNoPeer, 3,
+                            0x3f50624dd2f1a9fcULL);
+  Record changed = sample;
+  changed.b ^= 1;  // one ulp of the joules so far
+  write_trace(pa, {first, sample});
+  write_trace(pb, {first, changed});
+
+  const TraceDiff exact = diff_traces(pa, pb);
+  ASSERT_TRUE(exact.comparable) << exact.error;
+  EXPECT_FALSE(exact.identical);
+  EXPECT_EQ(exact.first_diff_index, 1u);
+
+  const TraceDiff canonical = diff_traces(pa, pb, DiffMode::kCanonical);
+  ASSERT_TRUE(canonical.comparable) << canonical.error;
+  EXPECT_FALSE(canonical.identical);
+  EXPECT_EQ(canonical.first_diff_t_ns, 100);
+  EXPECT_EQ(canonical.first_diff_index, 1u);
+  ASSERT_TRUE(canonical.has_a);
+  ASSERT_TRUE(canonical.has_b);
+  EXPECT_EQ(canonical.a, sample);
+  EXPECT_EQ(canonical.b, changed);
+  std::remove(pa.c_str());
+  std::remove(pb.c_str());
+}
+
 scenario::ExperimentConfig traced_config(std::uint64_t seed) {
   scenario::ExperimentConfig cfg;
   cfg.field.nodes = 50;

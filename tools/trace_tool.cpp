@@ -8,6 +8,11 @@
 //   trace_tool diff A B             byte-exact comparison of two same-seed
 //                                   traces; prints the first divergent
 //                                   record and exits 1 on divergence
+//   trace_tool diff --canonical A B
+//                                   the same up to the order of records
+//                                   within one nanosecond, with tx ids
+//                                   renamed to (sender, start time); prints
+//                                   the first divergent nanosecond
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
@@ -32,7 +37,7 @@ int usage() {
                "usage: trace_tool summary FILE\n"
                "       trace_tool dump FILE\n"
                "       trace_tool path FILE <source:seq | packed-key>\n"
-               "       trace_tool diff FILE_A FILE_B\n");
+               "       trace_tool diff [--canonical] FILE_A FILE_B\n");
   return 2;
 }
 
@@ -179,14 +184,18 @@ int cmd_path(const std::string& path, const char* key_arg) {
   return 0;
 }
 
-int cmd_diff(const std::string& path_a, const std::string& path_b) {
-  const wsn::trace::TraceDiff diff = wsn::trace::diff_traces(path_a, path_b);
+int cmd_diff(const std::string& path_a, const std::string& path_b,
+             wsn::trace::DiffMode mode) {
+  const wsn::trace::TraceDiff diff =
+      wsn::trace::diff_traces(path_a, path_b, mode);
   if (!diff.comparable) {
     std::fprintf(stderr, "trace_tool: %s\n", diff.error.c_str());
     return 2;
   }
   if (diff.identical) {
-    std::printf("traces identical\n");
+    std::printf(mode == wsn::trace::DiffMode::kCanonical
+                    ? "traces identical up to same-instant order\n"
+                    : "traces identical\n");
     return 0;
   }
   if (diff.header_differs) {
@@ -194,12 +203,20 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
                 "from same-seed runs of the same configuration\n");
   }
   if (diff.has_a || diff.has_b) {
-    std::printf("first divergent record: index %" PRIu64 "\n",
-                diff.first_diff_index);
+    const bool canonical = mode == wsn::trace::DiffMode::kCanonical;
+    const char* missing = canonical ? "<none>" : "<end of trace>";
+    if (canonical) {
+      std::printf("first divergent nanosecond: t=%" PRId64
+                  " ns (A record index %" PRIu64 ")\n",
+                  diff.first_diff_t_ns, diff.first_diff_index);
+    } else {
+      std::printf("first divergent record: index %" PRIu64 "\n",
+                  diff.first_diff_index);
+    }
     if (diff.has_a) wsn::trace::print_record(stdout, "  A: ", diff.a);
-    else            std::printf("  A: <end of trace>\n");
+    else            std::printf("  A: %s\n", missing);
     if (diff.has_b) wsn::trace::print_record(stdout, "  B: ", diff.b);
-    else            std::printf("  B: <end of trace>\n");
+    else            std::printf("  B: %s\n", missing);
   }
   return 1;
 }
@@ -212,6 +229,11 @@ int main(int argc, char** argv) {
   if (cmd == "summary" && argc == 3) return cmd_summary(argv[2]);
   if (cmd == "dump" && argc == 3) return cmd_dump(argv[2]);
   if (cmd == "path" && argc == 4) return cmd_path(argv[2], argv[3]);
-  if (cmd == "diff" && argc == 4) return cmd_diff(argv[2], argv[3]);
+  if (cmd == "diff" && argc == 4) {
+    return cmd_diff(argv[2], argv[3], wsn::trace::DiffMode::kExact);
+  }
+  if (cmd == "diff" && argc == 5 && std::strcmp(argv[2], "--canonical") == 0) {
+    return cmd_diff(argv[3], argv[4], wsn::trace::DiffMode::kCanonical);
+  }
   return usage();
 }
