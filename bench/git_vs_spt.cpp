@@ -45,8 +45,8 @@ ModelResult evaluate(std::size_t nodes, int trials, MakeInstance make,
     sim::Rng rng = sim::Rng{77}.fork(t);
     net::FieldSpec spec;
     spec.nodes = nodes;
-    const net::Topology topo{net::generate_connected_field(spec, rng),
-                             spec.radio_range_m};
+    const net::Topology topo =
+        net::generate_connected_topology(spec, rng).topology;
     const trees::Graph g = trees::graph_from_topology(topo);
     const trees::AbstractInstance inst = make(topo, rng);
     if (inst.sources.empty()) return;

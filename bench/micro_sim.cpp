@@ -8,6 +8,7 @@
 
 #include "mac/channel.hpp"
 #include "mac/mac_base.hpp"
+#include "mac/params.hpp"
 #include "net/field.hpp"
 #include "net/topology.hpp"
 #include "sim/event_queue.hpp"
@@ -85,9 +86,9 @@ void BM_ChannelFanout(benchmark::State& state) {
   wsn::net::FieldSpec spec;
   spec.nodes = 350;
   Rng field_rng{7};
-  const auto positions = wsn::net::generate_connected_field(spec, field_rng);
-  const wsn::net::Topology topo{positions, spec.radio_range_m,
-                                spec.carrier_sense_range_m};
+  const wsn::net::Topology topo =
+      wsn::net::generate_connected_topology(spec, field_rng).topology;
+  const wsn::mac::PhyParams phy;
   const wsn::mac::EnergyParams energy;
   const Time airtime = Time::micros(500);
   const auto source = [&topo](int i) {
@@ -101,7 +102,7 @@ void BM_ChannelFanout(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Simulator sim;
-    wsn::mac::Channel channel{sim, topo};
+    wsn::mac::Channel channel{sim, topo, phy.propagation};
     std::vector<std::unique_ptr<SilentMac>> macs;
     macs.reserve(topo.node_count());
     for (wsn::net::NodeId id = 0; id < topo.node_count(); ++id) {

@@ -21,8 +21,8 @@ Setup make_setup(std::size_t nodes, std::size_t sources) {
   sim::Rng rng{7};
   net::FieldSpec spec;
   spec.nodes = nodes;
-  const net::Topology topo{net::generate_connected_field(spec, rng),
-                           spec.radio_range_m};
+  const net::Topology topo =
+      net::generate_connected_topology(spec, rng).topology;
   Setup s{trees::graph_from_topology(topo),
           trees::make_corner_instance(topo, sources, {0, 0, 80, 80},
                                       {164, 164, 200, 200}, rng)};

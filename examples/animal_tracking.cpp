@@ -27,12 +27,12 @@ int main(int argc, char** argv) {
   sim::Rng field_rng = master.fork(1);
   net::FieldSpec spec;
   spec.nodes = 120;
-  const net::Topology topo{net::generate_connected_field(spec, field_rng),
-                           spec.radio_range_m, spec.carrier_sense_range_m};
+  const net::Topology topo =
+      net::generate_connected_topology(spec, field_rng).topology;
 
   sim::Simulator sim;
-  mac::Channel channel{sim, topo};
   mac::PhyParams phy;
+  mac::Channel channel{sim, topo, phy.propagation};
   mac::EnergyParams energy;
   diffusion::DiffusionParams params;
 

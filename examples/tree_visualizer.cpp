@@ -20,10 +20,7 @@ void render_ascii(const scenario::RunResult& res,
   constexpr int W = 50, H = 22;
   std::vector<std::string> canvas(H, std::string(W, ' '));
 
-  // Re-derive node positions the same way the runner did (same seed).
-  sim::Rng master{cfg.seed};
-  sim::Rng field_rng = master.fork(1);
-  const auto pts = net::generate_connected_field(cfg.field, field_rng);
+  const auto& pts = res.node_positions;
 
   auto plot = [&](net::Vec2 p, char c) {
     const int x = std::min(W - 1, static_cast<int>(p.x / cfg.field.side_m * W));

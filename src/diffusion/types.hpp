@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "agg/aggregation_fn.hpp"
 #include "net/types.hpp"
@@ -26,12 +25,6 @@ struct DataItemKey {
   constexpr bool operator==(const DataItemKey&) const = default;
   [[nodiscard]] constexpr std::uint64_t packed() const {
     return (static_cast<std::uint64_t>(source) << 32) | seq;
-  }
-};
-
-struct DataItemKeyHash {
-  std::size_t operator()(const DataItemKey& k) const {
-    return std::hash<std::uint64_t>{}(k.packed());
   }
 };
 

@@ -39,7 +39,7 @@ using TransmissionPtr = std::shared_ptr<Transmission>;
 class Channel {
  public:
   Channel(sim::Simulator& sim, const net::Topology& topo,
-          sim::Time propagation = sim::Time::micros(1))
+          sim::Time propagation)
       : sim_{&sim},
         topo_{&topo},
         propagation_{propagation},
@@ -64,9 +64,6 @@ class Channel {
                                      FrameKind kind, sim::Time airtime);
 
   [[nodiscard]] const net::Topology& topology() const { return *topo_; }
-  [[nodiscard]] std::uint64_t transmissions_started() const {
-    return next_tx_id_ - 1;
-  }
   /// Id of the latest transmission whose arrival-start sweep has run.
   /// Start sweeps run in id order (one fixed propagation delay, FIFO ties),
   /// so every transmission with a larger id is still to be swept.

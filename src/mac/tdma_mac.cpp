@@ -5,13 +5,16 @@
 namespace wsn::mac {
 
 TdmaMac::TdmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
-                 std::uint32_t num_slots, const TdmaParams& params,
-                 const EnergyParams& energy)
-    : MacBase{sim, channel, id, energy, params.queue_limit},
+                 std::uint32_t num_slots, const PhyParams& phy,
+                 const TdmaParams& params, const EnergyParams& energy)
+    : MacBase{sim, channel, id, energy, phy.queue_limit},
+      phy_{phy},
       params_{params},
+      slot_{phy.frame_airtime(params.max_payload_bytes) + phy.sifs +
+            phy.ack_airtime() + params.guard},
       num_slots_{num_slots},
       slot_timer_{sim, [this] { on_slot_start(); }} {
-  slot_timer_.arm(params_.slot_duration() * id);
+  slot_timer_.arm(slot_ * id);
 }
 
 void TdmaMac::schedule_next_slot() { slot_timer_.arm(cycle_duration()); }
@@ -26,7 +29,7 @@ void TdmaMac::on_power_change(bool alive) {
   }
   // Rejoin the schedule at our next slot boundary.
   const auto cycle = cycle_duration().as_nanos();
-  const auto offset = (params_.slot_duration() * id_).as_nanos();
+  const auto offset = (slot_ * id_).as_nanos();
   const auto now = sim_->now().as_nanos();
   const auto phase = (now - offset) % cycle;
   slot_timer_.arm(sim::Time::nanos(phase == 0 ? 0 : cycle - phase));
@@ -37,7 +40,7 @@ void TdmaMac::on_slot_start() {
   if (!alive_ || queue_.empty() || transmitting_) return;
   const net::Frame& head = queue_.front().frame;
   awaiting_ack_ = head.dst != net::kBroadcast;
-  transmit_head(params_.payload_airtime(head.bytes));
+  transmit_head(phy_.frame_airtime(head.bytes));
 }
 
 void TdmaMac::on_tx_end(FrameKind sent) {
@@ -47,8 +50,8 @@ void TdmaMac::on_tx_end(FrameKind sent) {
     return;
   }
   // Unicast: wait out the ACK window at the end of our slot.
-  const sim::Time window = params_.sifs + params_.ack_airtime() +
-                           params_.guard + sim::Time::micros(4);
+  const sim::Time window =
+      phy_.sifs + phy_.ack_airtime() + params_.guard + sim::Time::micros(4);
   sim_->schedule_in(window, [this] {
     if (!alive_ || !awaiting_ack_ || queue_.empty()) return;
     awaiting_ack_ = false;
@@ -69,9 +72,9 @@ void TdmaMac::deliver(const Transmission& tx) {
   if (f.dst != id_ && f.dst != net::kBroadcast) return;
   if (f.dst == id_) {
     // Acknowledge inside the sender's slot, a SIFS after the data.
-    sim_->schedule_in(params_.sifs, [this, to = f.src] {
+    sim_->schedule_in(phy_.sifs, [this, to = f.src] {
       if (!alive_ || transmitting_) return;
-      transmit_ack(to, params_.ack_airtime());
+      transmit_ack(to, phy_.ack_airtime());
     });
   }
   hand_up(tx);

@@ -11,36 +11,18 @@
 
 namespace wsn::mac {
 
-/// TDMA schedule parameters. The default is a *global* round-robin
-/// schedule — every node owns one slot per cycle, so there is no spatial
-/// reuse but also no collision anywhere (appropriate for the paper's
-/// 200 m × 200 m fields, where the carrier-sense diameter nearly covers
-/// the field and two-hop slot reuse would buy little).
+/// TDMA's own choices; the radio itself (bitrate, preamble, header and ACK
+/// sizes, SIFS, queue depth) is the shared PhyParams. The default is a
+/// *global* round-robin schedule — every node owns one slot per cycle, so
+/// there is no spatial reuse but also no collision anywhere (appropriate
+/// for the paper's 200 m × 200 m fields, where the carrier-sense diameter
+/// nearly covers the field and two-hop slot reuse would buy little).
 struct TdmaParams {
-  double bitrate_bps = 1.6e6;
   /// Largest payload one slot can carry; the slot length is derived from
-  /// it (preamble + payload airtime + SIFS + ACK + guard).
+  /// it (frame airtime + SIFS + ACK + guard).
   std::uint32_t max_payload_bytes = 160;
   sim::Time guard = sim::Time::micros(20);
-  sim::Time sifs = sim::Time::micros(10);
-  sim::Time preamble = sim::Time::micros(192);
-  std::uint32_t mac_header_bytes = 28;
-  std::uint32_t ack_bytes = 14;
-  int max_retries = 2;           ///< unicast resend attempts (next cycles)
-  std::size_t queue_limit = 64;
-
-  [[nodiscard]] sim::Time payload_airtime(std::uint32_t bytes) const {
-    const double bits = static_cast<double>(bytes + mac_header_bytes) * 8.0;
-    return preamble + sim::Time::seconds(bits / bitrate_bps);
-  }
-  [[nodiscard]] sim::Time ack_airtime() const {
-    return preamble +
-           sim::Time::seconds(static_cast<double>(ack_bytes) * 8.0 / bitrate_bps);
-  }
-  /// One slot: data + SIFS + ACK + guard.
-  [[nodiscard]] sim::Time slot_duration() const {
-    return payload_airtime(max_payload_bytes) + sifs + ack_airtime() + guard;
-  }
+  int max_retries = 2;  ///< unicast resend attempts (next cycles)
 };
 
 /// Collision-free slotted MAC. Node `id` owns slot `id` of every cycle of
@@ -52,14 +34,12 @@ struct TdmaParams {
 class TdmaMac final : public MacBase {
  public:
   TdmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
-          std::uint32_t num_slots, const TdmaParams& params,
-          const EnergyParams& energy);
+          std::uint32_t num_slots, const PhyParams& phy,
+          const TdmaParams& params, const EnergyParams& energy);
 
   void send(net::Frame frame) override;
 
-  [[nodiscard]] sim::Time cycle_duration() const {
-    return params_.slot_duration() * num_slots_;
-  }
+  [[nodiscard]] sim::Time cycle_duration() const { return slot_ * num_slots_; }
 
  private:
   void on_tx_end(FrameKind sent) override;
@@ -68,7 +48,9 @@ class TdmaMac final : public MacBase {
   void on_slot_start();
   void schedule_next_slot();
 
+  PhyParams phy_;
   TdmaParams params_;
+  sim::Time slot_;  ///< data + SIFS + ACK + guard
   std::uint32_t num_slots_;
   bool awaiting_ack_ = false;
   sim::Timer slot_timer_;

@@ -1,6 +1,6 @@
 #include "net/field.hpp"
 
-#include "net/topology.hpp"
+#include <utility>
 
 namespace wsn::net {
 
@@ -14,14 +14,21 @@ std::vector<Vec2> generate_uniform_field(const FieldSpec& spec,
   return pts;
 }
 
-std::vector<Vec2> generate_connected_field(const FieldSpec& spec,
-                                           sim::Rng& rng, int max_attempts) {
-  std::vector<Vec2> pts;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    pts = generate_uniform_field(spec, rng);
-    if (Topology{pts, spec.radio_range_m}.connected()) return pts;
+GeneratedField generate_connected_topology(const FieldSpec& spec,
+                                           sim::Rng& rng) {
+  for (int attempt = 1;; ++attempt) {
+    Topology topo{generate_uniform_field(spec, rng), spec.radio_range_m,
+                  spec.carrier_sense_range_m};
+    const bool connected = topo.connected();
+    if (connected || attempt == kMaxFieldAttempts) {
+      return {std::move(topo), attempt, connected};
+    }
   }
-  return pts;
+}
+
+std::vector<Vec2> generate_connected_field(const FieldSpec& spec,
+                                           sim::Rng& rng) {
+  return generate_connected_topology(spec, rng).topology.positions();
 }
 
 }  // namespace wsn::net

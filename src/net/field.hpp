@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "net/topology.hpp"
 #include "net/vec2.hpp"
 #include "sim/random.hpp"
 
@@ -23,12 +24,27 @@ struct FieldSpec {
 std::vector<Vec2> generate_uniform_field(const FieldSpec& spec,
                                          sim::Rng& rng);
 
+/// Fields drawn before `generate_connected_topology` gives up.
+inline constexpr int kMaxFieldAttempts = 100;
+
+/// A generated field's topology and how it was realised.
+struct GeneratedField {
+  Topology topology;
+  int attempts = 0;        ///< fields drawn, 1..kMaxFieldAttempts
+  bool connected = false;  ///< false only if every attempt was disconnected
+};
+
 /// Places points uniformly but retries whole fields until the unit-disk
-/// graph is connected (up to `max_attempts`; returns the last attempt
+/// graph is connected (up to kMaxFieldAttempts; keeps the last attempt
 /// regardless, mirroring the paper's practice of averaging over random
 /// fields that are connected with high probability at these densities).
+/// Each attempt is built with the spec's carrier-sense range, so the
+/// accepted topology is the run's topology.
+GeneratedField generate_connected_topology(const FieldSpec& spec,
+                                           sim::Rng& rng);
+
+/// The positions of `generate_connected_topology(spec, rng)`.
 std::vector<Vec2> generate_connected_field(const FieldSpec& spec,
-                                           sim::Rng& rng,
-                                           int max_attempts = 100);
+                                           sim::Rng& rng);
 
 }  // namespace wsn::net

@@ -1,9 +1,9 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <queue>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace wsn::net {
@@ -21,11 +21,15 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
     : positions_{std::move(positions)},
       range_{radio_range},
       cs_range_{carrier_sense_range > 0.0 ? carrier_sense_range : radio_range} {
-  assert(range_ > 0.0);
-  assert(cs_range_ >= range_);
+  // Checked in every build type: a zero range divides by zero in cell_of,
+  // and cells narrower than the radio range hide decodable neighbours.
+  if (!(std::isfinite(range_) && range_ > 0.0) || cs_range_ < range_) {
+    throw std::invalid_argument{
+        "Topology: need a finite radio range > 0 and a CS range of 0 or >= it"};
+  }
   const std::size_t n = positions_.size();
-  neighbor_lists_.resize(n);
   audible_lists_.resize(n);
+  decodable_.resize(n);
   if (n == 0) return;
 
   // Bin nodes into cs_range×cs_range cells; audible nodes can only be in
@@ -43,8 +47,10 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
 
   const double range_sq = range_ * range_;
   const double cs_sq = cs_range_ * cs_range_;
-  std::vector<NodeId> cs_only;  // audible but not decodable, rebuilt per node
+  std::vector<NodeId> decodable;  // in radio range, rebuilt per node
+  std::vector<NodeId> cs_only;    // audible but not decodable, likewise
   for (NodeId i = 0; i < n; ++i) {
+    decodable.clear();
     cs_only.clear();
     const auto [cx, cy] = cell_of(positions_[i]);
     for (std::int64_t dx = -1; dx <= 1; ++dx) {
@@ -55,7 +61,7 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
           if (j == i) continue;
           const double d_sq = distance_sq(positions_[i], positions_[j]);
           if (d_sq < range_sq) {
-            neighbor_lists_[i].push_back(j);
+            decodable.push_back(j);
           } else if (d_sq < cs_sq) {
             cs_only.push_back(j);
           }
@@ -64,12 +70,11 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
     }
     // audible(i) is partitioned: decodable prefix (== neighbors(i), sorted
     // by id) followed by carrier-sense-only nodes, sorted by id.
-    std::sort(neighbor_lists_[i].begin(), neighbor_lists_[i].end());
+    std::sort(decodable.begin(), decodable.end());
     std::sort(cs_only.begin(), cs_only.end());
-    audible_lists_[i].reserve(neighbor_lists_[i].size() + cs_only.size());
-    audible_lists_[i] = neighbor_lists_[i];
-    audible_lists_[i].insert(audible_lists_[i].end(), cs_only.begin(),
-                             cs_only.end());
+    decodable_[i] = decodable.size();
+    decodable.insert(decodable.end(), cs_only.begin(), cs_only.end());
+    audible_lists_[i].assign(decodable.begin(), decodable.end());  // exact size
   }
 }
 
@@ -81,16 +86,12 @@ bool Topology::in_range(NodeId a, NodeId b) const {
 double Topology::average_degree() const {
   if (positions_.empty()) return 0.0;
   std::size_t total = 0;
-  for (const auto& nl : neighbor_lists_) total += nl.size();
+  for (std::size_t d : decodable_) total += d;
   return static_cast<double>(total) / static_cast<double>(positions_.size());
 }
 
 bool Topology::connected() const {
   if (positions_.empty()) return true;
-  return hop_count_reachable_from_0() == positions_.size();
-}
-
-std::size_t Topology::hop_count_reachable_from_0() const {
   std::vector<char> seen(positions_.size(), 0);
   std::queue<NodeId> q;
   q.push(0);
@@ -99,7 +100,7 @@ std::size_t Topology::hop_count_reachable_from_0() const {
   while (!q.empty()) {
     const NodeId u = q.front();
     q.pop();
-    for (NodeId v : neighbor_lists_[u]) {
+    for (NodeId v : neighbors(u)) {
       if (!seen[v]) {
         seen[v] = 1;
         ++count;
@@ -107,7 +108,7 @@ std::size_t Topology::hop_count_reachable_from_0() const {
       }
     }
   }
-  return count;
+  return count == positions_.size();
 }
 
 int Topology::hop_distance(NodeId from, NodeId to) const {
@@ -119,7 +120,7 @@ int Topology::hop_distance(NodeId from, NodeId to) const {
   while (!q.empty()) {
     const NodeId u = q.front();
     q.pop();
-    for (NodeId v : neighbor_lists_[u]) {
+    for (NodeId v : neighbors(u)) {
       if (dist[v] < 0) {
         dist[v] = dist[u] + 1;
         if (v == to) return dist[v];

@@ -22,6 +22,8 @@ class Topology {
   /// can corrupt receptions — even though it is only decodable within
   /// `radio_range` (ns-2's CSThresh vs RXThresh distinction; the classic
   /// WaveLAN ratio is 550 m / 250 m = 2.2). Pass 0 to make them equal.
+  /// Throws std::invalid_argument unless `radio_range` is finite and > 0
+  /// and `carrier_sense_range` is 0 or at least `radio_range`.
   Topology(std::vector<Vec2> positions, double radio_range,
            double carrier_sense_range = 0.0);
 
@@ -35,9 +37,9 @@ class Topology {
   }
 
   /// Neighbours of `id` (nodes strictly within radio range, excluding
-  /// `id` itself), sorted by id.
+  /// `id` itself), sorted by id: the decodable prefix of `audible(id)`.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId id) const {
-    return {neighbor_lists_[id].data(), neighbor_lists_[id].size()};
+    return audible(id).first(decodable_[id]);
   }
 
   /// Nodes within carrier-sense range of `id` (superset of neighbors).
@@ -52,14 +54,10 @@ class Topology {
 
   /// Number of leading `audible(id)` entries that are within radio range.
   [[nodiscard]] std::size_t decodable_prefix(NodeId id) const {
-    return neighbor_lists_[id].size();
+    return decodable_[id];
   }
 
   [[nodiscard]] bool in_range(NodeId a, NodeId b) const;
-
-  [[nodiscard]] double distance_between(NodeId a, NodeId b) const {
-    return distance(positions_[a], positions_[b]);
-  }
 
   /// Mean neighbour count — the paper's "radio density".
   [[nodiscard]] double average_degree() const;
@@ -71,13 +69,11 @@ class Topology {
   [[nodiscard]] int hop_distance(NodeId from, NodeId to) const;
 
  private:
-  [[nodiscard]] std::size_t hop_count_reachable_from_0() const;
-
   std::vector<Vec2> positions_;
   double range_;
   double cs_range_;
-  std::vector<std::vector<NodeId>> neighbor_lists_;
   std::vector<std::vector<NodeId>> audible_lists_;
+  std::vector<std::size_t> decodable_;  ///< neighbours per audible list
 };
 
 }  // namespace wsn::net

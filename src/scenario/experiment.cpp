@@ -64,10 +64,9 @@ RunResult run_experiment(const ExperimentConfig& config) {
   sim::Rng placement_rng = master.fork(2);
   sim::Rng failure_rng = master.fork(3);
 
-  const auto positions =
-      net::generate_connected_field(config.field, field_rng);
-  const net::Topology topo{positions, config.field.radio_range_m,
-                           config.field.carrier_sense_range_m};
+  const net::GeneratedField field =
+      net::generate_connected_topology(config.field, field_rng);
+  const net::Topology& topo = field.topology;
 
   // Tracing: the config's spec wins; an empty one falls back to the
   // environment knobs. Declared before the simulator so the tracer outlives
@@ -98,7 +97,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
     } else {
       macs.push_back(std::make_unique<mac::TdmaMac>(
           sim, channel, id, static_cast<std::uint32_t>(topo.node_count()),
-          config.tdma, config.energy));
+          config.phy, config.tdma, config.energy));
     }
   }
 
@@ -174,7 +173,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
   double total_energy = 0.0;
   double total_active = 0.0;
   stats::Accumulator per_node_energy;
-  result.node_positions = positions;
+  result.node_positions = topo.positions();
   for (auto& m : macs) {
     const double j = m->energy_joules(sim.now());
     result.node_energy_joules.push_back(j);
@@ -206,6 +205,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
     result.trace_counters = tracer->counters();
     tracer->flush();
   }
+  result.field_connected = field.connected;
+  result.field_attempts = field.attempts;
   result.average_degree = topo.average_degree();
   result.energy_max_node_joules = per_node_energy.max();
   result.energy_mean_node_joules = per_node_energy.mean();

@@ -38,7 +38,7 @@ struct ExperimentConfig {
   net::FieldSpec field;  ///< 200×200 m, radio range 40 m by default
   core::Algorithm algorithm = core::Algorithm::kGreedy;
   MacType mac_type = MacType::kCsma;
-  mac::TdmaParams tdma;  ///< used when mac_type == kTdma
+  mac::TdmaParams tdma;  ///< TDMA's own choices; the radio is `phy`
 
   std::size_t num_sources = 5;
   std::size_t num_sinks = 1;
@@ -78,6 +78,8 @@ struct RunResult {
   stats::RunMetrics metrics;
 
   // Shape of the field actually used.
+  bool field_connected = false;  ///< false: gave up after kMaxFieldAttempts
+  int field_attempts = 0;        ///< fields drawn to realise this one
   double average_degree = 0.0;
   std::vector<net::NodeId> sources;
   std::vector<net::NodeId> sinks;

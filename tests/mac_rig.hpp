@@ -31,7 +31,8 @@ class MacRig {
  public:
   MacRig(std::vector<net::Vec2> positions, double range, double cs_range = 0.0,
          MacKind kind = MacKind::kCsma)
-      : topo_{std::move(positions), range, cs_range}, channel_{sim_, topo_} {
+      : topo_{std::move(positions), range, cs_range},
+        channel_{sim_, topo_, phy_.propagation} {
     const auto n = static_cast<std::uint32_t>(topo_.node_count());
     for (net::NodeId i = 0; i < n; ++i) {
       users_.push_back(std::make_unique<RecordingUser>());
@@ -40,7 +41,8 @@ class MacRig {
             sim_, channel_, i, phy_, energy_, sim::Rng{100 + i}));
       } else {
         macs_.push_back(
-            std::make_unique<mac::TdmaMac>(sim_, channel_, i, n, tdma_, energy_));
+            std::make_unique<mac::TdmaMac>(sim_, channel_, i, n, phy_, tdma_,
+                                           energy_));
       }
       macs_.back()->set_user(users_.back().get());
     }
@@ -68,8 +70,8 @@ class MacRig {
  private:
   sim::Simulator sim_;
   net::Topology topo_;
-  mac::Channel channel_;
   mac::PhyParams phy_;
+  mac::Channel channel_;
   mac::TdmaParams tdma_;
   mac::EnergyParams energy_;
   std::vector<std::unique_ptr<RecordingUser>> users_;

@@ -671,7 +671,7 @@ TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
   sim::Simulator sim;
   const net::Topology topo{
       {{0, 0}, {10, 0}, {20, 0}, {30, 0}, {50, 0}, {70, 0}}, 40.0, 80.0};
-  Channel channel{sim, topo};
+  Channel channel{sim, topo, PhyParams{}.propagation};
   EnergyParams energy;
   SweepLog log;
   std::vector<std::unique_ptr<RecorderMac>> macs;

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "net/field.hpp"
 #include "net/topology.hpp"
@@ -104,18 +106,34 @@ TEST(Topology, DefaultCarrierSenseEqualsRange) {
   EXPECT_EQ(t.audible(0).size(), t.neighbors(0).size());
 }
 
-// Property: grid-accelerated neighbour lists match the O(n²) definition.
+TEST(Topology, RejectsBadRangesInEveryBuildType) {
+  const std::vector<Vec2> pts{{0, 0}, {30, 0}};
+  EXPECT_THROW((Topology{pts, 0.0}), std::invalid_argument);
+  EXPECT_THROW((Topology{pts, -40.0}), std::invalid_argument);
+  EXPECT_THROW((Topology{pts, std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
+  // Cells narrower than the radio range would hide decodable neighbours.
+  EXPECT_THROW((Topology{pts, 40.0, 20.0}), std::invalid_argument);
+  EXPECT_NO_THROW((Topology{pts, 40.0, 40.0}));
+}
+
+// Property: grid-accelerated neighbour lists match the O(n²) definition,
+// on the paper's 200 m field (3 cells wide) and on a 1000 m one (12 cells),
+// with the 88 m carrier-sense range and with CS 0 (= radio range).
 class TopologyProperty
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
-};
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::uint64_t, double, double>> {};
 
 TEST_P(TopologyProperty, MatchesBruteForce) {
-  const auto [n, seed] = GetParam();
+  const auto [n, seed, side, cs] = GetParam();
   sim::Rng rng{seed};
   net::FieldSpec spec;
   spec.nodes = n;
+  spec.side_m = side;
+  spec.carrier_sense_range_m = cs;
   const auto pts = generate_uniform_field(spec, rng);
   const Topology t{pts, spec.radio_range_m, spec.carrier_sense_range_m};
+  const double audible_range = cs > 0.0 ? cs : spec.radio_range_m;
 
   for (NodeId i = 0; i < n; ++i) {
     std::vector<NodeId> expected;
@@ -124,7 +142,7 @@ TEST_P(TopologyProperty, MatchesBruteForce) {
       if (i == j) continue;
       const double d = distance(pts[i], pts[j]);
       if (d < spec.radio_range_m) expected.push_back(j);
-      if (d < spec.carrier_sense_range_m) expected_audible.push_back(j);
+      if (d < audible_range) expected_audible.push_back(j);
     }
     const auto got = t.neighbors(i);
     ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), expected)
@@ -151,7 +169,9 @@ TEST_P(TopologyProperty, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Sizes, TopologyProperty,
     ::testing::Combine(::testing::Values<std::size_t>(10, 50, 150),
-                       ::testing::Values<std::uint64_t>(1, 2, 3)));
+                       ::testing::Values<std::uint64_t>(1, 2, 3),
+                       ::testing::Values(200.0, 1000.0),
+                       ::testing::Values(88.0, 0.0)));
 
 TEST(Field, UniformFieldInsideSquare) {
   sim::Rng rng{21};
@@ -172,10 +192,35 @@ TEST(Field, ConnectedFieldIsConnectedAtPaperDensities) {
     sim::Rng rng{seed};
     FieldSpec spec;
     spec.nodes = 150;  // ≈19 neighbours: connected w.h.p.
-    const auto pts = generate_connected_field(spec, rng);
-    EXPECT_TRUE(Topology(pts, spec.radio_range_m).connected())
-        << "seed " << seed;
+    const GeneratedField field = generate_connected_topology(spec, rng);
+    EXPECT_TRUE(field.connected) << "seed " << seed;
+    EXPECT_TRUE(field.topology.connected()) << "seed " << seed;
+    EXPECT_GE(field.attempts, 1) << "seed " << seed;
+    EXPECT_DOUBLE_EQ(field.topology.carrier_sense_range(),
+                     spec.carrier_sense_range_m);
   }
+}
+
+// The generator's topology is the one a caller would build from the
+// positions-only wrapper, and both consume the same random draws.
+TEST(Field, TopologyMatchesPositionsWrapper) {
+  FieldSpec spec;
+  spec.nodes = 120;
+  sim::Rng rng_a{11};
+  sim::Rng rng_b{11};
+  const GeneratedField field = generate_connected_topology(spec, rng_a);
+  const Topology rebuilt{generate_connected_field(spec, rng_b),
+                         spec.radio_range_m, spec.carrier_sense_range_m};
+  const Topology& t = field.topology;
+  ASSERT_EQ(t.node_count(), rebuilt.node_count());
+  EXPECT_EQ(t.positions(), rebuilt.positions());
+  for (NodeId i = 0; i < t.node_count(); ++i) {
+    ASSERT_EQ(t.decodable_prefix(i), rebuilt.decodable_prefix(i)) << i;
+    const auto a = t.audible(i);
+    const auto b = rebuilt.audible(i);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << i;
+  }
+  EXPECT_EQ(rng_a.next(), rng_b.next());
 }
 
 TEST(Field, PaperDensityRangeMatchesNeighbourCounts) {

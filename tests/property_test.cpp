@@ -18,8 +18,8 @@ TEST(CrossModule, HopDistanceMatchesDijkstraOnUnitWeights) {
   sim::Rng rng{31};
   net::FieldSpec spec;
   spec.nodes = 80;
-  const net::Topology topo{net::generate_connected_field(spec, rng),
-                           spec.radio_range_m};
+  const net::Topology topo =
+      net::generate_connected_topology(spec, rng).topology;
   const trees::Graph g = trees::graph_from_topology(topo);
   const auto sp = trees::dijkstra(g, 0);
   for (net::NodeId v = 0; v < topo.node_count(); v += 7) {
@@ -35,8 +35,8 @@ TEST(CrossModule, GitOrderVariantsStayBounded) {
   sim::Rng rng{32};
   net::FieldSpec spec;
   spec.nodes = 70;
-  const net::Topology topo{net::generate_connected_field(spec, rng),
-                           spec.radio_range_m};
+  const net::Topology topo =
+      net::generate_connected_topology(spec, rng).topology;
   const trees::Graph g = trees::graph_from_topology(topo);
 
   std::vector<trees::Vertex> sources{5, 12, 23, 34, 45};

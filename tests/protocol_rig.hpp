@@ -24,7 +24,7 @@ class ProtocolRig {
               diffusion::DiffusionParams params = {}, double range = 40.0,
               std::uint64_t seed = 1, bool with_metrics = true)
       : topo_{std::move(positions), range},
-        channel_{sim_, topo_},
+        channel_{sim_, topo_, phy_.propagation},
         params_{params} {
     sim::Rng master{seed};
     for (net::NodeId i = 0; i < topo_.node_count(); ++i) {
@@ -56,8 +56,8 @@ class ProtocolRig {
  private:
   sim::Simulator sim_;
   net::Topology topo_;
-  mac::Channel channel_;
   mac::PhyParams phy_;
+  mac::Channel channel_;
   mac::EnergyParams energy_;
   diffusion::DiffusionParams params_;
   stats::MetricsCollector collector_;

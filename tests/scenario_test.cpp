@@ -230,6 +230,26 @@ TEST(Experiment, TdmaMacTypeRuns) {
   EXPECT_EQ(res.arrivals_corrupted, 0u);
 }
 
+TEST(Experiment, ReportsADisconnectedField) {
+  // Six nodes with a 5 m radio in a 200 m square are never connected: the
+  // generator gives up, keeps its last field, and the run still completes.
+  auto cfg = small_config(core::Algorithm::kGreedy, 6, 30.0);
+  cfg.field.radio_range_m = 5.0;
+  const RunResult res = run_experiment(cfg);
+  EXPECT_FALSE(res.field_connected);
+  EXPECT_EQ(res.field_attempts, net::kMaxFieldAttempts);
+  EXPECT_EQ(res.node_positions.size(), 6u);
+}
+
+TEST(Experiment, PaperDensityFieldIsConnected) {
+  ExperimentConfig cfg;
+  cfg.field.nodes = 350;
+  cfg.duration = sim::Time::seconds(5.0);
+  const RunResult res = run_experiment(cfg);
+  EXPECT_TRUE(res.field_connected);
+  EXPECT_GE(res.field_attempts, 1);
+}
+
 TEST(Experiment, TreeEdgesAreValidNodePairs) {
   const RunResult res = run_experiment(small_config(core::Algorithm::kGreedy));
   for (const auto& [from, to] : res.tree_edges) {

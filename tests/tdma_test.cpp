@@ -12,9 +12,11 @@ using testing::MacKind;
 using testing::MacRig;
 
 TEST(TdmaParams, SlotMath) {
-  TdmaParams p;
-  EXPECT_GT(p.slot_duration(), p.payload_airtime(p.max_payload_bytes));
-  EXPECT_GT(p.payload_airtime(64), p.preamble);
+  // A one-node schedule: the cycle is exactly one slot.
+  MacRig rig{{{0, 0}}, 40.0, 0.0, MacKind::kTdma};
+  EXPECT_GT(rig.tdma_cycle(),
+            rig.phy().frame_airtime(rig.tdma().max_payload_bytes));
+  EXPECT_GT(rig.phy().frame_airtime(64), rig.phy().preamble);
 }
 
 TEST(Tdma, UnicastDeliveredAndAcked) {

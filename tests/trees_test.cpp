@@ -162,8 +162,8 @@ TEST_P(TreeProperty, BoundsOnRandomFields) {
   net::FieldSpec spec;
   spec.nodes = 60;
   spec.side_m = 150.0;
-  const auto pts = net::generate_connected_field(spec, rng);
-  const net::Topology topo{pts, spec.radio_range_m};
+  const net::Topology topo =
+      net::generate_connected_topology(spec, rng).topology;
   const Graph g = graph_from_topology(topo);
 
   auto inst = make_random_sources_instance(topo, 5, rng);
