@@ -2,7 +2,7 @@
 // refuge. A user (sink) tasks the network with an interest scoped to a
 // remote sub-region; only sensors detecting animals *inside that region*
 // become sources. This example drives the public API directly (no
-// ExperimentRunner) to show how a bespoke deployment is assembled.
+// run_experiment) to show how a bespoke deployment is assembled.
 //
 //   $ ./animal_tracking [seed]
 #include <cstdio>

@@ -1,12 +1,15 @@
 // Command-line value checking shared by the example programs: a value that
-// does not parse, or lies outside its range, prints the reason and exits 2.
+// does not parse, or lies outside its range, prints the reason and exits 2,
+// and so does a config that run_experiment rejects.
 #pragma once
 
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
+#include "scenario/experiment.hpp"
 #include "scenario/sweep.hpp"
 
 namespace cli {
@@ -57,6 +60,18 @@ inline std::uint64_t seed_flag(const char* flag, const char* value) {
                flag, value, reason,
                static_cast<unsigned long long>(UINT64_MAX));
   std::exit(2);
+}
+
+/// Runs `cfg`; a config run_experiment rejects prints the reason and
+/// exits 2.
+inline wsn::scenario::RunResult run_or_exit(
+    const wsn::scenario::ExperimentConfig& cfg) {
+  try {
+    return wsn::scenario::run_experiment(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "invalid config: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 /// Positional argument `i` checked as by long_flag; `fallback` if absent.

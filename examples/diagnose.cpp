@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                       : core::Algorithm::kOpportunistic;
   cfg.duration = sim::Time::seconds(200.0);
 
-  const scenario::RunResult res = scenario::run_experiment(cfg);
+  const scenario::RunResult res = cli::run_or_exit(cfg);
 
   std::printf("algorithm           : %s\n",
               std::string(core::to_string(cfg.algorithm)).c_str());

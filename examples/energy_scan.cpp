@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
 
   std::printf("Wearing the network: %zu nodes, greedy aggregation, %.0f s\n",
               cfg.field.nodes, cfg.duration.as_seconds());
-  const auto res = scenario::run_experiment(cfg);
+  const auto res = cli::run_or_exit(cfg);
 
   // Residual energy per node, from a 50 J starting budget.
   constexpr double kBudget = 50.0;

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   for (core::Algorithm alg :
        {core::Algorithm::kOpportunistic, core::Algorithm::kGreedy}) {
     cfg.algorithm = alg;
-    const scenario::RunResult res = scenario::run_experiment(cfg);
+    const scenario::RunResult res = cli::run_or_exit(cfg);
     std::printf("%-14s %12.4f %10.3f %10.3f %9llu %8.1f\n",
                 std::string(core::to_string(alg)).c_str(),
                 res.metrics.avg_dissipated_energy, res.metrics.avg_delay,

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
 
   for (auto alg : {core::Algorithm::kOpportunistic, core::Algorithm::kGreedy}) {
     cfg.algorithm = alg;
-    const auto res = scenario::run_experiment(cfg);
+    const auto res = cli::run_or_exit(cfg);
     if (dot) {
       render_dot(res, std::string(core::to_string(alg)).c_str());
       continue;

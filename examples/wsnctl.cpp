@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto res = scenario::run_experiment(cfg);
+  const auto res = cli::run_or_exit(cfg);
   const auto& m = res.metrics;
   if (csv) {
     std::printf("%zu,%s,%zu,%zu,%llu,%.6f,%.6f,%.4f,%.4f,%llu,%.3f\n",

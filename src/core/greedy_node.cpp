@@ -28,7 +28,7 @@ net::NodeId GreedyNode::choose_upstream(MsgId id) const {
   if (it != expl_cache().end()) {
     const EnergyCost my_cost = it->second.my_cost();
     for (const auto& [nb, cost] : it->second.senders) {
-      if (unusable_upstream(nb)) continue;
+      if (is_suspect(nb)) continue;
       if (cost >= my_cost) continue;  // strict descent: chains cannot loop
       // Delivering source→nb cost `cost`; nb→me is one more transmission.
       if (cost + 1 < best_direct) {
@@ -42,7 +42,7 @@ net::NodeId GreedyNode::choose_upstream(MsgId id) const {
   net::NodeId graft_nb = net::kNoNode;
   auto icm_it = icm_cache().find(id);
   if (icm_it != icm_cache().end() && icm_it->second.best_sender != net::kNoNode &&
-      !unusable_upstream(icm_it->second.best_sender)) {
+      !is_suspect(icm_it->second.best_sender)) {
     best_graft = icm_it->second.best_c;
     graft_nb = icm_it->second.best_sender;
   }
@@ -61,10 +61,10 @@ std::span<agg::WeightedSet> GreedyNode::claim_family_prefix(std::size_t n) {
   return {family_scratch_.data(), n};
 }
 
-void GreedyNode::flush_policy(const std::vector<DataItem>& outgoing,
-                              std::span<const IncomingAgg> window,
-                              FlushDecision& d) {
+EnergyCost GreedyNode::flush_policy(const std::vector<DataItem>& outgoing,
+                                    std::span<const IncomingAgg> window) {
   // --- §4.2: price the outgoing aggregate via an event-level cover. ---
+  EnergyCost outgoing_cost = 0;
   if (!outgoing.empty()) {
     item_index_.clear();
     for (const DataItem& item : outgoing) {
@@ -85,13 +85,13 @@ void GreedyNode::flush_policy(const std::vector<DataItem>& outgoing,
     const auto cover = agg::greedy_weighted_set_cover(
         family, static_cast<std::uint32_t>(item_index_.size()));
     if (cover.covered) {
-      d.outgoing_cost = static_cast<EnergyCost>(cover.total_weight + 0.5) + 1;
+      outgoing_cost = static_cast<EnergyCost>(cover.total_weight + 0.5) + 1;
     } else {
       // Should not happen (every pending item arrived in some window
       // aggregate); fall back to the conservative sum.
       double sum = 0.0;
       for (const auto& s : family) sum += s.weight;
-      d.outgoing_cost = static_cast<EnergyCost>(sum + 0.5) + 1;
+      outgoing_cost = static_cast<EnergyCost>(sum + 0.5) + 1;
     }
   }
 
@@ -124,19 +124,9 @@ void GreedyNode::flush_policy(const std::vector<DataItem>& outgoing,
     }
     const auto cover = agg::greedy_weighted_set_cover(
         family, static_cast<std::uint32_t>(source_index_.size()));
-    d.useful_neighbors.reserve(cover.chosen.size());
-    for (std::size_t idx : cover.chosen) {
-      d.useful_neighbors.push_back(window[idx].from);
-    }
-    // set_cover picks each window entry at most once, but two entries can
-    // share a sender; dedup only when duplicates are possible.
-    if (d.useful_neighbors.size() > 1) {
-      std::sort(d.useful_neighbors.begin(), d.useful_neighbors.end());
-      d.useful_neighbors.erase(
-          std::unique(d.useful_neighbors.begin(), d.useful_neighbors.end()),
-          d.useful_neighbors.end());
-    }
+    for (std::size_t idx : cover.chosen) mark_useful(window[idx].from);
   }
+  return outgoing_cost;
 }
 
 void GreedyNode::on_new_exploratory(const ExplRecord& /*rec*/, MsgId id) {
@@ -156,14 +146,7 @@ void GreedyNode::on_new_exploratory(const ExplRecord& /*rec*/, MsgId id) {
     if (c == kInfiniteCost) return;
     auto& rec_icm = icm_record(id);
     rec_icm.forwarded_c = std::min(rec_icm.forwarded_c, c);
-    auto msg = make_msg<diffusion::IncrementalCostMsg>();
-    msg->exploratory_id = id;
-    msg->new_source = it->second.source;
-    msg->cost_c = c;
-    ++stats_.icm_sent;
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kIcmSend, this->id(),
-                   trace::kNoPeer, id, c);
-    send_to_data_gradients(std::move(msg), params_.control_bytes);
+    send_icm(id, it->second.source, c);
   });
 }
 
@@ -185,14 +168,20 @@ void GreedyNode::handle_icm(const diffusion::IncrementalCostMsg& msg,
   if (it != expl_cache().end()) c = std::min(c, it->second.my_cost());
   if (c < icm.forwarded_c && has_data_gradient_out()) {
     icm.forwarded_c = c;
-    auto fwd = make_msg<diffusion::IncrementalCostMsg>();
-    fwd->exploratory_id = msg.exploratory_id;
-    fwd->new_source = msg.new_source;
-    fwd->cost_c = c;
-    ++stats_.icm_sent;
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kIcmSend, id(), trace::kNoPeer,
-                   msg.exploratory_id, c);
-    send_to_data_gradients(std::move(fwd), params_.control_bytes);
+    send_icm(msg.exploratory_id, msg.new_source, c);
+  }
+}
+
+void GreedyNode::send_icm(MsgId id, SourceId source, EnergyCost c) {
+  auto msg = make_msg<diffusion::IncrementalCostMsg>();
+  msg->exploratory_id = id;
+  msg->new_source = source;
+  msg->cost_c = c;
+  ++stats_.icm_sent;
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kIcmSend, this->id(), trace::kNoPeer,
+                 id, c);
+  for (net::NodeId nb : data_gradient_neighbors()) {
+    send(nb, params_.control_bytes, msg);
   }
 }
 

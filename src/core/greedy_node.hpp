@@ -29,9 +29,9 @@ class GreedyNode final : public diffusion::DiffusionNode {
   [[nodiscard]] net::NodeId choose_upstream(diffusion::MsgId id) const override;
 
   /// §4.2 aggregate pricing + §4.3 source-level truncation cover.
-  void flush_policy(const std::vector<diffusion::DataItem>& outgoing,
-                    std::span<const IncomingAgg> window,
-                    FlushDecision& decision) override;
+  [[nodiscard]] diffusion::EnergyCost flush_policy(
+      const std::vector<diffusion::DataItem>& outgoing,
+      std::span<const IncomingAgg> window) override;
 
   /// §4.1: an on-tree source seeing another source's new exploratory event
   /// announces the graft cost down the tree.
@@ -43,6 +43,11 @@ class GreedyNode final : public diffusion::DiffusionNode {
                   net::NodeId from) override;
 
  private:
+  /// Announces graft cost `c` for `source`'s exploratory event `id` on
+  /// every downstream data gradient.
+  void send_icm(diffusion::MsgId id, diffusion::SourceId source,
+                diffusion::EnergyCost c);
+
   // Set-cover scratch, reused across flushes (capacity retained) so
   // pricing an aggregate stops allocating once the fan-in is warm. The
   // family buffer is used live-prefix style: claim_family_prefix() hands

@@ -59,10 +59,11 @@ MsgId DiffusionNode::fresh_msg_id() {
 
 // ---------------------------------------------------------------- sending
 
-void DiffusionNode::send_control(net::NodeId dst, net::MessagePtr payload) {
+void DiffusionNode::send(net::NodeId dst, std::uint32_t bytes,
+                         net::MessagePtr payload) {
   net::Frame f;
   f.dst = dst;
-  f.bytes = params_.control_bytes;
+  f.bytes = bytes;
   f.payload = std::move(payload);
   mac_->send(std::move(f));
 }
@@ -74,21 +75,57 @@ void DiffusionNode::send_reinforcement(net::NodeId to, MsgId id, bool force) {
   ++stats_.reinforcements_sent;
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kReinforceSend, this->id(), to, id,
                  force ? 1 : 0);
-  send_control(to, std::move(msg));
+  send(to, params_.control_bytes, std::move(msg));
 }
 
-void DiffusionNode::send_to_data_gradients(net::MessagePtr payload,
-                                           std::uint32_t bytes) {
-  for (net::NodeId nb : live_data_gradients()) {
-    net::Frame f;
-    f.dst = nb;
-    f.bytes = bytes;
-    f.payload = payload;
-    mac_->send(std::move(f));
+void DiffusionNode::send_negative(net::NodeId to,
+                                  trace::NegativeReason reason) {
+  ++stats_.negatives_sent;
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kNegativeSend, id(), to, reason, 0);
+  send(to, params_.control_bytes, make_msg<NegativeReinforcementMsg>());
+}
+
+void DiffusionNode::broadcast_interest(std::shared_ptr<const InterestMsg> msg) {
+  ++stats_.interests_sent;
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kInterestSend, id(), net::kBroadcast,
+                 msg->sink, msg->round);
+  send(net::kBroadcast, params_.control_bytes, std::move(msg));
+}
+
+void DiffusionNode::send_exploratory(MsgId id, const ExplRecord& rec,
+                                     EnergyCost cost) {
+  auto msg = make_msg<ExploratoryMsg>();
+  msg->msg_id = id;
+  msg->source = rec.source;
+  msg->seq = rec.seq;
+  msg->gen_time_ns = rec.gen_time_ns;
+  msg->cost_e = cost;
+  ++stats_.exploratory_sent;
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kExploratorySend, this->id(),
+                 net::kBroadcast, id, cost);
+  send(net::kBroadcast, params_.event_bytes, std::move(msg));
+}
+
+void DiffusionNode::note_generated(DataItemKey key) {
+  if (hook_ != nullptr) hook_->on_event_generated(key, sim_->now());
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemGenerated, id(), trace::kNoPeer,
+                 key.packed(), 0);
+}
+
+void DiffusionNode::note_delivered(DataItemKey key, std::int64_t gen_time_ns) {
+  const sim::Time now = sim_->now();
+  if (hook_ != nullptr) {
+    hook_->on_event_delivered(id(), key, sim::Time::nanos(gen_time_ns), now);
   }
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemDelivered, id(), trace::kNoPeer,
+                 key.packed(), now.as_nanos() - gen_time_ns);
 }
 
-const std::vector<net::NodeId>& DiffusionNode::live_data_gradients() {
+void DiffusionNode::mark_useful(net::NodeId nb) {
+  if (nb != id()) neighbor_data_[nb].last_useful = sim_->now();
+}
+
+const std::vector<net::NodeId>& DiffusionNode::data_gradient_neighbors() {
   gradient_scratch_.clear();
   const sim::Time now = sim_->now();
   for (const auto& [nb, g] : gradients_) {
@@ -112,13 +149,8 @@ bool DiffusionNode::is_suspect(net::NodeId nb) const {
   return it != suspects_.end() && it->second > sim_->now();
 }
 
-bool DiffusionNode::unusable_upstream(net::NodeId nb) const {
-  return is_suspect(nb);
-}
-
 void DiffusionNode::cascade_negative_upstream() {
   const sim::Time now = sim_->now();
-  last_data_in_ = sim::Time::zero();
   expected_sources_.clear();
   if (now - last_cascade_ <= params_.t_n && last_cascade_ != sim::Time::zero()) {
     return;  // damped: at most one upstream teardown per window
@@ -126,23 +158,9 @@ void DiffusionNode::cascade_negative_upstream() {
   last_cascade_ = now;
   for (auto& [nb, st] : neighbor_data_) {
     if (st.last_data + params_.t_n > now) {
-      ++stats_.negatives_sent;
-      WSN_TRACE_EMIT(sim_, trace::RecordKind::kNegativeSend, id(), nb,
-                     trace::NegativeReason::kCascade, 0);
-      send_control(nb, make_msg<NegativeReinforcementMsg>());
+      send_negative(nb, trace::NegativeReason::kCascade);
     }
   }
-}
-
-std::vector<net::NodeId> DiffusionNode::data_gradient_neighbors() const {
-  // Inspection-only (tests, tree extraction): builds a fresh vector so it
-  // stays const and does not disturb the flush path's scratch buffer.
-  std::vector<net::NodeId> out;
-  const sim::Time now = sim_->now();
-  for (const auto& [nb, g] : gradients_) {
-    if (g.type == GradientType::kData && g.expires > now) out.push_back(nb);
-  }
-  return out;
 }
 
 std::vector<std::pair<net::NodeId, GradientType>> DiffusionNode::gradient_view()
@@ -234,15 +252,8 @@ void DiffusionNode::send_interest() {
   msg->region = region_;
   msg->sender_pos = position_;
   msg->sink_pos = position_;
-  ++stats_.interests_sent;
   interest_rounds_[id()] = interest_round_;
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kInterestSend, id(), net::kBroadcast,
-                 id(), interest_round_);
-  net::Frame f;
-  f.dst = net::kBroadcast;
-  f.bytes = params_.control_bytes;
-  f.payload = std::move(msg);
-  mac_->send(std::move(f));
+  broadcast_interest(std::move(msg));
   interest_timer_.arm(params_.interest_period);
 }
 
@@ -276,21 +287,12 @@ void DiffusionNode::handle_interest(const InterestMsg& msg, net::NodeId from) {
     }
   }
 
-  // Re-flood after a small random delay, stamping our own position.
+  // Re-flood after a small random delay, stamping our own position; a node
+  // that died meanwhile sends (and counts) nothing.
   auto fwd = make_msg<InterestMsg>(msg);
   fwd->sender_pos = position_;
-  auto payload = std::static_pointer_cast<const net::Message>(std::move(fwd));
-  ++stats_.interests_sent;
-  sim_->schedule_in(rng_.jitter(params_.interest_jitter), [this, payload] {
-    if (!mac_->alive()) return;
-    const auto& im = static_cast<const InterestMsg&>(*payload);
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kInterestSend, id(),
-                   net::kBroadcast, im.sink, im.round);
-    net::Frame f;
-    f.dst = net::kBroadcast;
-    f.bytes = params_.control_bytes;
-    f.payload = payload;
-    mac_->send(std::move(f));
+  sim_->schedule_in(rng_.jitter(params_.interest_jitter), [this, fwd] {
+    if (mac_->alive()) broadcast_interest(fwd);
   });
 }
 
@@ -318,9 +320,7 @@ void DiffusionNode::generate_data_event() {
   DataItem item;
   item.key = DataItemKey{id(), next_seq_++};
   item.gen_time_ns = sim_->now().as_nanos();
-  if (hook_ != nullptr) hook_->on_event_generated(item.key, sim_->now());
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemGenerated, id(), trace::kNoPeer,
-                 item.key.packed(), 0);
+  note_generated(item.key);
 
   seen_items_[item.key.packed()] = sim_->now();
   if (pending_keys_.insert(item.key.packed()).second) {
@@ -343,35 +343,16 @@ void DiffusionNode::generate_exploratory_event() {
 }
 
 void DiffusionNode::send_exploratory_now() {
-  auto msg = make_msg<ExploratoryMsg>();
-  msg->msg_id = fresh_msg_id();
-  msg->source = id();
-  msg->seq = next_seq_++;
-  msg->gen_time_ns = sim_->now().as_nanos();
-  msg->cost_e = 0;
-  if (hook_ != nullptr) {
-    hook_->on_event_generated(DataItemKey{id(), msg->seq}, sim_->now());
-  }
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemGenerated, id(), trace::kNoPeer,
-                 (DataItemKey{id(), msg->seq}.packed()), 0);
-  WSN_TRACE_EMIT(sim_, trace::RecordKind::kExploratorySend, id(),
-                 net::kBroadcast, msg->msg_id, msg->cost_e);
-
   // Cache our own event so reinforcement chains terminate here.
-  ExplRecord rec;
+  const MsgId mid = fresh_msg_id();
+  ExplRecord& rec = expl_cache_.try_emplace(mid).first->second;
   rec.source = id();
-  rec.seq = msg->seq;
-  rec.gen_time_ns = msg->gen_time_ns;
+  rec.seq = next_seq_++;
+  rec.gen_time_ns = sim_->now().as_nanos();
   rec.first_seen = sim_->now();
   rec.forward_scheduled = true;
-  expl_cache_.emplace(msg->msg_id, std::move(rec));
-
-  ++stats_.exploratory_sent;
-  net::Frame f;
-  f.dst = net::kBroadcast;
-  f.bytes = params_.event_bytes;
-  f.payload = std::move(msg);
-  mac_->send(std::move(f));
+  note_generated(DataItemKey{id(), rec.seq});
+  send_exploratory(mid, rec, 0);
 }
 
 // ------------------------------------------------------------- exploratory
@@ -411,13 +392,10 @@ void DiffusionNode::handle_exploratory(const ExploratoryMsg& msg,
   }
 
   // Sinks consume the event (it is a real, low-rate event).
-  if (is_sink_ && hook_ != nullptr) {
-    seen_items_[DataItemKey{rec.source, rec.seq}.packed()] = sim_->now();
-    hook_->on_event_delivered(id(), DataItemKey{rec.source, rec.seq},
-                              sim::Time::nanos(rec.gen_time_ns), sim_->now());
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemDelivered, id(),
-                   trace::kNoPeer, (DataItemKey{rec.source, rec.seq}.packed()),
-                   sim_->now().as_nanos() - rec.gen_time_ns);
+  if (is_sink_) {
+    const DataItemKey key{rec.source, rec.seq};
+    seen_items_[key.packed()] = sim_->now();
+    note_delivered(key, rec.gen_time_ns);
   }
 
   // Re-flood once, after a jitter, carrying our own cost E (paper §4.1:
@@ -431,20 +409,7 @@ void DiffusionNode::handle_exploratory(const ExploratoryMsg& msg,
       if (!mac_->alive()) return;
       auto it2 = expl_cache_.find(mid);
       if (it2 == expl_cache_.end()) return;
-      auto fwd = make_msg<ExploratoryMsg>();
-      fwd->msg_id = mid;
-      fwd->source = it2->second.source;
-      fwd->seq = it2->second.seq;
-      fwd->gen_time_ns = it2->second.gen_time_ns;
-      fwd->cost_e = it2->second.my_cost();
-      ++stats_.exploratory_sent;
-      WSN_TRACE_EMIT(sim_, trace::RecordKind::kExploratorySend, id(),
-                     net::kBroadcast, mid, fwd->cost_e);
-      net::Frame f;
-      f.dst = net::kBroadcast;
-      f.bytes = params_.event_bytes;
-      f.payload = std::move(fwd);
-      mac_->send(std::move(f));
+      send_exploratory(mid, it2->second, it2->second.my_cost());
     });
   }
 
@@ -513,7 +478,6 @@ void DiffusionNode::handle_data(const DataMsg& msg, net::NodeId from) {
   // one full truncation window to prove itself, so path hand-overs are not
   // negged mid-transition.
   if (fresh_feeder) nstate.last_useful = now;
-  last_data_in_ = now;
 
   IncomingAgg& rec = next_window_slot();
   rec.from = from;
@@ -529,13 +493,7 @@ void DiffusionNode::handle_data(const DataMsg& msg, net::NodeId from) {
     rec.had_new_items = true;
     if (is_sink_) {
       last_source_item_[item.key.source] = now;
-      if (hook_ != nullptr) {
-        hook_->on_event_delivered(id(), item.key,
-                                  sim::Time::nanos(item.gen_time_ns), now);
-      }
-      WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemDelivered, id(),
-                     trace::kNoPeer, item.key.packed(),
-                     now.as_nanos() - item.gen_time_ns);
+      note_delivered(item.key, item.gen_time_ns);
     }
     if (pending_keys_.insert(item.key.packed()).second) {
       pending_.push_back(PendingItem{item, from});
@@ -595,13 +553,8 @@ void DiffusionNode::flush() {
   union_scratch_.reserve(pending_.size());
   for (const PendingItem& p : pending_) union_scratch_.push_back(p.item);
 
-  decision_scratch_.outgoing_cost = 0;
-  decision_scratch_.useful_neighbors.clear();
-  flush_policy(union_scratch_, window, decision_scratch_);
+  const EnergyCost outgoing_cost = flush_policy(union_scratch_, window);
   const sim::Time now = sim_->now();
-  for (net::NodeId nb : decision_scratch_.useful_neighbors) {
-    if (nb != id()) neighbor_data_[nb].last_useful = now;
-  }
 
   const auto consume = [this] {
     window_live_ = 0;
@@ -618,7 +571,7 @@ void DiffusionNode::flush() {
     return;  // consumed here
   }
 
-  const auto& gradients = live_data_gradients();
+  const auto& gradients = data_gradient_neighbors();
   bool sent_any = false;
   if (!gradients.empty()) {
     expected_sources_.clear();
@@ -640,7 +593,8 @@ void DiffusionNode::flush() {
       // reinforcement, so expiry only needs to reap *idle* gradients.
       gradients_[nb].expires = now + params_.gradient_timeout;
       msg->msg_id = fresh_msg_id();
-      msg->cost_e = decision_scratch_.outgoing_cost;
+      msg->cost_e = outgoing_cost;
+      ++stats_.data_sent;
       WSN_TRACE_EMIT(sim_, trace::RecordKind::kDataSend, id(), nb, msg->msg_id,
                      msg->items.size());
       // lint:trace-ok — batch guard: skip the per-item loop when tracing off
@@ -652,12 +606,7 @@ void DiffusionNode::flush() {
       }
       const std::uint32_t bytes =
           params_.aggregation->size_bytes(msg->items.size());
-      ++stats_.data_sent;
-      net::Frame f;
-      f.dst = nb;
-      f.bytes = bytes;
-      f.payload = std::static_pointer_cast<const net::Message>(std::move(msg));
-      mac_->send(std::move(f));
+      send(nb, bytes, std::move(msg));
       sent_any = true;
     }
   }
@@ -696,10 +645,7 @@ void DiffusionNode::run_truncation() {
     const bool still_sending = st.last_data + params_.t_n > now;
     const bool was_useful = st.last_useful + params_.t_n > now;
     if (still_sending && !was_useful) {
-      ++stats_.negatives_sent;
-      WSN_TRACE_EMIT(sim_, trace::RecordKind::kNegativeSend, id(), nb,
-                     trace::NegativeReason::kTruncation, 0);
-      send_control(nb, make_msg<NegativeReinforcementMsg>());
+      send_negative(nb, trace::NegativeReason::kTruncation);
       // Reset the clock so the neighbour gets a full window to improve.
       st.last_useful = now;
     }
@@ -866,30 +812,20 @@ net::NodeId OpportunisticNode::choose_upstream(MsgId id) const {
   for (const auto& [nb, cost] : rec.senders) {
     // Arrival order = empirically low delay. The strict cost bound keeps
     // the chain descending toward the source so reinforcement cannot loop.
-    if (!unusable_upstream(nb) && cost < my_cost) return nb;
+    if (!is_suspect(nb) && cost < my_cost) return nb;
   }
   return net::kNoNode;
 }
 
-void OpportunisticNode::flush_policy(const std::vector<DataItem>& /*outgoing*/,
-                                     std::span<const IncomingAgg> window,
-                                     FlushDecision& d) {
+EnergyCost OpportunisticNode::flush_policy(
+    const std::vector<DataItem>& /*outgoing*/,
+    std::span<const IncomingAgg> window) {
   // No energy-cost accounting; a neighbour was useful if it delivered at
   // least one previously-unseen item this window.
-  d.useful_neighbors.reserve(window.size());
   for (const IncomingAgg& agg : window) {
-    if (agg.had_new_items && agg.from != id()) {
-      d.useful_neighbors.push_back(agg.from);
-    }
+    if (agg.had_new_items) mark_useful(agg.from);
   }
-  // A neighbour can appear once per aggregate; dedup only when there is
-  // actually something to dedup.
-  if (d.useful_neighbors.size() > 1) {
-    std::sort(d.useful_neighbors.begin(), d.useful_neighbors.end());
-    d.useful_neighbors.erase(
-        std::unique(d.useful_neighbors.begin(), d.useful_neighbors.end()),
-        d.useful_neighbors.end());
-  }
+  return 0;
 }
 
 }  // namespace wsn::diffusion

@@ -31,6 +31,7 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "trace/records.hpp"
 
 namespace wsn::diffusion {
 
@@ -75,9 +76,10 @@ class DiffusionNode : public mac::MacUser {
   [[nodiscard]] bool is_sink() const { return is_sink_; }
   [[nodiscard]] bool is_active_source() const { return source_active_; }
   [[nodiscard]] const ProtocolStats& stats() const { return stats_; }
-  /// Neighbours we currently hold a *data* gradient toward (our downstream
-  /// next hops on the aggregation tree).
-  [[nodiscard]] std::vector<net::NodeId> data_gradient_neighbors() const;
+  /// Neighbours we currently hold a live *data* gradient toward (our
+  /// downstream next hops on the aggregation tree), ascending id. Fills and
+  /// returns a reused buffer, valid until the next call.
+  [[nodiscard]] const std::vector<net::NodeId>& data_gradient_neighbors();
   /// All gradients (neighbour, type) for debugging/visualisation.
   [[nodiscard]] std::vector<std::pair<net::NodeId, GradientType>> gradient_view()
       const;
@@ -139,24 +141,18 @@ class DiffusionNode : public mac::MacUser {
     bool had_new_items = false;
   };
 
-  /// How a flush prices the outgoing aggregate and which neighbours were
-  /// useful this round (for §4.3 truncation).
-  struct FlushDecision {
-    EnergyCost outgoing_cost = 0;
-    std::vector<net::NodeId> useful_neighbors;
-  };
-
   // --- policy points ---
   virtual void sink_on_new_exploratory(MsgId id) = 0;
   /// Local reinforcement rule: pick the upstream neighbour for `id`,
   /// skipping `suspect` neighbours; kNoNode if no viable option.
   [[nodiscard]] virtual net::NodeId choose_upstream(MsgId id) const = 0;
-  /// Prices the outgoing aggregate and marks the useful neighbours into
-  /// `decision` (cleared by the caller). `window` spans the live prefix of
-  /// a reused slot buffer, valid only for the duration of the call.
-  virtual void flush_policy(const std::vector<DataItem>& outgoing,
-                            std::span<const IncomingAgg> window,
-                            FlushDecision& decision) = 0;
+  /// Returns the cost attribute of the outgoing aggregate and calls
+  /// mark_useful for every neighbour that was useful this round (for §4.3
+  /// truncation). `window` spans the live prefix of a reused slot buffer,
+  /// valid only for the duration of the call.
+  [[nodiscard]] virtual EnergyCost flush_policy(
+      const std::vector<DataItem>& outgoing,
+      std::span<const IncomingAgg> window) = 0;
   virtual void on_new_exploratory(const ExplRecord& rec, MsgId id) {
     (void)rec;
     (void)id;
@@ -167,22 +163,24 @@ class DiffusionNode : public mac::MacUser {
   }
 
   // --- shared machinery available to subclasses ---
-  void send_control(net::NodeId dst, net::MessagePtr payload);
+  // Each message kind leaves the node through one sender, which counts it,
+  // traces it and hands it to the MAC via send(), in that order.
+  void send(net::NodeId dst, std::uint32_t bytes, net::MessagePtr payload);
   void send_reinforcement(net::NodeId to, MsgId id, bool force = false);
   /// Applies the local reinforcement rule for exploratory event `id_of_expl`
   /// and forwards the reinforcement upstream if the choice changed (or
   /// unconditionally when `force` — used by sink-driven path repair).
   void propagate_reinforcement(MsgId id_of_expl, bool force = false);
-  /// True when `nb` must not be chosen as an upstream (currently:
-  /// blacklisted after a MAC-level send failure). Combined with the strict
-  /// cost-descent rule in choose_upstream, reinforcement chains cannot
-  /// loop: each hop's delivery cost strictly decreases toward the source.
-  [[nodiscard]] bool unusable_upstream(net::NodeId nb) const;
   /// Floods one exploratory event now (also used by orphaned sources to
   /// trigger path re-establishment without waiting a full period).
   void send_exploratory_now();
-  void send_to_data_gradients(net::MessagePtr payload, std::uint32_t bytes);
+  /// Marks `nb` useful this truncation window; self (`id()`) is skipped.
+  void mark_useful(net::NodeId nb);
   [[nodiscard]] bool has_data_gradient_out() const;
+  /// True when `nb` must not be chosen as an upstream: blacklisted after a
+  /// MAC-level send failure. Combined with the strict cost-descent rule in
+  /// choose_upstream, reinforcement chains cannot loop: each hop's delivery
+  /// cost strictly decreases toward the source.
   [[nodiscard]] bool is_suspect(net::NodeId nb) const;
   [[nodiscard]] MsgId fresh_msg_id();
   using ExplCache = sim::FlatMap<MsgId, ExplRecord>;
@@ -215,6 +213,14 @@ class DiffusionNode : public mac::MacUser {
   void handle_reinforcement(const ReinforcementMsg& msg, net::NodeId from);
   void handle_negative(net::NodeId from);
 
+  // senders
+  void broadcast_interest(std::shared_ptr<const InterestMsg> msg);
+  void send_exploratory(MsgId id, const ExplRecord& rec, EnergyCost cost);
+  void send_negative(net::NodeId to, trace::NegativeReason reason);
+  // item notes: the metrics hook (if any) and the trace record together
+  void note_generated(DataItemKey key);
+  void note_delivered(DataItemKey key, std::int64_t gen_time_ns);
+
   // periodic actions
   void send_interest();
   void generate_data_event();
@@ -229,9 +235,6 @@ class DiffusionNode : public mac::MacUser {
   void degrade_gradient(net::NodeId nb);
   void maybe_early_flush();
   [[nodiscard]] bool is_aggregation_point() const;
-  /// Fills and returns `gradient_scratch_` with the live data-gradient
-  /// neighbours (ascending id); valid until the next call.
-  [[nodiscard]] const std::vector<net::NodeId>& live_data_gradients();
   /// Claims the next reusable aggregation-window slot (fields reset, item
   /// capacity retained) and extends the live prefix.
   [[nodiscard]] IncomingAgg& next_window_slot();
@@ -294,7 +297,6 @@ class DiffusionNode : public mac::MacUser {
   std::vector<DataItem> union_scratch_;
   std::vector<net::NodeId> gradient_scratch_;
   sim::FlatSet<SourceId> have_scratch_;
-  FlushDecision decision_scratch_;
 
   // Audit-mode watermark backing the TTL cache-bound invariant: cache
   // inserts assert the purge cadence is alive, and housekeeping asserts no
@@ -302,7 +304,6 @@ class DiffusionNode : public mac::MacUser {
   WSN_AUDIT_ONLY(sim::Time last_housekeeping_;)
   WSN_AUDIT_ONLY(void audit_cache_bounds(sim::Time now) const;)
   WSN_AUDIT_ONLY(void audit_purge_cadence() const;)
-  sim::Time last_data_in_ = sim::Time::zero();
   sim::Time last_repair_ = sim::Time::zero();
   sim::Time last_cascade_ = sim::Time::zero();
   sim::Time last_orphan_exploratory_ = sim::Time::zero();
@@ -334,9 +335,9 @@ class OpportunisticNode final : public DiffusionNode {
  protected:
   void sink_on_new_exploratory(MsgId id) override;
   [[nodiscard]] net::NodeId choose_upstream(MsgId id) const override;
-  void flush_policy(const std::vector<DataItem>& outgoing,
-                    std::span<const IncomingAgg> window,
-                    FlushDecision& decision) override;
+  [[nodiscard]] EnergyCost flush_policy(
+      const std::vector<DataItem>& outgoing,
+      std::span<const IncomingAgg> window) override;
 };
 
 }  // namespace wsn::diffusion

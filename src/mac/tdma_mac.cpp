@@ -27,11 +27,12 @@ void TdmaMac::on_power_change(bool alive) {
     slot_timer_.cancel();
     return;
   }
-  // Rejoin the schedule at our next slot boundary.
+  // Rejoin the schedule at our next slot boundary. The phase is taken
+  // non-negative: before our first slot `now - offset` is below zero.
   const auto cycle = cycle_duration().as_nanos();
   const auto offset = (slot_ * id_).as_nanos();
   const auto now = sim_->now().as_nanos();
-  const auto phase = (now - offset) % cycle;
+  const auto phase = ((now - offset) % cycle + cycle) % cycle;
   slot_timer_.arm(sim::Time::nanos(phase == 0 ? 0 : cycle - phase));
 }
 

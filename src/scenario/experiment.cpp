@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "mac/channel.hpp"
 #include "mac/csma_mac.hpp"
@@ -52,13 +54,16 @@ std::uint64_t config_digest(const ExperimentConfig& config) {
 }
 
 RunResult run_experiment(const ExperimentConfig& config) {
-  // A workload needs at least one node per endpoint; degenerate configs
-  // (e.g. `wsnctl --nodes 0`) return an empty result instead of indexing
-  // into empty node tables.
+  // A workload needs at least one node per endpoint. Reject the config
+  // before any field is drawn, with the field that makes it invalid.
   if (config.field.nodes == 0 ||
       config.field.nodes < config.num_sources + config.num_sinks) {
-    return RunResult{};
+    throw std::invalid_argument{
+        "field.nodes (" + std::to_string(config.field.nodes) +
+        ") must be at least 1 and at least num_sources + num_sinks (" +
+        std::to_string(config.num_sources + config.num_sinks) + ")"};
   }
+  validate(config.failures);
   sim::Rng master{config.seed};
   sim::Rng field_rng = master.fork(1);
   sim::Rng placement_rng = master.fork(2);

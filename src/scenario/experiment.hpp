@@ -122,7 +122,10 @@ struct RunResult {
   trace::CounterTable trace_counters;
 };
 
-/// Builds, runs and tears down one experiment.
+/// Builds, runs and tears down one experiment. Throws
+/// std::invalid_argument, naming the offending field, for a config it
+/// cannot run: fewer nodes than sources + sinks, or an invalid enabled
+/// failure model (see validate(const FailureModel&)).
 RunResult run_experiment(const ExperimentConfig& config);
 
 }  // namespace wsn::scenario

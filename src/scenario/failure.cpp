@@ -1,11 +1,26 @@
 #include "scenario/failure.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "trace/trace.hpp"
 
 namespace wsn::scenario {
+
+void validate(const FailureModel& model) {
+  if (!model.enabled) return;
+  if (model.period <= sim::Time::zero()) {
+    throw std::invalid_argument{
+        "failures.period must be > 0 when failures are enabled (got " +
+        std::to_string(model.period.as_nanos()) + " ns)"};
+  }
+  if (!(model.fraction >= 0.0 && model.fraction <= 1.0)) {
+    throw std::invalid_argument{"failures.fraction must lie in [0, 1] (got " +
+                                std::to_string(model.fraction) + ")"};
+  }
+}
 
 FailureProcess::FailureProcess(sim::Simulator& sim,
                                std::vector<mac::MacBase*> macs,
@@ -16,6 +31,7 @@ FailureProcess::FailureProcess(sim::Simulator& sim,
       protected_{std::move(protected_nodes)},
       model_{model},
       rng_{rng} {
+  validate(model_);
   if (model_.enabled) schedule_next(model_.period);
 }
 

@@ -24,6 +24,12 @@ struct FailureModel {
   bool protect_endpoints = true;
 };
 
+/// Throws std::invalid_argument, naming the field, when an enabled model
+/// has a `period` ≤ 0 (the rotation would reschedule itself at the same
+/// instant forever) or a `fraction` outside [0, 1]. A disabled model is
+/// always valid.
+void validate(const FailureModel& model);
+
 /// Drives the §5.3 failure process for the lifetime of a run.
 ///
 /// Rotation semantics: the previous victims are revived *before* the new

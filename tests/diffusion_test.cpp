@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "protocol_rig.hpp"
+#include "trace/trace.hpp"
 
 namespace wsn::diffusion {
 namespace {
@@ -235,6 +236,33 @@ TEST(Diffusion, PurgedExploratoryIdRefloodsCorrectly) {
   inject_expl(9001);
   rig.run_for(143.0);
   EXPECT_EQ(rig.node(1).stats().exploratory_sent, 2u);
+}
+
+TEST(Diffusion, TraceDoesNotDependOnTheMetricsHook) {
+  // The sink notes every delivery (exploratory events included) in its
+  // cache and in the trace whether or not a metrics observer is attached.
+  const auto counters = [](bool with_metrics) {
+    // Declared before the rig so it outlives every emission.
+    trace::Tracer tracer{
+        trace::Tracer::Options{.path = "", .ring_capacity = 16}};
+    ProtocolRig rig{chain4(), Algorithm::kOpportunistic, DiffusionParams{},
+                    40.0, 1, with_metrics};
+    rig.sim().set_tracer(&tracer);
+    rig.node(0).make_sink(rig.whole_field());
+    rig.node(3).set_detecting(true);
+    rig.start_all();
+    rig.run_for(60.0);
+    return tracer.counters();
+  };
+  const trace::CounterTable with = counters(true);
+  const trace::CounterTable without = counters(false);
+  EXPECT_GT(with.of(trace::RecordKind::kItemDelivered), 0u);
+  EXPECT_EQ(with.of(trace::RecordKind::kItemDelivered),
+            without.of(trace::RecordKind::kItemDelivered));
+  EXPECT_GT(with.of(trace::RecordKind::kCachePurge), 0u);
+  EXPECT_EQ(with.of(trace::RecordKind::kCachePurge),
+            without.of(trace::RecordKind::kCachePurge));
+  EXPECT_EQ(with.counts, without.counts);
 }
 
 TEST(Diffusion, StatsCountersMove) {

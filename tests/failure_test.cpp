@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "protocol_rig.hpp"
@@ -109,6 +111,25 @@ TEST(FailureProcess, VictimChoiceIsDeterministicAcrossInstances) {
     if (c.process->down_nodes() != a.process->down_nodes()) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
+}
+
+TEST(FailureProcess, RejectsAnEnabledModelItCannotRun) {
+  // A zero period would rotate at the same instant forever; a fraction
+  // outside [0, 1] would cast a negative or oversized victim count.
+  for (const FailureModel& m :
+       {model_with(0.2, 0.0), model_with(0.2, -1.0), model_with(-0.1),
+        model_with(1.5),
+        model_with(std::numeric_limits<double>::quiet_NaN())}) {
+    EXPECT_THROW(FailureRig(12, m, std::vector<char>(12, 0), 1),
+                 std::invalid_argument);
+  }
+  // The same values are harmless while the model is off.
+  FailureModel off = model_with(-0.1, 0.0);
+  off.enabled = false;
+  EXPECT_NO_THROW(validate(off));
+  FailureRig f{12, off, std::vector<char>(12, 0), 1};
+  f.rig.run_for(5.0);
+  EXPECT_EQ(f.process->rotations(), 0u);
 }
 
 TEST(FailureProcess, MetricsHooksSilentWhileNodeIsDown) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "scenario/experiment.hpp"
 #include "scenario/sweep.hpp"
@@ -239,6 +240,27 @@ TEST(Experiment, ReportsADisconnectedField) {
   EXPECT_FALSE(res.field_connected);
   EXPECT_EQ(res.field_attempts, net::kMaxFieldAttempts);
   EXPECT_EQ(res.node_positions.size(), 6u);
+}
+
+TEST(Experiment, RejectsFewerNodesThanEndpoints) {
+  auto cfg = small_config(core::Algorithm::kGreedy, 3, 5.0);  // 5 + 1 needed
+  EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
+  cfg.field.nodes = 0;
+  cfg.num_sources = 0;
+  cfg.num_sinks = 0;
+  EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
+}
+
+TEST(Experiment, RejectsAnInvalidFailureModel) {
+  auto cfg = small_config(core::Algorithm::kGreedy, 30, 5.0);
+  cfg.failures.enabled = true;
+  cfg.failures.period = sim::Time::zero();
+  EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
+  cfg.failures.period = sim::Time::seconds(1.0);
+  cfg.failures.fraction = -0.5;
+  EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
+  cfg.failures.fraction = 1.01;
+  EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
 }
 
 TEST(Experiment, PaperDensityFieldIsConnected) {

@@ -73,6 +73,20 @@ TEST(Tdma, RevivedNodeRejoinsSchedule) {
   EXPECT_EQ(rig.user(0).received.size(), 1u);
 }
 
+TEST(Tdma, NodeRevivedBeforeItsFirstSlotKeepsIt) {
+  // Node 2 owns the third slot of each cycle. Revived one slot in, before
+  // that slot has come round once, it must transmit in the first cycle
+  // rather than one cycle late.
+  MacRig rig{{{0, 0}, {15, 0}, {30, 0}}, 40.0, 0.0, MacKind::kTdma};
+  const sim::Time slot = rig.tdma_cycle().scaled(1.0 / 3.0);
+  rig.mac(2).set_alive(false);
+  rig.sim().run_until(slot);
+  rig.mac(2).set_alive(true);
+  rig.mac(2).send(MacRig::frame(net::kBroadcast));
+  rig.sim().run_until(rig.tdma_cycle());
+  EXPECT_EQ(rig.user(0).received.size(), 1u);
+}
+
 TEST(Tdma, ThroughputOneFramePerCycle) {
   MacRig rig{{{0, 0}, {20, 0}}, 40.0, 0.0, MacKind::kTdma};
   for (int k = 0; k < 10; ++k) rig.mac(0).send(MacRig::frame(1));

@@ -380,24 +380,29 @@ TEST(Trace, ParallelReplicatesTraceBitIdenticalToSerial) {
 TEST(Trace, CountersMatchLayerStats) {
   // Every counted MAC and protocol event is also traced, at the same site:
   // the per-layer stats structs and the per-kind trace tallies must agree
-  // across both MACs, both instantiations and the failure process.
+  // across both MACs, both instantiations and the failure process. Failure
+  // periods of 30 s never strike inside an interest re-flood window; the
+  // off-grid 30.05 s ones do, so nodes die with a re-flood still pending.
   std::uint64_t dropped_items = 0;
   for (const auto mac : {scenario::MacType::kCsma, scenario::MacType::kTdma}) {
     for (const auto alg :
          {core::Algorithm::kOpportunistic, core::Algorithm::kGreedy}) {
-      for (const bool failures : {false, true}) {
+      for (const double failure_period_s : {0.0, 30.0, 30.05}) {
         scenario::ExperimentConfig cfg;
         cfg.field.nodes = 200;
         cfg.mac_type = mac;
         cfg.algorithm = alg;
-        cfg.failures.enabled = failures;
+        cfg.failures.enabled = failure_period_s > 0.0;
+        if (cfg.failures.enabled) {
+          cfg.failures.period = sim::Time::seconds(failure_period_s);
+        }
         cfg.duration = sim::Time::seconds(60.0);
         cfg.seed = 3;
         cfg.trace.ring_capacity = 16;  // ring only: counters, no file
         SCOPED_TRACE(::testing::Message()
                      << (mac == scenario::MacType::kCsma ? "csma" : "tdma")
-                     << " " << core::to_string(alg)
-                     << (failures ? " failures" : ""));
+                     << " " << core::to_string(alg) << " failure period "
+                     << failure_period_s << " s");
         const scenario::RunResult res = scenario::run_experiment(cfg);
         const CounterTable& c = res.trace_counters;
         const diffusion::ProtocolStats& p = res.protocol;
