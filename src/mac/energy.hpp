@@ -1,6 +1,10 @@
 // Per-node radio energy accounting.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+
 #include "mac/params.hpp"
 #include "sim/audit.hpp"
 #include "sim/time.hpp"
@@ -8,64 +12,60 @@
 namespace wsn::mac {
 
 /// Radio power states, in increasing priority: a transmitting radio is
-/// charged TX power even while frames arrive (half duplex).
+/// charged TX power even while frames arrive (half duplex). The active
+/// states come last.
 enum class RadioState { kOff = 0, kIdle, kRx, kTx };
+inline constexpr std::size_t kRadioStateCount = 4;
 
-/// Integrates power draw over radio-state residence times.
-///
-/// Call `set_state` on every radio transition; call `accumulate_to` before
-/// reading `joules` so the tail interval in the current state is charged.
+/// Counts exact integer nanoseconds per radio state and converts them to
+/// joules only when read, so energy depends on the time spent in each state
+/// and not on how many same-state `set_state` calls split that time.
 class EnergyMeter {
  public:
-  explicit EnergyMeter(const EnergyParams& params) : params_{params} {}
+  explicit EnergyMeter(const EnergyParams& p)
+      : watts_{0.0, p.idle_watts, p.rx_watts, p.tx_watts} {}
 
+  /// Call on every radio transition.
   void set_state(sim::Time now, RadioState s) {
-    accumulate_to(now);
+    ns_[static_cast<std::size_t>(state_)] = residence_ns(state_, now);
+    last_change_ = now;
     state_ = s;
   }
 
-  void accumulate_to(sim::Time now) {
+  /// Nanoseconds spent in `s` from construction up to `now`.
+  [[nodiscard]] std::int64_t residence_ns(RadioState s, sim::Time now) const {
     WSN_AUDIT_CHECK(now >= last_change_,
-                    "energy accumulated to a time before the last transition");
-    if (now > last_change_) {
-      const double j = power(state_) * (now - last_change_).as_seconds();
-      WSN_AUDIT_CHECK(j >= 0.0, "negative energy increment");
-      joules_ += j;
-      if (state_ == RadioState::kRx || state_ == RadioState::kTx) {
-        active_joules_ += j;
-      }
-      last_change_ = now;
-      WSN_AUDIT_CHECK(joules_ >= 0.0, "total joules went negative");
-      WSN_AUDIT_CHECK(active_joules_ <= joules_ * (1.0 + 1e-12) + 1e-12,
-                      "active energy exceeds total energy");
-    }
+                    "energy charged or read before the last transition");
+    const std::int64_t tail = s == state_ ? (now - last_change_).as_nanos() : 0;
+    return ns_[static_cast<std::size_t>(s)] + tail;
   }
 
-  [[nodiscard]] RadioState state() const { return state_; }
-
-  /// Total energy consumed up to the last accumulate_to/set_state call.
-  [[nodiscard]] double joules() const { return joules_; }
+  /// Total energy consumed up to `now`.
+  [[nodiscard]] double joules(sim::Time now) const {
+    return joules_from(RadioState::kOff, now);
+  }
 
   /// Energy spent transmitting or receiving only (no idle floor). The
   /// communication-driven share that in-network aggregation can reduce.
-  [[nodiscard]] double active_joules() const { return active_joules_; }
-
-  [[nodiscard]] double power(RadioState s) const {
-    switch (s) {
-      case RadioState::kOff: return 0.0;
-      case RadioState::kIdle: return params_.idle_watts;
-      case RadioState::kRx: return params_.rx_watts;
-      case RadioState::kTx: return params_.tx_watts;
-    }
-    return 0.0;
+  [[nodiscard]] double active_joules(sim::Time now) const {
+    return joules_from(RadioState::kRx, now);
   }
 
  private:
-  EnergyParams params_;
+  /// Σ watts · ns · 1e-9 over the states from `first` to kTx, in order.
+  [[nodiscard]] double joules_from(RadioState first, sim::Time now) const {
+    double j = 0.0;
+    for (auto i = static_cast<std::size_t>(first); i < kRadioStateCount; ++i) {
+      const std::int64_t ns = residence_ns(static_cast<RadioState>(i), now);
+      j += watts_[i] * static_cast<double>(ns) * 1e-9;
+    }
+    return j;
+  }
+
+  std::array<double, kRadioStateCount> watts_;  ///< indexed by RadioState
+  std::array<std::int64_t, kRadioStateCount> ns_{};
   RadioState state_ = RadioState::kIdle;
   sim::Time last_change_ = sim::Time::zero();
-  double joules_ = 0.0;
-  double active_joules_ = 0.0;
 };
 
 }  // namespace wsn::mac

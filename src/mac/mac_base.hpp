@@ -2,7 +2,6 @@
 // radio core every MAC shares.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 
 #include "mac/channel.hpp"
@@ -94,15 +93,15 @@ class MacBase {
   }
 
   /// Energy consumed up to `now`.
-  [[nodiscard]] double energy_joules(sim::Time now) {
-    meter_.accumulate_to(now);
-    return meter_.joules();
+  [[nodiscard]] double energy_joules(sim::Time now) const {
+    return meter_.joules(now);
   }
   /// Energy consumed transmitting/receiving only (no idle floor).
-  [[nodiscard]] double active_energy_joules(sim::Time now) {
-    meter_.accumulate_to(now);
-    return meter_.active_joules();
+  [[nodiscard]] double active_energy_joules(sim::Time now) const {
+    return meter_.active_joules(now);
   }
+  /// The radio's time per state, for harvest-time energy totals.
+  [[nodiscard]] const EnergyMeter& meter() const { return meter_; }
 
   // --- Channel-facing interface (called by Channel's scheduled events) ---
   /// `decodable` is false for carrier-sense-only arrivals (audible but out
@@ -159,19 +158,6 @@ class MacBase {
   /// Called after `deliver`. Default: ignore.
   virtual void medium_became_idle() {}
 
-  /// Radio-state transition with energy-sample tracing: accumulates the
-  /// meter exactly like a direct set_state call, and emits one trace
-  /// record per actual state change (not per refresh).
-  void set_radio_state(RadioState s) {
-    const RadioState prev = meter_.state();
-    meter_.set_state(sim_->now(), s);
-    if (s != prev) {
-      WSN_TRACE_EMIT(sim_, trace::RecordKind::kEnergySample, id_,
-                     trace::kNoPeer, static_cast<std::uint64_t>(s),
-                     std::bit_cast<std::uint64_t>(meter_.joules()));
-    }
-  }
-
   /// Derives the radio state from liveness, transmission and arrivals.
   void update_radio_state() {
     RadioState s = RadioState::kIdle;
@@ -182,7 +168,7 @@ class MacBase {
     } else if (in_flight_ > 0) {
       s = RadioState::kRx;
     }
-    set_radio_state(s);
+    meter_.set_state(sim_->now(), s);
   }
 
   /// Queue admission: stamps and queues `frame`, or counts and traces a

@@ -185,6 +185,12 @@ RunResult run_experiment(const ExperimentConfig& config) {
     per_node_energy.add(j);
     total_energy += j;
     total_active += m->active_energy_joules(sim.now());
+    for (std::size_t s = 0; s < mac::kRadioStateCount; ++s) {
+      const auto state = static_cast<mac::RadioState>(s);
+      WSN_TRACE_EMIT(&sim, trace::RecordKind::kEnergyTotal, m->id(),
+                     trace::kNoPeer, s,
+                     m->meter().residence_ns(state, sim.now()));
+    }
     const auto& st = m->stats();
     result.frames_sent += st.frames_sent + st.acks_sent;
     result.bytes_sent += st.bytes_sent;

@@ -41,11 +41,12 @@ enum class RecordKind : std::uint16_t {
   kItemForward,      ///< node, peer=next hop, a=packed key, b=carrying msg id
   kItemDelivered,    ///< node=sink, a=packed key, b=generation-to-sink delay ns
   // --- Energy / failures ---------------------------------------------------
-  kEnergySample,     ///< node, a=RadioState, b=bit pattern of joules so far
+  kEnergySample,     ///< retired: no longer emitted, value kept reserved
   kNodeDown,         ///< node powered off by the failure process
   kNodeUp,           ///< node revived by the failure process
   // --- Appended kinds ------------------------------------------------------
   kItemDropped,      ///< node, a=packed key; no usable gradient at flush
+  kEnergyTotal,      ///< node, a=RadioState, b=ns in that state (at harvest)
   kCount             ///< sentinel, not a record kind
 };
 

@@ -91,6 +91,7 @@ const char* kind_name(RecordKind kind) {
     case RecordKind::kNodeDown: return "failure.node_down";
     case RecordKind::kNodeUp: return "failure.node_up";
     case RecordKind::kItemDropped: return "item.dropped";
+    case RecordKind::kEnergyTotal: return "energy.total";
     case RecordKind::kCount: break;
   }
   return "?";
@@ -125,7 +126,8 @@ const char* kind_component(RecordKind kind) {
     case RecordKind::kItemForward:
     case RecordKind::kItemDelivered:
     case RecordKind::kItemDropped: return "item";
-    case RecordKind::kEnergySample: return "energy";
+    case RecordKind::kEnergySample:
+    case RecordKind::kEnergyTotal: return "energy";
     case RecordKind::kNodeDown:
     case RecordKind::kNodeUp: return "failure";
     case RecordKind::kCount: break;

@@ -158,6 +158,27 @@ TEST(Energy, TransmitAndReceiveAreCharged) {
               rig.energy().tx_watts * airtime, 1e-5);
 }
 
+TEST(Energy, SplitResidenceChargesBitEqual) {
+  // A same-state refresh only splits a residence: one second of Rx charged
+  // in one piece or in two must give the same bits. The split point is one
+  // where charging each piece in floating point would not
+  // (0.395 · 0.123456789 + 0.395 · 0.876543211 rounds to 0.3950000000000001).
+  const EnergyParams params;
+  const sim::Time end = sim::Time::seconds(1.0);
+  EnergyMeter whole{params};
+  whole.set_state(sim::Time::zero(), RadioState::kRx);
+  whole.set_state(end, RadioState::kIdle);
+  EnergyMeter split{params};
+  split.set_state(sim::Time::zero(), RadioState::kRx);
+  split.set_state(sim::Time::nanos(123'456'789), RadioState::kRx);
+  split.set_state(end, RadioState::kIdle);
+
+  EXPECT_EQ(split.residence_ns(RadioState::kRx, end), end.as_nanos());
+  EXPECT_EQ(whole.joules(end), params.rx_watts);
+  EXPECT_EQ(split.joules(end), whole.joules(end));
+  EXPECT_EQ(split.active_joules(end), whole.active_joules(end));
+}
+
 TEST(Energy, DeadNodeDrawsNothing) {
   MacRig rig{{{0, 0}, {20, 0}}, 40.0};
   rig.mac(0).set_alive(false);

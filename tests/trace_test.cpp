@@ -424,6 +424,53 @@ TEST(Trace, CountersMatchLayerStats) {
   EXPECT_GT(dropped_items, 0u);  // the item.dropped equality is not vacuous
 }
 
+TEST(Trace, EnergyTotalsReplacePerTransitionSamples) {
+  // Energy is traced once per node and radio state at harvest, never per
+  // transition: each node's four residences sum to the run's end time,
+  // and exactly the nodes the failure process took down show Off time.
+  for (const auto mac : {scenario::MacType::kCsma, scenario::MacType::kTdma}) {
+    scenario::ExperimentConfig cfg = traced_config(4);
+    cfg.mac_type = mac;
+    cfg.duration = sim::Time::seconds(50.0);
+    cfg.failures.enabled = true;
+    cfg.failures.period = sim::Time::seconds(20.0);
+    cfg.trace.path = tmp_path("wsn_trace_energy-{seed}.bin");
+    SCOPED_TRACE(mac == scenario::MacType::kCsma ? "csma" : "tdma");
+    const scenario::RunResult res = scenario::run_experiment(cfg);
+    const std::size_t n = cfg.field.nodes;
+    EXPECT_EQ(res.trace_counters.of(RecordKind::kEnergySample), 0u);
+    EXPECT_EQ(res.trace_counters.of(RecordKind::kEnergyTotal), 4 * n);
+
+    const std::string path = resolve_trace_path(cfg.trace.path, cfg.seed);
+    TraceReader reader{path};
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    const std::int64_t end = cfg.duration.as_nanos();
+    std::vector<std::int64_t> total(n, 0);
+    std::vector<std::int64_t> off(n, 0);
+    std::vector<char> went_down(n, 0);
+    Record r;
+    while (reader.next(r)) {
+      ASSERT_LT(r.node, n);
+      if (r.kind == RecordKind::kNodeDown && r.t_ns < end) {
+        went_down[r.node] = 1;
+      }
+      if (r.kind != RecordKind::kEnergyTotal) continue;
+      EXPECT_EQ(r.t_ns, end);
+      total[r.node] += static_cast<std::int64_t>(r.b);
+      if (r.a == 0) off[r.node] = static_cast<std::int64_t>(r.b);  // kOff
+    }
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    std::size_t downs = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(total[i], end) << "node " << i;
+      EXPECT_EQ(off[i] > 0, went_down[i] != 0) << "node " << i;
+      downs += went_down[i];
+    }
+    EXPECT_GT(downs, 0u);  // the Off check is not vacuous
+    std::remove(path.c_str());
+  }
+}
+
 #if WSN_AUDIT_ENABLED
 TEST(Trace, AuditViolationDumpsTheFlightRecorder) {
   Tracer tracer{Tracer::Options{
