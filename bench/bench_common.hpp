@@ -8,9 +8,10 @@
 // Scale knobs (paper: 10 fields per point, 400 s per run):
 //   WSN_FIELDS=<n>    fields averaged per point   (default 5)
 //   WSN_SIM_TIME=<s>  simulated seconds per run   (default 200)
-//   WSN_JOBS=<n>      parallel replicate workers  (default: hardware
-//                     concurrency; 1 forces the serial path; results are
-//                     bit-identical either way)
+//   WSN_JOBS=<n>      replicate threads started per sweep point
+//                     (default: hardware concurrency; 1 runs them on
+//                     the calling thread; results are bit-identical
+//                     either way)
 // Machine-readable output: set WSN_CSV=<dir> and each figure harness
 // appends its series to <dir>/<figure>.csv for plotting (see plots/); the
 // header is written only when the file is created, so multi-figure and

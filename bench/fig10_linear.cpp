@@ -17,7 +17,7 @@ int main() {
     cfg.field.nodes = 350;
     cfg.duration = sim::Time::seconds(secs);
     cfg.num_sources = sources;
-    cfg.diffusion.aggregation = std::make_shared<agg::LinearAggregation>(28, 36);
+    cfg.diffusion.aggregation = agg::kLinear;
     const auto p = bench::run_point(std::to_string(sources), cfg, fields);
     bench::print_point(p);
   }

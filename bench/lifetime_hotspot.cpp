@@ -36,7 +36,7 @@ HotspotRow measure(wsn::core::Algorithm alg, bool linear, int fields,
     cfg.duration = sim::Time::seconds(secs);
     cfg.seed = 1 + static_cast<std::uint64_t>(f);
     if (linear) {
-      cfg.diffusion.aggregation = std::make_shared<agg::LinearAggregation>(28, 36);
+      cfg.diffusion.aggregation = agg::kLinear;
     }
     slots[f] = scenario::run_experiment(cfg);
   });

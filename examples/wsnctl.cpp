@@ -105,14 +105,13 @@ int main(int argc, char** argv) {
     } else if (flag_eq(a, "--aggregation")) {
       const std::string v = next();
       if (v == "perfect") {
-        cfg.diffusion.aggregation = std::make_shared<agg::PerfectAggregation>(64);
+        cfg.diffusion.aggregation = agg::kPerfect;
       } else if (v == "linear") {
-        cfg.diffusion.aggregation = std::make_shared<agg::LinearAggregation>(28, 36);
+        cfg.diffusion.aggregation = agg::kLinear;
       } else if (v == "packing") {
-        cfg.diffusion.aggregation = std::make_shared<agg::PackingAggregation>(64, 36);
+        cfg.diffusion.aggregation = agg::kPacking;
       } else if (v == "timestamp") {
-        cfg.diffusion.aggregation =
-            std::make_shared<agg::TimestampAggregation>(28, 24, 36);
+        cfg.diffusion.aggregation = agg::kTimestamp;
       } else {
         std::fprintf(stderr, "unknown --aggregation %s\n", v.c_str());
         return 2;

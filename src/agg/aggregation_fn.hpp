@@ -1,105 +1,36 @@
 // Aggregation size functions (paper §3, §5.4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 namespace wsn::agg {
 
 /// Maps "how many distinct data items are in an aggregate" to the size in
-/// bytes of the message that carries them.
-///
-/// The paper evaluates two of these end to end: *perfect* (aggregate size
-/// equals one event, Figure 5-9) and *linear* (z(S) = d·|x| + h, Figure 10).
-/// *Packing* and *timestamp* are the two lossless examples of §3, provided
-/// for completeness and used in tests/examples.
-class AggregationFn {
- public:
-  virtual ~AggregationFn() = default;
+/// bytes of the message that carries them: z(d) = header + d·item. All of
+/// the paper's functions are affine in d, so two numbers describe each.
+struct AggregateSize {
+  std::uint32_t header_bytes = 64;
+  std::uint32_t item_bytes = 0;
 
   /// Size in bytes of an aggregate carrying `item_count` distinct items.
-  /// Precondition: item_count >= 1.
-  [[nodiscard]] virtual std::uint32_t size_bytes(
-      std::size_t item_count) const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Perfect aggregation: any number of items compress to one event's size.
-/// The paper's default (64-byte aggregates).
-class PerfectAggregation final : public AggregationFn {
- public:
-  explicit PerfectAggregation(std::uint32_t event_bytes = 64)
-      : event_bytes_{event_bytes} {}
-  [[nodiscard]] std::uint32_t size_bytes(std::size_t) const override {
-    return event_bytes_;
+  [[nodiscard]] constexpr std::uint32_t bytes(std::size_t item_count) const {
+    return header_bytes + static_cast<std::uint32_t>(item_count) * item_bytes;
   }
-  [[nodiscard]] std::string name() const override { return "perfect"; }
-
- private:
-  std::uint32_t event_bytes_;
+  constexpr bool operator==(const AggregateSize&) const = default;
 };
 
-/// Linear aggregation: z(S_i) = d_i·|x| + h. Lossless but inefficient —
-/// only the per-transmission header is shared (paper §5.4: |x| = 28 B,
-/// h = 36 B).
-class LinearAggregation final : public AggregationFn {
- public:
-  explicit LinearAggregation(std::uint32_t item_bytes = 28,
-                             std::uint32_t header_bytes = 36)
-      : item_bytes_{item_bytes}, header_bytes_{header_bytes} {}
-  [[nodiscard]] std::uint32_t size_bytes(std::size_t item_count) const override {
-    return static_cast<std::uint32_t>(item_count) * item_bytes_ + header_bytes_;
-  }
-  [[nodiscard]] std::string name() const override { return "linear"; }
-
- private:
-  std::uint32_t item_bytes_;
-  std::uint32_t header_bytes_;
-};
-
-/// Packing aggregation: whole events are packed unmodified behind a single
-/// header; only per-transmission overhead is saved (paper §3).
-class PackingAggregation final : public AggregationFn {
- public:
-  explicit PackingAggregation(std::uint32_t event_bytes = 64,
-                              std::uint32_t header_bytes = 36)
-      : event_bytes_{event_bytes}, header_bytes_{header_bytes} {}
-  [[nodiscard]] std::uint32_t size_bytes(std::size_t item_count) const override {
-    return static_cast<std::uint32_t>(item_count) * event_bytes_ + header_bytes_;
-  }
-  [[nodiscard]] std::string name() const override { return "packing"; }
-
- private:
-  std::uint32_t event_bytes_;
-  std::uint32_t header_bytes_;
-};
-
-/// Timestamp aggregation: temporally-correlated events share the redundant
-/// high-order timestamp fields, so every item after the first is cheaper
-/// (paper §3's remote-surveillance example).
-class TimestampAggregation final : public AggregationFn {
- public:
-  TimestampAggregation(std::uint32_t first_item_bytes = 28,
-                       std::uint32_t next_item_bytes = 24,
-                       std::uint32_t header_bytes = 36)
-      : first_item_bytes_{first_item_bytes},
-        next_item_bytes_{next_item_bytes},
-        header_bytes_{header_bytes} {}
-  [[nodiscard]] std::uint32_t size_bytes(std::size_t item_count) const override {
-    if (item_count == 0) return header_bytes_;
-    return header_bytes_ + first_item_bytes_ +
-           static_cast<std::uint32_t>(item_count - 1) * next_item_bytes_;
-  }
-  [[nodiscard]] std::string name() const override { return "timestamp"; }
-
- private:
-  std::uint32_t first_item_bytes_;
-  std::uint32_t next_item_bytes_;
-  std::uint32_t header_bytes_;
-};
-
-using AggregationFnPtr = std::shared_ptr<const AggregationFn>;
+/// Perfect: any number of items compress to one 64-byte event; the
+/// paper's default (Figures 5-9).
+inline constexpr AggregateSize kPerfect{64, 0};
+/// Linear: z = 28·d + 36. Lossless but inefficient — only the
+/// per-transmission header is shared (§5.4, Figure 10).
+inline constexpr AggregateSize kLinear{36, 28};
+/// Packing: whole 64-byte events behind one 36-byte header (§3).
+inline constexpr AggregateSize kPacking{36, 64};
+/// Timestamp: events share their high-order timestamp fields, so the
+/// first item costs 28 bytes and every later one 24 (§3's
+/// remote-surveillance example): 36 + 28 + 24·(d − 1) = 40 + 24·d.
+inline constexpr AggregateSize kTimestamp{40, 24};
 
 }  // namespace wsn::agg

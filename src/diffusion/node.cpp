@@ -605,7 +605,7 @@ void DiffusionNode::flush() {
         }
       }
       const std::uint32_t bytes =
-          params_.aggregation->size_bytes(msg->items.size());
+          params_.aggregation.bytes(msg->items.size());
       send(nb, bytes, std::move(msg));
       sent_any = true;
     }

@@ -85,8 +85,7 @@ struct DiffusionParams {
   double directional_corridor_m = 60.0;
 
   /// Aggregate size model; defaults to the paper's perfect aggregation.
-  agg::AggregationFnPtr aggregation =
-      std::make_shared<agg::PerfectAggregation>(64);
+  agg::AggregateSize aggregation = agg::kPerfect;
 };
 
 }  // namespace wsn::diffusion

@@ -10,8 +10,7 @@ TdmaMac::TdmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
     : MacBase{sim, channel, id, energy, phy.queue_limit},
       phy_{phy},
       params_{params},
-      slot_{phy.frame_airtime(params.max_payload_bytes) + phy.sifs +
-            phy.ack_airtime() + params.guard},
+      slot_{params.slot(phy)},
       num_slots_{num_slots},
       slot_timer_{sim, [this] { on_slot_start(); }} {
   slot_timer_.arm(slot_ * id);

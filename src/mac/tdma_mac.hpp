@@ -23,6 +23,12 @@ struct TdmaParams {
   std::uint32_t max_payload_bytes = 160;
   sim::Time guard = sim::Time::micros(20);
   int max_retries = 2;  ///< unicast resend attempts (next cycles)
+
+  /// Slot length on `phy`: the largest frame, SIFS, the ACK and the guard.
+  [[nodiscard]] sim::Time slot(const PhyParams& phy) const {
+    return phy.frame_airtime(max_payload_bytes) + phy.sifs +
+           phy.ack_airtime() + guard;
+  }
 };
 
 /// Collision-free slotted MAC. Node `id` owns slot `id` of every cycle of

@@ -1,9 +1,11 @@
 #include "scenario/experiment.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "mac/channel.hpp"
 #include "mac/csma_mac.hpp"
@@ -18,52 +20,180 @@
 namespace wsn::scenario {
 namespace {
 
-void add_rect(stats::Digest& d, const net::Rect& r) {
-  d.add(r.x0);
-  d.add(r.y0);
-  d.add(r.x1);
-  d.add(r.y1);
+void hash(stats::Digest& d, double x) { d.add(x); }
+void hash(stats::Digest& d, sim::Time t) { d.add(t.as_nanos()); }
+void hash(stats::Digest& d, const net::Rect& r) {
+  const auto& [x0, y0, x1, y1] = r;
+  for (double x : {x0, y0, x1, y1}) d.add(x);
 }
+template <class T>
+  requires std::is_integral_v<T> || std::is_enum_v<T>
+void hash(stats::Digest& d, T x) {
+  d.add(static_cast<std::uint64_t>(x));
+}
+template <class... Ts>
+void hash_all(stats::Digest& d, const Ts&... xs) {
+  (hash(d, xs), ...);
+}
+
+// Collects every violated requirement of a config into one message. A
+// problem's text is built only when its check fails.
+class Problems {
+ public:
+  void add(const std::string& problem) {
+    if (!text_.empty()) text_ += "; ";
+    text_ += problem;
+  }
+  void require(bool ok, const char* field, const char* rule) {
+    if (!ok) add(std::string{field} + " " + rule);
+  }
+  bool positive(double x, const char* field) {
+    const bool ok = std::isfinite(x) && x > 0.0;
+    if (!ok) add(field, "must be finite and > 0", std::to_string(x));
+    return ok;
+  }
+  void non_negative(double x, const char* field) {
+    if (std::isfinite(x) && x >= 0.0) return;
+    add(field, "must be finite and >= 0", std::to_string(x));
+  }
+  void positive(sim::Time t, const char* field) {
+    if (t > sim::Time::zero()) return;
+    add(field, "must be > 0", std::to_string(t.as_nanos()) + " ns");
+  }
+  void non_negative(sim::Time t, const char* field) {
+    if (t >= sim::Time::zero()) return;
+    add(field, "must be >= 0", std::to_string(t.as_nanos()) + " ns");
+  }
+  /// Finite, not inverted, and inside the [0, side]² field.
+  void inside(const net::Rect& r, double side, const char* field) {
+    const bool finite = std::isfinite(r.x0) && std::isfinite(r.y0) &&
+                        std::isfinite(r.x1) && std::isfinite(r.y1);
+    require(finite && r.x0 >= 0.0 && r.y0 >= 0.0 && r.x0 <= r.x1 &&
+                r.y0 <= r.y1 && r.x1 <= side && r.y1 <= side,
+            field, "must be finite, not inverted and inside [0, field.side_m]²");
+  }
+  [[nodiscard]] const std::string& text() const { return text_; }
+
+ private:
+  void add(const char* field, const char* rule, const std::string& got) {
+    add(std::string{field} + " " + rule + " (got " + got + ")");
+  }
+
+  std::string text_;
+};
 
 }  // namespace
 
 std::uint64_t config_digest(const ExperimentConfig& config) {
-  // Workload-defining fields only: the seed is deliberately excluded (it is
-  // a separate trace-header word) and so is the trace spec itself — tracing
-  // a run must not change what the run *is*.
+  // Every field except the seed (a separate trace-header word) and the
+  // trace spec (tracing a run must not change what the run *is*). The
+  // structured bindings name every member, so a field added to any of
+  // these structs fails to compile here until it is hashed.
   stats::Digest d;
-  d.add(config.field.side_m);
-  d.add(static_cast<std::uint64_t>(config.field.nodes));
-  d.add(config.field.radio_range_m);
-  d.add(config.field.carrier_sense_range_m);
-  d.add(static_cast<std::uint64_t>(config.algorithm));
-  d.add(static_cast<std::uint64_t>(config.mac_type));
-  d.add(static_cast<std::uint64_t>(config.num_sources));
-  d.add(static_cast<std::uint64_t>(config.num_sinks));
-  d.add(static_cast<std::uint64_t>(config.source_placement));
-  add_rect(d, config.source_rect);
-  add_rect(d, config.sink_rect);
-  d.add(static_cast<std::uint64_t>(config.interest_region.has_value()));
-  if (config.interest_region.has_value()) add_rect(d, *config.interest_region);
-  d.add(static_cast<std::uint64_t>(config.failures.enabled));
-  d.add(config.failures.fraction);
-  d.add(config.failures.period.as_nanos());
-  d.add(static_cast<std::uint64_t>(config.failures.protect_endpoints));
-  d.add(config.duration.as_nanos());
+  [[maybe_unused]] const auto& [field, algorithm, mac_type, tdma, sources,
+                                sinks, placement, source_rect, sink_rect,
+                                interest_region, protocol, phy, energy,
+                                failures, duration, seed, trace_spec] = config;
+  const auto& [side, nodes, range, cs_range] = field;
+  hash_all(d, side, nodes, range, cs_range, algorithm, mac_type, sources,
+           sinks, placement, source_rect, sink_rect,
+           interest_region.has_value(), interest_region.value_or(net::Rect{}),
+           duration);
+  const auto& [max_payload, guard, tdma_retries] = tdma;
+  hash_all(d, max_payload, guard, tdma_retries);
+  const auto& [interest_period, gradient_timeout, exploratory_period, rate,
+               t_a, t_n, t_p, event_bytes, control_bytes, interest_jitter,
+               exploratory_jitter, repair_silence, suspect_hold, cache_ttl,
+               truncation, propagation, corridor, aggregation] = protocol;
+  const auto& [agg_header_bytes, agg_item_bytes] = aggregation;
+  hash_all(d, interest_period, gradient_timeout, exploratory_period, rate,
+           t_a, t_n, t_p, event_bytes, control_bytes, interest_jitter,
+           exploratory_jitter, repair_silence, suspect_hold, cache_ttl,
+           truncation, propagation, corridor, agg_header_bytes,
+           agg_item_bytes);
+  const auto& [bitrate, slot, sifs, difs, preamble, prop_delay, cw_min, cw_max,
+               mac_retries, header_bytes, ack_bytes, queue_limit] = phy;
+  hash_all(d, bitrate, slot, sifs, difs, preamble, prop_delay, cw_min, cw_max,
+           mac_retries, header_bytes, ack_bytes, queue_limit);
+  const auto& [tx_watts, rx_watts, idle_watts] = energy;
+  hash_all(d, tx_watts, rx_watts, idle_watts);
+  const auto& [enabled, fraction, period, protect] = failures;
+  hash_all(d, enabled, fraction, period, protect);
   return d.value();
 }
 
-RunResult run_experiment(const ExperimentConfig& config) {
-  // A workload needs at least one node per endpoint. Reject the config
-  // before any field is drawn, with the field that makes it invalid.
-  if (config.field.nodes == 0 ||
-      config.field.nodes < config.num_sources + config.num_sinks) {
-    throw std::invalid_argument{
-        "field.nodes (" + std::to_string(config.field.nodes) +
-        ") must be at least 1 and at least num_sources + num_sinks (" +
-        std::to_string(config.num_sources + config.num_sinks) + ")"};
+void validate(const ExperimentConfig& config) {
+  Problems p;
+  const net::FieldSpec& f = config.field;
+  p.positive(f.side_m, "field.side_m");
+  const std::size_t endpoints = config.num_sources + config.num_sinks;
+  if (f.nodes == 0 || f.nodes < endpoints) {
+    p.add("field.nodes must be at least 1 and at least num_sources + "
+          "num_sinks (got " + std::to_string(f.nodes) + ", need " +
+          std::to_string(endpoints) + ")");
   }
-  validate(config.failures);
+  p.positive(f.radio_range_m, "field.radio_range_m");
+  p.require(f.carrier_sense_range_m == 0.0 ||
+                (std::isfinite(f.carrier_sense_range_m) &&
+                 f.carrier_sense_range_m >= f.radio_range_m),
+            "field.carrier_sense_range_m",
+            "must be 0 (the radio range) or finite and >= field.radio_range_m");
+  p.inside(config.source_rect, f.side_m, "source_rect");
+  p.inside(config.sink_rect, f.side_m, "sink_rect");
+  if (config.interest_region.has_value()) {
+    p.inside(*config.interest_region, f.side_m, "interest_region");
+  }
+
+  // Periods that re-arm their own timer must be > 0, or the run never
+  // leaves the instant they fire at.
+  const diffusion::DiffusionParams& d = config.diffusion;
+  if (!(d.data_rate_hz >= 1e-9 && d.data_rate_hz <= 1e9)) {
+    p.add("diffusion.data_rate_hz must lie in [1e-9, 1e9] (got " +
+          std::to_string(d.data_rate_hz) + ")");
+  }
+  p.positive(d.interest_period, "diffusion.interest_period");
+  p.positive(d.exploratory_period, "diffusion.exploratory_period");
+  p.positive(d.t_n, "diffusion.t_n");
+  p.positive(d.repair_silence, "diffusion.repair_silence");
+  p.non_negative(d.gradient_timeout, "diffusion.gradient_timeout");
+  p.non_negative(d.t_a, "diffusion.t_a");
+  p.non_negative(d.t_p, "diffusion.t_p");
+  p.non_negative(d.interest_jitter, "diffusion.interest_jitter");
+  p.non_negative(d.exploratory_jitter, "diffusion.exploratory_jitter");
+  p.non_negative(d.suspect_hold, "diffusion.suspect_hold");
+  p.non_negative(d.cache_ttl, "diffusion.cache_ttl");
+  p.positive(d.directional_corridor_m, "diffusion.directional_corridor_m");
+
+  const mac::PhyParams& phy = config.phy;
+  const bool bitrate_ok = p.positive(phy.bitrate_bps, "phy.bitrate_bps");
+  p.positive(phy.slot, "phy.slot");
+  p.non_negative(phy.sifs, "phy.sifs");
+  p.non_negative(phy.difs, "phy.difs");
+  p.non_negative(phy.preamble, "phy.preamble");
+  p.non_negative(phy.propagation, "phy.propagation");
+  p.require(phy.cw_min <= phy.cw_max && phy.cw_max <= 0x7fffffffu,
+            "phy.cw_max", "must lie in [phy.cw_min, 2^31 - 1]");
+  p.require(phy.max_retries >= 0, "phy.max_retries", "must be >= 0");
+  p.require(phy.queue_limit > 0, "phy.queue_limit", "must be > 0");
+  p.non_negative(config.energy.tx_watts, "energy.tx_watts");
+  p.non_negative(config.energy.rx_watts, "energy.rx_watts");
+  p.non_negative(config.energy.idle_watts, "energy.idle_watts");
+  p.non_negative(config.tdma.guard, "tdma.guard");
+  p.require(config.tdma.max_retries >= 0, "tdma.max_retries", "must be >= 0");
+  if (config.mac_type == MacType::kTdma && bitrate_ok) {
+    p.positive(config.tdma.slot(phy), "tdma slot (from tdma and phy)");
+  }
+  try {
+    validate(config.failures);
+  } catch (const std::invalid_argument& e) {
+    p.add(e.what());
+  }
+  p.non_negative(config.duration, "duration");
+  if (!p.text().empty()) throw std::invalid_argument{p.text()};
+}
+
+RunResult run_experiment(const ExperimentConfig& config) {
+  validate(config);
   sim::Rng master{config.seed};
   sim::Rng field_rng = master.fork(1);
   sim::Rng placement_rng = master.fork(2);

@@ -68,10 +68,19 @@ struct ExperimentConfig {
   trace::TraceSpec trace;
 };
 
-/// Digest of the workload-defining config fields, written into trace
-/// headers so `trace_tool diff` can refuse to compare runs of different
-/// setups. Two configs with equal digests describe the same experiment.
+/// Digest of every config field except `seed` and `trace`, written into
+/// trace headers so `trace_tool diff` can refuse to compare runs of
+/// different setups. Two configs with equal digests describe the same
+/// experiment.
 [[nodiscard]] std::uint64_t config_digest(const ExperimentConfig& config);
+
+/// Throws std::invalid_argument with one message naming every offending
+/// field of a config that cannot run: fewer nodes than sources + sinks, a
+/// non-finite or non-positive size, range, rate or re-arming period, a
+/// negative duration, an endpoint rect that is inverted or leaves the
+/// field, or an invalid enabled failure model (see
+/// validate(const FailureModel&)).
+void validate(const ExperimentConfig& config);
 
 /// Everything a run produces.
 struct RunResult {
@@ -122,10 +131,8 @@ struct RunResult {
   trace::CounterTable trace_counters;
 };
 
-/// Builds, runs and tears down one experiment. Throws
-/// std::invalid_argument, naming the offending field, for a config it
-/// cannot run: fewer nodes than sources + sinks, or an invalid enabled
-/// failure model (see validate(const FailureModel&)).
+/// Builds, runs and tears down one experiment. Calls validate(config)
+/// before any field is drawn.
 RunResult run_experiment(const ExperimentConfig& config);
 
 }  // namespace wsn::scenario

@@ -11,15 +11,17 @@ namespace wsn::scenario {
 
 void validate(const FailureModel& model) {
   if (!model.enabled) return;
+  std::string problems;
   if (model.period <= sim::Time::zero()) {
-    throw std::invalid_argument{
-        "failures.period must be > 0 when failures are enabled (got " +
-        std::to_string(model.period.as_nanos()) + " ns)"};
+    problems = "failures.period must be > 0 when failures are enabled (got " +
+               std::to_string(model.period.as_nanos()) + " ns)";
   }
   if (!(model.fraction >= 0.0 && model.fraction <= 1.0)) {
-    throw std::invalid_argument{"failures.fraction must lie in [0, 1] (got " +
-                                std::to_string(model.fraction) + ")"};
+    if (!problems.empty()) problems += "; ";
+    problems += "failures.fraction must lie in [0, 1] (got " +
+                std::to_string(model.fraction) + ")";
   }
+  if (!problems.empty()) throw std::invalid_argument{problems};
 }
 
 FailureProcess::FailureProcess(sim::Simulator& sim,

@@ -24,7 +24,7 @@ struct FailureModel {
   bool protect_endpoints = true;
 };
 
-/// Throws std::invalid_argument, naming the field, when an enabled model
+/// Throws std::invalid_argument, naming each bad field, when an enabled model
 /// has a `period` ≤ 0 (the rotation would reschedule itself at the same
 /// instant forever) or a `fraction` outside [0, 1]. A disabled model is
 /// always valid.

@@ -1,67 +1,8 @@
 #include "scenario/parallel.hpp"
 
-#include <algorithm>
-
 #include "scenario/sweep.hpp"
 
 namespace wsn::scenario {
-
-ThreadPool::ThreadPool(unsigned workers) {
-  workers_.reserve(std::max(1u, workers));
-  for (unsigned i = 0; i < std::max(1u, workers); ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lk{mu_};
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::worker_loop() {
-  std::uint64_t seen_batch = 0;
-  std::unique_lock lk{mu_};
-  for (;;) {
-    work_cv_.wait(lk, [&] { return stop_ || batch_ != seen_batch; });
-    if (stop_) return;
-    seen_batch = batch_;
-    while (next_ < count_) {
-      const std::size_t i = next_++;
-      lk.unlock();
-      try {
-        (*fn_)(i);
-      } catch (...) {
-        lk.lock();
-        if (!error_) error_ = std::current_exception();
-        lk.unlock();
-      }
-      lk.lock();
-      ++done_;
-      if (done_ == count_) done_cv_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::run_indexed(std::size_t count,
-                             const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  std::unique_lock lk{mu_};
-  fn_ = &fn;
-  count_ = count;
-  next_ = 0;
-  done_ = 0;
-  error_ = nullptr;
-  ++batch_;
-  work_cv_.notify_all();
-  done_cv_.wait(lk, [&] { return done_ == count_; });
-  fn_ = nullptr;
-  count_ = 0;
-  if (error_) std::rethrow_exception(error_);
-}
 
 int jobs_from_env() {
   static const int cached = [] {
@@ -69,29 +10,6 @@ int jobs_from_env() {
     return static_cast<int>(env_long("WSN_JOBS", hw, 1, 4096));
   }();
   return cached;
-}
-
-ThreadPool& shared_pool() {
-  static ThreadPool pool{static_cast<unsigned>(jobs_from_env())};
-  return pool;
-}
-
-void for_each_index(std::size_t count,
-                    const std::function<void(std::size_t)>& fn, int jobs) {
-  const int effective = jobs > 0 ? jobs : jobs_from_env();
-  if (effective <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  if (jobs <= 0) {
-    // Env-default path: reuse the long-lived pool across sweep points.
-    shared_pool().run_indexed(count, fn);
-    return;
-  }
-  const auto workers = static_cast<unsigned>(
-      std::min<std::size_t>(static_cast<std::size_t>(effective), count));
-  ThreadPool pool{workers};
-  pool.run_indexed(count, fn);
 }
 
 }  // namespace wsn::scenario

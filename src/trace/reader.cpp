@@ -11,7 +11,6 @@
 namespace wsn::trace {
 namespace {
 
-constexpr char kMagic[8] = {'W', 'S', 'N', 'T', 'R', 'C', '0', '1'};
 constexpr std::size_t kHeaderBytes = sizeof kMagic + 8 + 8;
 
 std::uint64_t read_u64_le(const unsigned char* p) {

@@ -7,6 +7,10 @@
 
 namespace wsn::trace {
 
+/// First 8 bytes of a binary trace file; the trailing two digits are the
+/// format version (DESIGN.md §11).
+inline constexpr char kMagic[8] = {'W', 'S', 'N', 'T', 'R', 'C', '0', '1'};
+
 /// Every traceable event. The numeric values are part of the binary trace
 /// format (DESIGN.md §11): append new kinds at the end, never renumber.
 enum class RecordKind : std::uint16_t {

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 
 #include "sim/audit.hpp"
@@ -11,8 +12,6 @@
 namespace wsn::trace {
 namespace {
 
-// 8-byte magic; the trailing two digits are the format version.
-constexpr char kMagic[8] = {'W', 'S', 'N', 'T', 'R', 'C', '0', '1'};
 constexpr std::size_t kFlushThreshold = 60 * 1024;
 
 // --- flight-recorder registry -------------------------------------------
@@ -57,83 +56,59 @@ void append_u64_le(std::vector<unsigned char>& buf, std::uint64_t v) {
   }
 }
 
+// One row per RecordKind, in enum order: the dotted name and its component.
+struct KindRow {
+  const char* name;
+  const char* component;
+};
+constexpr KindRow kKindRows[] = {
+    {"mac.tx_start", "mac"},
+    {"mac.tx_end", "mac"},
+    {"mac.rx", "mac"},
+    {"mac.collision", "mac"},
+    {"mac.drop", "mac"},
+    {"mac.backoff", "mac"},
+    {"channel.sweep", "channel"},
+    {"diffusion.interest_send", "diffusion"},
+    {"diffusion.interest_recv", "diffusion"},
+    {"diffusion.exploratory_send", "diffusion"},
+    {"diffusion.exploratory_recv", "diffusion"},
+    {"diffusion.data_send", "diffusion"},
+    {"diffusion.data_recv", "diffusion"},
+    {"diffusion.icm_send", "diffusion"},
+    {"diffusion.icm_recv", "diffusion"},
+    {"diffusion.reinforce_send", "diffusion"},
+    {"diffusion.reinforce_recv", "diffusion"},
+    {"diffusion.negative_send", "diffusion"},
+    {"diffusion.negative_recv", "diffusion"},
+    {"cache.hit", "cache"},
+    {"cache.purge", "cache"},
+    {"gradient.new", "gradient"},
+    {"gradient.tree_change", "gradient"},
+    {"item.generated", "item"},
+    {"item.forward", "item"},
+    {"item.delivered", "item"},
+    {"energy.sample", "energy"},
+    {"failure.node_down", "failure"},
+    {"failure.node_up", "failure"},
+    {"item.dropped", "item"},
+    {"energy.total", "energy"},
+};
+static_assert(std::size(kKindRows) == kRecordKindCount,
+              "every RecordKind needs exactly one row");
+
+constexpr KindRow kUnknownKind{"?", "?"};
+
+const KindRow& row_of(RecordKind kind) {
+  const auto k = static_cast<std::size_t>(kind);
+  return k < kRecordKindCount ? kKindRows[k] : kUnknownKind;
+}
+
 }  // namespace
 
-const char* kind_name(RecordKind kind) {
-  switch (kind) {
-    case RecordKind::kMacTxStart: return "mac.tx_start";
-    case RecordKind::kMacTxEnd: return "mac.tx_end";
-    case RecordKind::kMacRx: return "mac.rx";
-    case RecordKind::kMacCollision: return "mac.collision";
-    case RecordKind::kMacDrop: return "mac.drop";
-    case RecordKind::kMacBackoff: return "mac.backoff";
-    case RecordKind::kChannelSweep: return "channel.sweep";
-    case RecordKind::kInterestSend: return "diffusion.interest_send";
-    case RecordKind::kInterestRecv: return "diffusion.interest_recv";
-    case RecordKind::kExploratorySend: return "diffusion.exploratory_send";
-    case RecordKind::kExploratoryRecv: return "diffusion.exploratory_recv";
-    case RecordKind::kDataSend: return "diffusion.data_send";
-    case RecordKind::kDataRecv: return "diffusion.data_recv";
-    case RecordKind::kIcmSend: return "diffusion.icm_send";
-    case RecordKind::kIcmRecv: return "diffusion.icm_recv";
-    case RecordKind::kReinforceSend: return "diffusion.reinforce_send";
-    case RecordKind::kReinforceRecv: return "diffusion.reinforce_recv";
-    case RecordKind::kNegativeSend: return "diffusion.negative_send";
-    case RecordKind::kNegativeRecv: return "diffusion.negative_recv";
-    case RecordKind::kCacheHit: return "cache.hit";
-    case RecordKind::kCachePurge: return "cache.purge";
-    case RecordKind::kGradientNew: return "gradient.new";
-    case RecordKind::kTreeChange: return "gradient.tree_change";
-    case RecordKind::kItemGenerated: return "item.generated";
-    case RecordKind::kItemForward: return "item.forward";
-    case RecordKind::kItemDelivered: return "item.delivered";
-    case RecordKind::kEnergySample: return "energy.sample";
-    case RecordKind::kNodeDown: return "failure.node_down";
-    case RecordKind::kNodeUp: return "failure.node_up";
-    case RecordKind::kItemDropped: return "item.dropped";
-    case RecordKind::kEnergyTotal: return "energy.total";
-    case RecordKind::kCount: break;
-  }
-  return "?";
-}
+const char* kind_name(RecordKind kind) { return row_of(kind).name; }
 
-const char* kind_component(RecordKind kind) {
-  switch (kind) {
-    case RecordKind::kMacTxStart:
-    case RecordKind::kMacTxEnd:
-    case RecordKind::kMacRx:
-    case RecordKind::kMacCollision:
-    case RecordKind::kMacDrop:
-    case RecordKind::kMacBackoff: return "mac";
-    case RecordKind::kChannelSweep: return "channel";
-    case RecordKind::kInterestSend:
-    case RecordKind::kInterestRecv:
-    case RecordKind::kExploratorySend:
-    case RecordKind::kExploratoryRecv:
-    case RecordKind::kDataSend:
-    case RecordKind::kDataRecv:
-    case RecordKind::kIcmSend:
-    case RecordKind::kIcmRecv:
-    case RecordKind::kReinforceSend:
-    case RecordKind::kReinforceRecv:
-    case RecordKind::kNegativeSend:
-    case RecordKind::kNegativeRecv: return "diffusion";
-    case RecordKind::kCacheHit:
-    case RecordKind::kCachePurge: return "cache";
-    case RecordKind::kGradientNew:
-    case RecordKind::kTreeChange: return "gradient";
-    case RecordKind::kItemGenerated:
-    case RecordKind::kItemForward:
-    case RecordKind::kItemDelivered:
-    case RecordKind::kItemDropped: return "item";
-    case RecordKind::kEnergySample:
-    case RecordKind::kEnergyTotal: return "energy";
-    case RecordKind::kNodeDown:
-    case RecordKind::kNodeUp: return "failure";
-    case RecordKind::kCount: break;
-  }
-  return "?";
-}
+const char* kind_component(RecordKind kind) { return row_of(kind).component; }
 
 void print_record(std::FILE* out, const char* prefix, const Record& r) {
   std::fprintf(out,
@@ -197,7 +172,7 @@ Tracer::Tracer(const Options& options)
       std::fprintf(stderr, "[wsn-trace] %s\n", error_.c_str());
     } else {
       buf_.reserve(kFlushThreshold + 64);
-      buf_.insert(buf_.end(), kMagic, kMagic + sizeof kMagic);
+      buf_.insert(buf_.end(), std::begin(kMagic), std::end(kMagic));
       append_u64_le(buf_, options.seed);
       append_u64_le(buf_, options.config_digest);
     }

@@ -5,42 +5,36 @@
 
 #include "agg/aggregation_fn.hpp"
 #include "agg/set_cover.hpp"
+#include "diffusion/types.hpp"
 #include "sim/random.hpp"
 
 namespace wsn::agg {
 namespace {
 
-TEST(AggregationFn, PerfectIsConstantSize) {
-  PerfectAggregation f{64};
-  EXPECT_EQ(f.size_bytes(1), 64u);
-  EXPECT_EQ(f.size_bytes(14), 64u);
-  EXPECT_EQ(f.name(), "perfect");
+TEST(AggregateSize, PerfectIsConstantSize) {
+  EXPECT_EQ(kPerfect.bytes(1), 64u);
+  EXPECT_EQ(kPerfect.bytes(14), 64u);
+  EXPECT_EQ(diffusion::DiffusionParams{}.aggregation, kPerfect);
 }
 
-TEST(AggregationFn, LinearMatchesPaperFormula) {
+TEST(AggregateSize, LinearMatchesPaperFormula) {
   // Paper §5.4: z(S) = d·28 + 36.
-  LinearAggregation f{28, 36};
-  EXPECT_EQ(f.size_bytes(1), 64u);
-  EXPECT_EQ(f.size_bytes(5), 5u * 28 + 36);
-  EXPECT_EQ(f.size_bytes(14), 14u * 28 + 36);
-  EXPECT_EQ(f.name(), "linear");
+  EXPECT_EQ(kLinear.bytes(1), 64u);
+  EXPECT_EQ(kLinear.bytes(5), 5u * 28 + 36);
+  EXPECT_EQ(kLinear.bytes(14), 14u * 28 + 36);
 }
 
-TEST(AggregationFn, PackingSavesOnlyHeaders) {
-  PackingAggregation f{64, 36};
+TEST(AggregateSize, PackingSavesOnlyHeaders) {
   // Two packed events: one 36B header instead of two.
-  EXPECT_EQ(f.size_bytes(2), 2u * 64 + 36);
-  EXPECT_LT(f.size_bytes(2), 2u * (64 + 36));
-  EXPECT_EQ(f.name(), "packing");
+  EXPECT_EQ(kPacking.bytes(2), 2u * 64 + 36);
+  EXPECT_LT(kPacking.bytes(2), 2u * (64 + 36));
 }
 
-TEST(AggregationFn, TimestampSharesRedundantFields) {
-  TimestampAggregation f{28, 24, 36};
-  EXPECT_EQ(f.size_bytes(1), 36u + 28);
-  EXPECT_EQ(f.size_bytes(3), 36u + 28 + 2 * 24);
-  const LinearAggregation linear{28, 36};
-  EXPECT_LT(f.size_bytes(3), linear.size_bytes(3));
-  EXPECT_EQ(f.name(), "timestamp");
+TEST(AggregateSize, TimestampSharesRedundantFields) {
+  // A 28-byte first item, 24 bytes for each later one, one 36-byte header.
+  EXPECT_EQ(kTimestamp.bytes(1), 36u + 28);
+  EXPECT_EQ(kTimestamp.bytes(3), 36u + 28 + 2 * 24);
+  EXPECT_LT(kTimestamp.bytes(3), kLinear.bytes(3));
 }
 
 // --- the worked example from paper §4.2 / Figure 4(a) -------------------

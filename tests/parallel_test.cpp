@@ -1,4 +1,4 @@
-// Tests for the parallel replicate engine: the thread pool itself, the
+// Tests for the parallel replicate engine: for_each_index itself, the
 // WSN_JOBS knob, and the headline guarantee — the parallel path is
 // bit-identical (digest-equal) to the serial path for any job count.
 //
@@ -21,38 +21,58 @@
 namespace wsn::scenario {
 namespace {
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool{4};
-  EXPECT_EQ(pool.size(), 4u);
+TEST(ForEachIndex, RunsEveryIndexExactlyOnce) {
   std::vector<int> hits(100, 0);
-  pool.run_indexed(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for_each_index(
+      hits.size(), [&](std::size_t i) { ++hits[i]; }, 4);
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPool, ReusableAcrossBatchesAndOddSizes) {
-  ThreadPool pool{3};
-  // count < workers, count == 0, count >> workers — all on one pool.
+TEST(ForEachIndex, HandlesZeroFewAndManyIndices) {
+  // count == 0, count < jobs, count >> jobs.
   std::atomic<int> ran{0};
-  pool.run_indexed(2, [&](std::size_t) { ran.fetch_add(1); });
+  for_each_index(
+      0, [&](std::size_t) { ran.fetch_add(1); }, 3);
+  EXPECT_EQ(ran.load(), 0);
+  for_each_index(
+      2, [&](std::size_t) { ran.fetch_add(1); }, 3);
   EXPECT_EQ(ran.load(), 2);
-  pool.run_indexed(0, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 2);
-  pool.run_indexed(50, [&](std::size_t) { ran.fetch_add(1); });
+  for_each_index(
+      50, [&](std::size_t) { ran.fetch_add(1); }, 3);
   EXPECT_EQ(ran.load(), 52);
 }
 
-TEST(ThreadPool, PropagatesTaskExceptions) {
-  ThreadPool pool{2};
-  EXPECT_THROW(
-      pool.run_indexed(8,
-                       [](std::size_t i) {
-                         if (i == 5) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
-  // Pool must survive a throwing batch.
-  std::atomic<int> ran{0};
-  pool.run_indexed(4, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 4);
+TEST(ForEachIndex, RethrowsATaskExceptionAfterEveryIndexRan) {
+  std::vector<int> ran(8, 0);
+  try {
+    for_each_index(
+        ran.size(),
+        [&](std::size_t i) {
+          if (i == 5) throw std::runtime_error("boom at 5");
+          ran[i] = 1;
+        },
+        2);
+    FAIL() << "the task exception did not reach the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom at 5");
+  }
+  EXPECT_EQ(ran, (std::vector<int>{1, 1, 1, 1, 1, 0, 1, 1}));
+}
+
+TEST(ForEachIndex, TaskMayCallItAgain) {
+  // A task may start its own batch (with the env-default job count) while
+  // the outer batch is still running.
+  std::vector<std::vector<int>> hits(4, std::vector<int>(10, 0));
+  for_each_index(
+      hits.size(),
+      [&](std::size_t outer) {
+        for_each_index(hits[outer].size(),
+                       [&](std::size_t inner) { ++hits[outer][inner]; }, 0);
+      },
+      4);
+  for (const auto& row : hits) {
+    for (int h : row) EXPECT_EQ(h, 1);
+  }
 }
 
 TEST(ForEachIndex, SerialWhenJobsIsOne) {
@@ -78,8 +98,7 @@ TEST(ForEachIndex, ParallelCoversAllIndices) {
 }
 
 TEST(JobsFromEnv, IsCachedAndAtLeastOne) {
-  // The knob is read once per process (the shared pool is sized from it),
-  // so two calls must agree even if the env changes in between.
+  // The knob is read once per process, so two calls must agree even if the env changes in between.
   const int first = jobs_from_env();
   EXPECT_GE(first, 1);
   ::setenv("WSN_JOBS", "3", 1);
@@ -132,8 +151,7 @@ TEST(ParallelReplicates, DigestIdenticalUnderFailuresAndBaseline) {
 }
 
 TEST(ParallelReplicates, DefaultJobsMatchSerial) {
-  // jobs<=0 routes through WSN_JOBS/hardware concurrency and the shared
-  // pool; the result must still match the forced-serial path bit for bit.
+  // jobs<=0 routes through WSN_JOBS/hardware concurrency; the result must still match the forced-serial path bit for bit.
   const ExperimentConfig cfg = small_config(core::Algorithm::kGreedy);
   EXPECT_EQ(digest_of(run_replicates(cfg, 4, 1, 0)),
             digest_of(run_replicates(cfg, 4, 1, 1)));

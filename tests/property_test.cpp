@@ -2,6 +2,9 @@
 // hold over randomised fields, seeds and parameter choices.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "net/field.hpp"
 #include "net/topology.hpp"
 #include "scenario/experiment.hpp"
@@ -122,16 +125,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------- aggregation-fn properties
 
-class AggregationSizeProperty
-    : public ::testing::TestWithParam<std::shared_ptr<agg::AggregationFn>> {};
+using NamedSize = std::pair<const char*, agg::AggregateSize>;
+
+class AggregationSizeProperty : public ::testing::TestWithParam<NamedSize> {};
 
 TEST_P(AggregationSizeProperty, MonotoneAndPositive) {
-  const auto& fn = *GetParam();
+  const auto& [name, size] = GetParam();
   std::uint32_t prev = 0;
   for (std::size_t d = 1; d <= 20; ++d) {
-    const auto z = fn.size_bytes(d);
+    const auto z = size.bytes(d);
     EXPECT_GT(z, 0u);
-    EXPECT_GE(z, prev) << fn.name() << " at d=" << d;
+    EXPECT_GE(z, prev) << name << " at d=" << d;
     prev = z;
   }
 }
@@ -139,19 +143,19 @@ TEST_P(AggregationSizeProperty, MonotoneAndPositive) {
 TEST_P(AggregationSizeProperty, NeverWorseThanUnaggregatedLinearBound) {
   // Any sane aggregation of d items is no bigger than d separate packets
   // of (event + header) bytes.
-  const auto& fn = *GetParam();
+  const auto& [name, size] = GetParam();
   for (std::size_t d = 1; d <= 20; ++d) {
-    EXPECT_LE(fn.size_bytes(d), d * (64 + 36)) << fn.name();
+    EXPECT_LE(size.bytes(d), d * (64 + 36)) << name;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Functions, AggregationSizeProperty,
-    ::testing::Values(std::make_shared<agg::PerfectAggregation>(64),
-                      std::make_shared<agg::LinearAggregation>(28, 36),
-                      std::make_shared<agg::PackingAggregation>(64, 36),
-                      std::make_shared<agg::TimestampAggregation>(28, 24, 36)),
-    [](const auto& info) { return info.param->name(); });
+    ::testing::Values(NamedSize{"perfect", agg::kPerfect},
+                      NamedSize{"linear", agg::kLinear},
+                      NamedSize{"packing", agg::kPacking},
+                      NamedSize{"timestamp", agg::kTimestamp}),
+    [](const auto& info) { return std::string{info.param.first}; });
 
 // ------------------------------------------------ parameter-sweep checks
 

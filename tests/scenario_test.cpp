@@ -1,8 +1,11 @@
 // Tests for the experiment runner, placement and failure machinery.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "scenario/experiment.hpp"
 #include "scenario/sweep.hpp"
@@ -110,7 +113,7 @@ TEST(Experiment, LinearAggregationSendsMoreBytes) {
   auto cfg = small_config(core::Algorithm::kGreedy, 80, 80.0);
   cfg.num_sources = 8;
   const auto perfect_bytes = run_experiment(cfg).bytes_sent;
-  cfg.diffusion.aggregation = std::make_shared<agg::LinearAggregation>(28, 36);
+  cfg.diffusion.aggregation = agg::kLinear;
   const auto linear_bytes = run_experiment(cfg).bytes_sent;
   EXPECT_GT(linear_bytes, perfect_bytes);
 }
@@ -261,6 +264,122 @@ TEST(Experiment, RejectsAnInvalidFailureModel) {
   EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
   cfg.failures.fraction = 1.01;
   EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
+}
+
+// One config knob set to a value that cannot run, and the field name the
+// error message must carry.
+struct BadConfig {
+  const char* field;
+  void (*apply)(ExperimentConfig&);
+};
+
+void expect_rejected(const BadConfig& bad, bool run) {
+  ExperimentConfig cfg = small_config(core::Algorithm::kGreedy, 30, 5.0);
+  bad.apply(cfg);
+  try {
+    if (run) {
+      (void)run_experiment(cfg);
+    } else {
+      validate(cfg);
+    }
+    ADD_FAILURE() << bad.field << ": accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(bad.field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Experiment, RejectsConfigsThatWouldRunEmpty) {
+  // Each of these used to come back as a RunResult with no generated
+  // event and no error.
+  const BadConfig cases[] = {
+      {"field.side_m", [](ExperimentConfig& c) { c.field.side_m = -5.0; }},
+      {"field.side_m", [](ExperimentConfig& c) { c.field.side_m = NAN; }},
+      {"phy.queue_limit", [](ExperimentConfig& c) { c.phy.queue_limit = 0; }},
+      {"phy.bitrate_bps", [](ExperimentConfig& c) { c.phy.bitrate_bps = 0; }},
+      {"duration",
+       [](ExperimentConfig& c) { c.duration = sim::Time::seconds(-1.0); }},
+      {"source_rect",
+       [](ExperimentConfig& c) { c.source_rect = {0.0, 0.0, 80.0, 250.0}; }},
+      {"sink_rect",
+       [](ExperimentConfig& c) { c.sink_rect = {200.0, 164.0, 164.0, 200.0}; }},
+      {"interest_region",
+       [](ExperimentConfig& c) { c.interest_region = {{0.0, 0.0, NAN, 1.0}}; }},
+  };
+  for (const BadConfig& bad : cases) expect_rejected(bad, /*run=*/true);
+}
+
+TEST(Experiment, RejectsPeriodsThatNeverAdvance) {
+  // Each of these used to hang run_experiment (a timer re-armed at the
+  // same instant) or crash it (SIGFPE on a zero slot), so they are checked
+  // through validate() alone.
+  const BadConfig cases[] = {
+      {"diffusion.data_rate_hz",
+       [](ExperimentConfig& c) { c.diffusion.data_rate_hz = 0.0; }},
+      {"diffusion.data_rate_hz",
+       [](ExperimentConfig& c) { c.diffusion.data_rate_hz = -2.0; }},
+      {"diffusion.interest_period",
+       [](ExperimentConfig& c) { c.diffusion.interest_period = {}; }},
+      {"diffusion.exploratory_period",
+       [](ExperimentConfig& c) { c.diffusion.exploratory_period = {}; }},
+      {"diffusion.t_n", [](ExperimentConfig& c) { c.diffusion.t_n = {}; }},
+      {"diffusion.repair_silence",
+       [](ExperimentConfig& c) { c.diffusion.repair_silence = {}; }},
+      {"phy.slot", [](ExperimentConfig& c) { c.phy.slot = {}; }},
+  };
+  for (const BadConfig& bad : cases) expect_rejected(bad, /*run=*/false);
+}
+
+TEST(Experiment, OneMessageNamesEveryOffendingField) {
+  ExperimentConfig cfg = small_config(core::Algorithm::kGreedy, 30, 5.0);
+  cfg.field.side_m = -5.0;
+  cfg.phy.slot = sim::Time::zero();
+  cfg.failures.enabled = true;
+  cfg.failures.period = sim::Time::zero();
+  cfg.failures.fraction = 2.0;
+  try {
+    validate(cfg);
+    FAIL() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const char* field : {"field.side_m", "phy.slot", "failures.period",
+                              "failures.fraction", "source_rect"}) {
+      EXPECT_NE(what.find(field), std::string::npos) << field << ": " << what;
+    }
+  }
+}
+
+TEST(Experiment, AcceptsTheDefaultAndZeroDurationConfigs) {
+  ExperimentConfig cfg;
+  EXPECT_NO_THROW(validate(cfg));
+  cfg.duration = sim::Time::zero();
+  cfg.mac_type = MacType::kTdma;
+  EXPECT_NO_THROW(validate(cfg));
+}
+
+TEST(Experiment, ConfigDigestCoversEveryParameterStruct) {
+  // One field of each sub-struct; only the seed and the trace spec are
+  // left out of the digest.
+  const ExperimentConfig base;
+  std::vector<ExperimentConfig> variants(10, base);
+  variants[0].field.carrier_sense_range_m = 80.0;
+  variants[1].diffusion.t_p = sim::Time::seconds(2.0);
+  variants[2].diffusion.enable_truncation = false;
+  variants[3].diffusion.aggregation = agg::kLinear;
+  variants[4].phy.cw_min = 15;
+  variants[5].energy.idle_watts = 0.04;
+  variants[6].tdma.guard = sim::Time::micros(30);
+  variants[7].failures.protect_endpoints = false;
+  variants[8].interest_region = base.source_rect;
+  variants[9].duration = sim::Time::seconds(1.0);
+  const std::uint64_t d0 = config_digest(base);
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_NE(config_digest(variants[i]), d0) << "variant " << i;
+  }
+  ExperimentConfig same = base;
+  same.seed = 99;
+  same.trace.path = "trace-{seed}";
+  EXPECT_EQ(config_digest(same), d0);
 }
 
 TEST(Experiment, PaperDensityFieldIsConnected) {

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,21 @@ TEST(Trace, BinaryRoundTripPreservesHeaderAndRecords) {
   ASSERT_TRUE(reader.ok()) << reader.error();
   EXPECT_EQ(read, written);
   std::remove(path.c_str());
+}
+
+TEST(Trace, EveryKindHasOneNameUnderItsComponent) {
+  // The names are what `trace_tool dump`/`summary` print, so they must be
+  // unique and start with their component.
+  std::set<std::string> names;
+  for (std::size_t k = 0; k < kRecordKindCount; ++k) {
+    const auto kind = static_cast<RecordKind>(k);
+    const std::string name = kind_name(kind);
+    EXPECT_EQ(name.rfind(std::string{kind_component(kind)} + ".", 0), 0u)
+        << name;
+    EXPECT_TRUE(names.insert(name).second) << name;
+  }
+  EXPECT_STREQ(kind_name(RecordKind::kCount), "?");
+  EXPECT_STREQ(kind_component(static_cast<RecordKind>(999)), "?");
 }
 
 TEST(Trace, ReaderRejectsTruncatedFile) {

@@ -31,11 +31,11 @@ Rules (beyond what clang-tidy covers):
                       is disabled. Deliberate sites (the accessor itself,
                       batch guards around per-item loops) annotate with
                       `lint:trace-ok` on the line or the line above.
-  R7  one-callable    No std::function in src/ outside src/scenario/parallel.*
-                      (per-replicate work, off the event path). Event and
-                      timer callbacks are sim::InlineFn; a std::function
-                      on the event or item path reintroduces a second kind
-                      of callable and its heap fallback.
+  R7  one-callable    No std::function anywhere in src/. Event and timer
+                      callbacks are sim::InlineFn and the replicate engine
+                      takes its task as a template parameter; a
+                      std::function reintroduces a second kind of callable
+                      and its heap fallback.
 
 Exit status 0 when clean; 1 with one `path:line: [rule] message` per finding.
 """
@@ -138,7 +138,6 @@ class Linter:
         in_sim = rel.startswith("src/")
         rng_exempt = rel.startswith("src/sim/random.")
         trace_exempt = rel.startswith("src/trace/")
-        function_exempt = rel.startswith("src/scenario/parallel.")
 
         for idx, (raw, clean) in enumerate(zip(lines, code), start=1):
             if not rng_exempt and RNG_PATTERN.search(clean):
@@ -161,11 +160,10 @@ class Linter:
                                 "direct tracer sink access; use WSN_TRACE_EMIT "
                                 "(it carries the traced-off guard) or annotate "
                                 f"with {TRACE_MARK}")
-            if (in_sim and not function_exempt
-                    and STD_FUNCTION_PATTERN.search(clean)):
+            if in_sim and STD_FUNCTION_PATTERN.search(clean):
                 self.report(path, idx, "one-callable",
-                            "std::function in src/; use sim::InlineFn (only "
-                            "src/scenario/parallel.* may take std::function)")
+                            "std::function in src/; use sim::InlineFn or a "
+                            "template parameter")
             if in_sim and WALL_CLOCK_PATTERN.search(clean):
                 self.report(path, idx, "wall-clock",
                             "wall-clock read in sim code; use "
