@@ -62,8 +62,10 @@ void BM_SimulatorSelfScheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSelfScheduling);
 
-/// The shared receive core with no protocol reaction, so BM_ChannelFanout
-/// times channel fan-out, MacBase arrival bookkeeping and the event engine.
+/// The shared receive core with no protocol reaction. It never contends,
+/// so the sweeps call it only to count collisions and deliver clean frames,
+/// and BM_ChannelFanout times the channel's walk over the packed radio
+/// records (receive charge, busy key, clean arrival) and the event engine.
 class SilentMac final : public wsn::mac::MacBase {
  public:
   using MacBase::MacBase;
@@ -80,7 +82,8 @@ class SilentMac final : public wsn::mac::MacBase {
 /// transmission fans out to the full carrier-sense disc (~150 radios at
 /// this density), the per-event load of §5.1. Items are arrival starts
 /// plus ends (two per audible radio per transmission, every radio alive),
-/// so the reported rate is arrivals per second.
+/// so the reported rate is arrivals per second. Every radio only listens,
+/// the common case on the dense field: no busy/idle hook runs.
 void BM_ChannelFanout(benchmark::State& state) {
   const auto transmissions = static_cast<int>(state.range(0));
   wsn::net::FieldSpec spec;

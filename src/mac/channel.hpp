@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
+#include "mac/energy.hpp"
 #include "net/topology.hpp"
 #include "net/types.hpp"
 #include "sim/simulator.hpp"
@@ -31,11 +33,38 @@ struct Transmission {
 
 using TransmissionPtr = std::shared_ptr<Transmission>;
 
+/// Everything the channel sweeps read and write for one radio, packed so a
+/// sweep walks one array instead of the MAC objects. `MacBase` keeps a
+/// pointer to its own record; these are the only copies of its flags.
+struct RadioRecord {
+  /// Busy key (end, tx id) of the latest-ending arrival taken in since the
+  /// radio last powered up. The medium is busy while its end sweep is
+  /// pending (`Channel::end_pending`).
+  sim::Time busy_end;
+  std::uint64_t busy_id = 0;
+  /// The one arrival that can still be delivered, or null. Its id is the
+  /// busy key's. Never dangles: cleared at its own end sweep, by any
+  /// overlap, by our own transmission and at power-down.
+  const Transmission* clean = nullptr;
+  RxCharge rx;
+  bool alive = false;  ///< false until a MAC attaches
+  bool transmitting = false;
+  /// Set by the access policy while it waits for an idle medium; only a
+  /// contending radio hears `medium_became_busy`/`medium_became_idle`.
+  bool contending = false;
+};
+
 /// Broadcast medium over a unit-disk topology.
 ///
 /// When a MAC starts transmitting, every live in-range radio sees the
 /// carrier for the frame's airtime; overlapping arrivals at a receiver
 /// corrupt each other (no capture). Interference range equals radio range.
+///
+/// End sweeps dispatch in (end, tx id) order: one end event per
+/// transmission, scheduled in id order, and same-instant events are FIFO.
+/// So a radio's medium is busy exactly while it transmits or the end sweep
+/// of its busy key has not run, which one comparison with the key of the
+/// last end sweep decides — no per-radio count of arrivals in flight.
 class Channel {
  public:
   Channel(sim::Simulator& sim, const net::Topology& topo,
@@ -43,32 +72,36 @@ class Channel {
       : sim_{&sim},
         topo_{&topo},
         propagation_{propagation},
-        macs_(topo.node_count(), nullptr) {}
+        macs_(topo.node_count(), nullptr),
+        radios_(topo.node_count()) {}
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Registers the MAC serving `id`. Must be called for every node before
-  /// the simulation starts.
-  void attach(net::NodeId id, MacBase* mac) { macs_[id] = mac; }
+  /// Registers the MAC serving `id`, alive, and returns its radio record,
+  /// which lives as long as the channel. Must be called for every node
+  /// before the simulation starts.
+  RadioRecord* attach(net::NodeId id, MacBase* mac) {
+    macs_[id] = mac;
+    radios_[id].alive = true;
+    return &radios_[id];
+  }
 
   /// Starts a transmission from `src`. Exactly TWO events are scheduled —
   /// an arrival-start sweep after the propagation delay and an arrival-end
-  /// sweep one airtime later — each delivering to every audible radio in
-  /// the topology's partitioned audible-list order (decodable neighbours
+  /// sweep one airtime later — each visiting every audible radio in the
+  /// topology's partitioned audible-list order (decodable neighbours
   /// first, then carrier-sense-only, both by ascending id). Dead or
-  /// detached radios are skipped at sweep (delivery) time. Returns the
-  /// in-flight record so the transmitter can abort it (node failure
-  /// mid-frame).
+  /// detached radios are skipped. Returns the in-flight record so the
+  /// transmitter can abort it (node failure mid-frame).
   TransmissionPtr begin_transmission(net::NodeId src, net::Frame frame,
                                      FrameKind kind, sim::Time airtime);
 
   [[nodiscard]] const net::Topology& topology() const { return *topo_; }
-  /// Id of the latest transmission whose arrival-start sweep has run.
-  /// Start sweeps run in id order (one fixed propagation delay, FIFO ties),
-  /// so every transmission with a larger id is still to be swept.
-  [[nodiscard]] std::uint64_t last_start_swept() const {
-    return last_start_swept_;
+
+  /// Whether the end sweep of the arrival keyed (end, id) is still to run.
+  [[nodiscard]] bool end_pending(sim::Time end, std::uint64_t id) const {
+    return std::tie(end, id) > std::tie(last_end_, last_end_id_);
   }
 
  private:
@@ -79,8 +112,11 @@ class Channel {
   const net::Topology* topo_;
   sim::Time propagation_;
   std::vector<MacBase*> macs_;
+  std::vector<RadioRecord> radios_;  ///< by node id; never resized
   std::uint64_t next_tx_id_ = 1;
-  std::uint64_t last_start_swept_ = 0;
+  /// Key (end, tx id) of the last end sweep that ran.
+  sim::Time last_end_;
+  std::uint64_t last_end_id_ = 0;
 };
 
 }  // namespace wsn::mac

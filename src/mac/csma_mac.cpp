@@ -28,7 +28,7 @@ void CsmaMac::on_power_change(bool alive) {
   if (alive) return;
   backoff_slots_ = -1;
   cw_ = phy_.cw_min;
-  state_ = State::kIdle;
+  set_state(State::kIdle);
   difs_timer_.cancel();
   backoff_timer_.cancel();
   ack_timer_.cancel();
@@ -39,7 +39,7 @@ std::uint32_t CsmaMac::draw_backoff() {
 }
 
 void CsmaMac::start_contention() {
-  state_ = State::kContend;
+  set_state(State::kContend);
   backoff_slots_ = -1;
   if (!medium_busy()) difs_timer_.arm(phy_.difs);
   // else: wait for medium_became_idle() to arm DIFS.
@@ -48,7 +48,7 @@ void CsmaMac::start_contention() {
 void CsmaMac::medium_became_busy() {
   // Freeze: DIFS restarts and the remaining backoff resumes after the
   // medium has been idle for DIFS again.
-  if (state_ == State::kContend) freeze_contention();
+  freeze_contention();
 }
 
 void CsmaMac::freeze_contention() {
@@ -63,9 +63,7 @@ void CsmaMac::freeze_contention() {
   backoff_timer_.cancel();
 }
 
-void CsmaMac::medium_became_idle() {
-  if (state_ == State::kContend) difs_timer_.arm(phy_.difs);
-}
+void CsmaMac::medium_became_idle() { difs_timer_.arm(phy_.difs); }
 
 void CsmaMac::on_difs_elapsed() {
   if (medium_busy()) return;  // raced with an arrival; idle handler re-arms
@@ -85,10 +83,10 @@ void CsmaMac::on_difs_elapsed() {
 
 void CsmaMac::start_transmission() {
   if (queue_.empty()) {
-    state_ = State::kIdle;
+    set_state(State::kIdle);
     return;
   }
-  state_ = State::kTransmit;
+  set_state(State::kTransmit);
   transmit_head(phy_.frame_airtime(queue_.front().frame.bytes));
 }
 
@@ -106,11 +104,11 @@ void CsmaMac::on_tx_end(FrameKind sent) {
   }
 
   if (queue_.empty()) {
-    state_ = State::kIdle;
+    set_state(State::kIdle);
     return;
   }
   if (queue_.front().frame.dst != net::kBroadcast) {
-    state_ = State::kWaitAck;
+    set_state(State::kWaitAck);
     ack_timer_.arm(phy_.ack_timeout());
   } else {
     finish_current(true);
@@ -131,7 +129,7 @@ void CsmaMac::finish_current(bool success) {
   cw_ = phy_.cw_min;
   backoff_slots_ = -1;
   if (queue_.empty()) {
-    state_ = State::kIdle;
+    set_state(State::kIdle);
   } else {
     start_contention();
   }
@@ -142,7 +140,7 @@ void CsmaMac::send_ack(net::NodeId to) {
   // priority over contending stations. If we are busy transmitting at that
   // instant, the ACK is skipped (sender will retry).
   sim_->schedule_in(phy_.sifs, [this, to] {
-    if (!alive_ || transmitting_) return;
+    if (!alive() || transmitting()) return;
     // Preempt whatever contention was in progress. This can cancel a DIFS
     // but never finds a backoff stint armed: the reception we acknowledge
     // froze any stint at its start, and a new one needs DIFS > SIFS of

@@ -33,6 +33,12 @@ class CsmaMac final : public MacBase {
     kWaitAck,     ///< unicast sent, ACK pending
   };
 
+  /// Every state change goes through here: it keeps the channel's
+  /// contending flag equal to `state_ == State::kContend`.
+  void set_state(State s) {
+    state_ = s;
+    set_contending(s == State::kContend);
+  }
   void on_tx_end(FrameKind sent) override;
   void on_power_change(bool alive) override;
   void deliver(const Transmission& tx) override;

@@ -5,30 +5,32 @@
 namespace wsn::mac {
 
 void MacBase::set_alive(bool alive) {
-  if (alive == alive_) return;
-  alive_ = alive;
+  RadioRecord& r = *radio_;
+  if (alive == r.alive) return;
+  r.alive = alive;
   if (!alive) {
-    // Power down: abort any in-flight frame, drop state, stop drawing power.
+    // Power down: abort any in-flight frame, stop drawing power, and reset
+    // the record but for the receive time charged up to now. Arrivals are
+    // taken in again only from the next start sweep after power-up.
     if (outgoing_tx_) outgoing_tx_->aborted = true;
     outgoing_tx_.reset();
-    transmitting_ = false;
     audit_completed_ += queue_.size();  // power-down flush drops the queue
     queue_.clear();
-    in_flight_ = 0;
-    clean_ = nullptr;
+    const RxCharge rx = r.rx;
+    r = RadioRecord{};
+    r.rx = rx;
+    r.rx.power_down(sim_->now());
     if (tx_end_event_.valid()) {
       sim_->cancel(tx_end_event_);
       tx_end_event_ = sim::EventHandle{};
     }
-  } else {
-    powered_up_after_ = channel_->last_start_swept();
   }
-  update_radio_state();
+  meter_.set_state(sim_->now(), alive ? RadioState::kIdle : RadioState::kOff);
   on_power_change(alive);
 }
 
 bool MacBase::enqueue(net::Frame frame) {
-  if (!alive_) return false;
+  if (!alive()) return false;
   if (queue_.size() >= queue_limit_) {
     ++stats_.drops_queue_full;
     WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacDrop, id_, frame.dst,
@@ -44,10 +46,13 @@ bool MacBase::enqueue(net::Frame frame) {
 
 void MacBase::begin_tx(const net::Frame& frame, FrameKind kind,
                        sim::Time airtime) {
-  transmitting_ = true;
-  // Our own carrier corrupts anything we were mid-receiving (half duplex).
-  clean_ = nullptr;
-  update_radio_state();
+  WSN_AUDIT_CHECK(!radio_->transmitting, "transmission started mid-frame");
+  radio_->transmitting = true;
+  // Our own carrier corrupts anything we were mid-receiving (half duplex),
+  // and the receive time charged inside it becomes transmit time.
+  radio_->clean = nullptr;
+  radio_->rx.begin_tx(sim_->now(), sim_->now() + airtime);
+  meter_.set_state(sim_->now(), RadioState::kTx);
   TransmissionPtr tx = channel_->begin_transmission(id_, frame, kind, airtime);
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxStart, id_, frame.dst, tx->id,
                  frame.bytes);
@@ -74,14 +79,14 @@ void MacBase::transmit_ack(net::NodeId to, sim::Time airtime) {
 
 void MacBase::end_tx() {
   tx_end_event_ = sim::EventHandle{};
-  transmitting_ = false;
+  radio_->transmitting = false;
   // Only data frames are kept in outgoing_tx_, so its absence means the
   // frame that just ended was an ACK (traced with tx id 0).
   const FrameKind sent = outgoing_tx_ ? FrameKind::kData : FrameKind::kAck;
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxEnd, id_, trace::kNoPeer,
                  outgoing_tx_ ? outgoing_tx_->id : 0, 0);
   outgoing_tx_.reset();
-  update_radio_state();
+  meter_.set_state(sim_->now(), RadioState::kIdle);
   on_tx_end(sent);
 }
 

@@ -42,19 +42,22 @@ struct MacStats {
 /// Base class for link layers (CSMA/CA and TDMA implementations provided).
 ///
 /// Owns the radio core every MAC shares: identity, liveness, the energy
-/// meter, the user hook, the outgoing queue, the receive path and the
-/// transmit/receive bookkeeping, so every MAC counter and MAC trace record
-/// except `kMacBackoff` has exactly one emission site, here. Concrete MACs
-/// implement only the access policy: when to transmit the queue head, what
-/// a clean received frame means, and what follows the end of their own
-/// transmission.
+/// meter, the user hook, the outgoing queue and the transmit bookkeeping, so
+/// every MAC counter and MAC trace record except `kMacBackoff` has exactly
+/// one emission site, in MacBase or the channel sweeps it befriends.
+/// Concrete MACs implement only the access policy: when to transmit the
+/// queue head, what a clean received frame means, and what follows the end
+/// of their own transmission.
 ///
-/// The receive path needs no per-arrival state. There is no capture, so
-/// any overlap corrupts every frame in the air (and our own transmission
-/// corrupts whatever we were receiving): at most one arrival — a decodable
-/// one that started on an idle medium and has not been overlapped since —
-/// can still be clean. The radio keeps that one (`clean_`) plus a count of
-/// arrivals in flight.
+/// The receive state lives in the channel's packed `RadioRecord` for this
+/// node (alive, transmitting, contending, the clean arrival, the busy key
+/// and the receive-time charge), which the sweeps read without calling in
+/// here. There is no capture, so any overlap corrupts every frame in the
+/// air (and our own transmission corrupts whatever we were receiving): at
+/// most one arrival — a decodable one that started on an idle medium and
+/// has not been overlapped since — can still be clean. The sweeps call a
+/// MAC only to count a collision, to deliver its clean frame, or, while it
+/// contends, to say the medium turned busy or idle.
 class MacBase {
  public:
   MacBase(sim::Simulator& sim, Channel& channel, net::NodeId id,
@@ -64,9 +67,7 @@ class MacBase {
         id_{id},
         meter_{energy},
         queue_limit_{queue_limit},
-        powered_up_after_{channel.last_start_swept()} {
-    channel.attach(id, this);
-  }
+        radio_{channel.attach(id, this)} {}
   virtual ~MacBase() = default;
 
   MacBase(const MacBase&) = delete;
@@ -79,62 +80,33 @@ class MacBase {
   virtual void send(net::Frame frame) = 0;
 
   /// Powers the node down/up. Down: queue flushed, in-flight transmission
-  /// aborted, arrivals forgotten, zero energy draw; the access policy resets
-  /// its own timers in `on_power_change`. Up: arrivals whose start sweep ran
-  /// before this instant are ignored when they end.
+  /// aborted, arrivals forgotten (with the receive time charged ahead of
+  /// now), zero energy draw; the access policy resets its own timers in
+  /// `on_power_change`. Up: only arrivals whose start sweep runs from now
+  /// on are taken in.
   void set_alive(bool alive);
 
-  [[nodiscard]] bool alive() const { return alive_; }
+  [[nodiscard]] bool alive() const { return radio_->alive; }
   [[nodiscard]] net::NodeId id() const { return id_; }
   [[nodiscard]] const MacStats& stats() const { return stats_; }
   /// Whether the radio is transmitting or receiving any arrival.
   [[nodiscard]] bool medium_busy() const {
-    return transmitting_ || in_flight_ > 0;
+    return radio_->transmitting ||
+           channel_->end_pending(radio_->busy_end, radio_->busy_id);
   }
 
   /// Energy consumed up to `now`.
   [[nodiscard]] double energy_joules(sim::Time now) const {
-    return meter_.joules(now);
+    return meter_.joules(now, radio_->rx.ns_at(now));
   }
   /// Energy consumed transmitting/receiving only (no idle floor).
   [[nodiscard]] double active_energy_joules(sim::Time now) const {
-    return meter_.active_joules(now);
+    return meter_.active_joules(now, radio_->rx.ns_at(now));
   }
-  /// The radio's time per state, for harvest-time energy totals.
-  [[nodiscard]] const EnergyMeter& meter() const { return meter_; }
-
-  // --- Channel-facing interface (called by Channel's scheduled events) ---
-  /// `decodable` is false for carrier-sense-only arrivals (audible but out
-  /// of radio range): they occupy the medium and cost receive energy but
-  /// can never be delivered. Every overlap counts one collision per
-  /// decodable frame it corrupts: the clean victim first, then the
-  /// newcomer. Inline and non-virtual so each channel sweep compiles to
-  /// one loop; MACs react through the hooks below, which run only when the
-  /// medium changes state or a frame is delivered.
-  void arrival_start(const TransmissionPtr& tx, bool decodable) {
-    const bool was_busy = medium_busy();
-    if (clean_ != nullptr) {
-      count_collision(*clean_);
-      clean_ = nullptr;
-    }
-    if (was_busy && decodable) count_collision(*tx);
-    if (!was_busy && decodable) clean_ = tx.get();
-    ++in_flight_;
-    audit_receive_path();
-    update_radio_state();
-    if (!was_busy) medium_became_busy();
-  }
-
-  void arrival_end(const TransmissionPtr& tx) {
-    if (tx->id <= powered_up_after_) return;  // never counted in
-    WSN_AUDIT_CHECK(in_flight_ > 0, "arrival ended with none in flight");
-    --in_flight_;
-    const bool clean = clean_ == tx.get();
-    if (clean) clean_ = nullptr;
-    audit_receive_path();
-    update_radio_state();
-    if (clean && !tx->aborted) deliver(*tx);
-    if (!medium_busy()) medium_became_idle();
+  /// Nanoseconds the radio spent in `s` up to `now`, for harvest-time
+  /// energy totals.
+  [[nodiscard]] std::int64_t residence_ns(RadioState s, sim::Time now) const {
+    return meter_.residence_ns(s, now, radio_->rx.ns_at(now));
   }
 
  protected:
@@ -151,25 +123,17 @@ class MacBase {
   virtual void on_power_change(bool alive) = 0;
   /// A decodable frame ended intact (not overlapped, not aborted).
   virtual void deliver(const Transmission& tx) = 0;
-  /// An arrival started while the radio was neither transmitting nor
-  /// receiving. Default: ignore.
+  /// An arrival started while the radio was contending, neither
+  /// transmitting nor receiving. Default: ignore.
   virtual void medium_became_busy() {}
-  /// The last arrival in flight ended and the radio is not transmitting.
-  /// Called after `deliver`. Default: ignore.
+  /// The last arrival in flight ended while the radio was contending and
+  /// not transmitting. Called after `deliver`. Default: ignore.
   virtual void medium_became_idle() {}
 
-  /// Derives the radio state from liveness, transmission and arrivals.
-  void update_radio_state() {
-    RadioState s = RadioState::kIdle;
-    if (!alive_) {
-      s = RadioState::kOff;
-    } else if (transmitting_) {
-      s = RadioState::kTx;
-    } else if (in_flight_ > 0) {
-      s = RadioState::kRx;
-    }
-    meter_.set_state(sim_->now(), s);
-  }
+  [[nodiscard]] bool transmitting() const { return radio_->transmitting; }
+  /// The access policy says whether it is waiting for an idle medium; the
+  /// busy/idle hooks reach only a contending radio. Power-down clears it.
+  void set_contending(bool contending) { radio_->contending = contending; }
 
   /// Queue admission: stamps and queues `frame`, or counts and traces a
   /// queue-full drop. Returns whether the frame was queued.
@@ -189,14 +153,14 @@ class MacBase {
   net::NodeId id_;
   EnergyMeter meter_;
   MacUser* user_ = nullptr;
-  bool alive_ = true;
   MacStats stats_;
 
   std::size_t queue_limit_;
   sim::RingQueue<Outgoing> queue_;
-  bool transmitting_ = false;
 
  private:
+  friend class Channel;  // the sweeps count collisions and call the hooks
+
   void begin_tx(const net::Frame& frame, FrameKind kind, sim::Time airtime);
   void end_tx();
   /// Counts and traces one corrupted arrival of a decodable frame.
@@ -205,26 +169,13 @@ class MacBase {
     WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacCollision, id_, tx.src, tx.id,
                    0);
   }
-  void audit_receive_path() const {
-    WSN_AUDIT_CHECK(clean_ == nullptr || (in_flight_ == 1 && !transmitting_),
-                    "clean arrival while another arrival or our own "
-                    "transmission overlaps it");
-  }
   void audit_frame_conservation() const {
     WSN_AUDIT_CHECK(audit_accepted_ == audit_completed_ + queue_.size(),
                     "MAC frame conservation broken: accepted != "
                     "completed + queued");
   }
 
-  std::uint32_t in_flight_ = 0;  ///< arrivals being received, any kind
-  /// The one arrival that can still be delivered, or null. Never dangles:
-  /// it is cleared at its own end, by any overlap, and at power-down.
-  const Transmission* clean_ = nullptr;
-  /// Id of the last transmission start-swept before this radio's latest
-  /// power-up (or construction). Arrivals up to it were never counted in,
-  /// so their ends are ignored.
-  std::uint64_t powered_up_after_;
-
+  RadioRecord* radio_;  ///< this node's entry in the channel's array
   TransmissionPtr outgoing_tx_;  ///< in-flight data frame (for abort)
   sim::EventHandle tx_end_event_;
 

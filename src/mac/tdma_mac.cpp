@@ -37,7 +37,7 @@ void TdmaMac::on_power_change(bool alive) {
 
 void TdmaMac::on_slot_start() {
   schedule_next_slot();
-  if (!alive_ || queue_.empty() || transmitting_) return;
+  if (!alive() || queue_.empty() || transmitting()) return;
   const net::Frame& head = queue_.front().frame;
   awaiting_ack_ = head.dst != net::kBroadcast;
   transmit_head(phy_.frame_airtime(head.bytes));
@@ -53,7 +53,7 @@ void TdmaMac::on_tx_end(FrameKind sent) {
   const sim::Time window =
       phy_.sifs + phy_.ack_airtime() + params_.guard + sim::Time::micros(4);
   sim_->schedule_in(window, [this] {
-    if (!alive_ || !awaiting_ack_ || queue_.empty()) return;
+    if (!alive() || !awaiting_ack_ || queue_.empty()) return;
     awaiting_ack_ = false;
     // Otherwise the frame stays queued for our next slot.
     if (++queue_.front().attempts > params_.max_retries) complete_head(false);
@@ -73,7 +73,7 @@ void TdmaMac::deliver(const Transmission& tx) {
   if (f.dst == id_) {
     // Acknowledge inside the sender's slot, a SIFS after the data.
     sim_->schedule_in(phy_.sifs, [this, to = f.src] {
-      if (!alive_ || transmitting_) return;
+      if (!alive() || transmitting()) return;
       transmit_ack(to, phy_.ack_airtime());
     });
   }

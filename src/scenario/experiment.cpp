@@ -319,7 +319,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
       const auto state = static_cast<mac::RadioState>(s);
       WSN_TRACE_EMIT(&sim, trace::RecordKind::kEnergyTotal, m->id(),
                      trace::kNoPeer, s,
-                     m->meter().residence_ns(state, sim.now()));
+                     m->residence_ns(state, sim.now()));
     }
     const auto& st = m->stats();
     result.frames_sent += st.frames_sent + st.acks_sent;

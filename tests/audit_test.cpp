@@ -44,11 +44,32 @@ TEST(Audit, EnergyTimeReversalIsCaught) {
   sim::audit::set_abort_on_violation(false);
   sim::audit::reset_violations();
   mac::EnergyMeter meter{mac::EnergyParams{}};
-  meter.set_state(Time::seconds(2.0), mac::RadioState::kRx);
-  (void)meter.joules(Time::seconds(1.0));  // read before the transition
+  meter.set_state(Time::seconds(2.0), mac::RadioState::kTx);
+  (void)meter.joules(Time::seconds(1.0), 0);  // read before the transition
   EXPECT_GE(sim::audit::violations(), 1u);
   sim::audit::reset_violations();
   meter.set_state(Time::seconds(1.0), mac::RadioState::kIdle);  // backwards
+  EXPECT_GE(sim::audit::violations(), 1u);
+  sim::audit::reset_violations();
+  sim::audit::set_abort_on_violation(true);
+}
+
+TEST(Audit, ReceiveChargeOutsideIdleTimeIsCaught) {
+  sim::audit::set_abort_on_violation(false);
+  sim::audit::reset_violations();
+  mac::EnergyMeter meter{mac::EnergyParams{}};
+  meter.set_state(Time::seconds(1.0), mac::RadioState::kTx);
+  meter.set_state(Time::seconds(2.0), mac::RadioState::kIdle);
+  const Time now = Time::seconds(3.0);
+  // Two seconds alive and not transmitting: more receive time than that,
+  // or less than none, is a broken charge.
+  (void)meter.joules(now, Time::seconds(2.5).as_nanos());
+  EXPECT_GE(sim::audit::violations(), 1u);
+  sim::audit::reset_violations();
+  (void)meter.active_joules(now, -1);
+  EXPECT_GE(sim::audit::violations(), 1u);
+  sim::audit::reset_violations();
+  meter.set_state(now, mac::RadioState::kRx);  // Rx is not a meter state
   EXPECT_GE(sim::audit::violations(), 1u);
   sim::audit::reset_violations();
   sim::audit::set_abort_on_violation(true);
@@ -58,11 +79,19 @@ TEST(Audit, MonotoneEnergyAccumulationIsClean) {
   sim::audit::set_abort_on_violation(false);
   sim::audit::reset_violations();
   mac::EnergyMeter meter{mac::EnergyParams{}};
-  meter.set_state(Time::zero(), mac::RadioState::kTx);
-  (void)meter.joules(Time::seconds(1.0));
+  mac::RxCharge rx;
+  rx.arrive(Time::zero(), Time::seconds(0.5));
+  meter.set_state(Time::zero(), mac::RadioState::kTx);  // Tx over the arrival
+  rx.begin_tx(Time::zero(), Time::seconds(1.5));
+  (void)meter.joules(Time::seconds(1.0), rx.ns_at(Time::seconds(1.0)));
   meter.set_state(Time::seconds(1.5), mac::RadioState::kIdle);
-  const Time end = Time::seconds(3.0);
-  EXPECT_GE(meter.joules(end), meter.active_joules(end));
+  rx.arrive(Time::seconds(2.0), Time::seconds(4.0));
+  const Time end = Time::seconds(3.0);  // mid-arrival
+  EXPECT_EQ(rx.ns_at(end), Time::seconds(1.0).as_nanos());
+  EXPECT_EQ(meter.residence_ns(mac::RadioState::kIdle, end, rx.ns_at(end)),
+            Time::seconds(0.5).as_nanos());
+  EXPECT_GE(meter.joules(end, rx.ns_at(end)),
+            meter.active_joules(end, rx.ns_at(end)));
   EXPECT_EQ(sim::audit::violations(), 0u);
   sim::audit::set_abort_on_violation(true);
 }
@@ -74,10 +103,11 @@ TEST(Audit, DisabledBuildPerformsNoChecks) {
   q.schedule(Time::millis(1), [] {});
   q.pop().fn();
   mac::EnergyMeter meter{mac::EnergyParams{}};
-  meter.set_state(Time::seconds(1.0), mac::RadioState::kRx);
-  // Both calls below would violate in an audit build.
-  (void)meter.joules(Time::zero());
-  meter.set_state(Time::zero(), mac::RadioState::kIdle);
+  meter.set_state(Time::seconds(1.0), mac::RadioState::kTx);
+  // Every call below would violate in an audit build.
+  (void)meter.joules(Time::zero(), 0);
+  (void)meter.joules(Time::seconds(2.0), -1);
+  meter.set_state(Time::zero(), mac::RadioState::kRx);
   EXPECT_EQ(sim::audit::checks_performed(), 0u);
   EXPECT_EQ(sim::audit::violations(), 0u);
 }

@@ -92,6 +92,34 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(digest_run(a), digest_run(b));
 }
 
+/// Metric digests pinned for three small configs, so a change to the
+/// receive path, the MACs or the energy model that moves any metric fails
+/// here and not only in the benchmark. A deliberate model change updates
+/// these values and says so.
+TEST(Determinism, GoldenMetricDigests) {
+  ExperimentConfig csma_greedy;
+  csma_greedy.field.nodes = 80;
+  csma_greedy.duration = sim::Time::seconds(60.0);
+  csma_greedy.seed = 3;
+
+  ExperimentConfig opportunistic_failures = csma_greedy;
+  opportunistic_failures.algorithm = core::Algorithm::kOpportunistic;
+  opportunistic_failures.failures.enabled = true;
+  opportunistic_failures.failures.period = sim::Time::seconds(10.0);
+
+  ExperimentConfig tdma_failures = csma_greedy;
+  tdma_failures.mac_type = scenario::MacType::kTdma;
+  tdma_failures.failures.enabled = true;
+  tdma_failures.failures.period = sim::Time::seconds(10.0);
+
+  EXPECT_EQ(stats::digest_of(run_experiment(csma_greedy).metrics),
+            0x8a321c51371868f3ULL);
+  EXPECT_EQ(stats::digest_of(run_experiment(opportunistic_failures).metrics),
+            0xb69ee5a02cb2fd52ULL);
+  EXPECT_EQ(stats::digest_of(run_experiment(tdma_failures).metrics),
+            0x7d60afa43c41a7abULL);
+}
+
 TEST(Determinism, DigestIsOrderSensitive) {
   stats::Digest d1;
   d1.add(std::uint64_t{1});

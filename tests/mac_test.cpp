@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <numbers>
@@ -159,24 +160,33 @@ TEST(Energy, TransmitAndReceiveAreCharged) {
 }
 
 TEST(Energy, SplitResidenceChargesBitEqual) {
-  // A same-state refresh only splits a residence: one second of Rx charged
-  // in one piece or in two must give the same bits. The split point is one
-  // where charging each piece in floating point would not
-  // (0.395 · 0.123456789 + 0.395 · 0.876543211 rounds to 0.3950000000000001).
+  // Splitting a residence must not change the bits: one second of Rx
+  // charged as one arrival, or as two back-to-back arrivals plus one nested
+  // inside them, with the meter refreshed in between, gives the same
+  // joules. The split point is one where charging each piece in floating
+  // point would not (0.395 · 0.123456789 + 0.395 · 0.876543211 rounds to
+  // 0.3950000000000001).
   const EnergyParams params;
   const sim::Time end = sim::Time::seconds(1.0);
-  EnergyMeter whole{params};
-  whole.set_state(sim::Time::zero(), RadioState::kRx);
-  whole.set_state(end, RadioState::kIdle);
-  EnergyMeter split{params};
-  split.set_state(sim::Time::zero(), RadioState::kRx);
-  split.set_state(sim::Time::nanos(123'456'789), RadioState::kRx);
-  split.set_state(end, RadioState::kIdle);
+  const sim::Time cut = sim::Time::nanos(123'456'789);
+  EnergyMeter whole_meter{params};
+  RxCharge whole;
+  whole.arrive(sim::Time::zero(), end);
+  EnergyMeter split_meter{params};
+  split_meter.set_state(cut, RadioState::kIdle);
+  RxCharge split;
+  split.arrive(sim::Time::zero(), cut);
+  split.arrive(cut, end);
+  split.arrive(cut, cut + sim::Time::millis(1));
 
-  EXPECT_EQ(split.residence_ns(RadioState::kRx, end), end.as_nanos());
-  EXPECT_EQ(whole.joules(end), params.rx_watts);
-  EXPECT_EQ(split.joules(end), whole.joules(end));
-  EXPECT_EQ(split.active_joules(end), whole.active_joules(end));
+  EXPECT_EQ(split.ns_at(end), end.as_nanos());
+  EXPECT_EQ(split_meter.residence_ns(RadioState::kRx, end, split.ns_at(end)),
+            end.as_nanos());
+  EXPECT_EQ(whole_meter.joules(end, whole.ns_at(end)), params.rx_watts);
+  EXPECT_EQ(split_meter.joules(end, split.ns_at(end)),
+            whole_meter.joules(end, whole.ns_at(end)));
+  EXPECT_EQ(split_meter.active_joules(end, split.ns_at(end)),
+            whole_meter.active_joules(end, whole.ns_at(end)));
 }
 
 TEST(Energy, DeadNodeDrawsNothing) {
@@ -303,6 +313,97 @@ void inject_at(MacRig& rig, sim::Time at, net::NodeId src, sim::Time airtime,
     auto tx = inject(rig, src, airtime);
     if (out != nullptr) *out = std::move(tx);
   });
+}
+
+/// Receive time is charged when an arrival starts; these pin the
+/// residences it must add up to, node 1's Off/Idle/Rx/Tx in that order.
+/// TDMA transmits in its slot without carrier sense, so node 1's own frame
+/// goes out at a known time over arrivals injected from nodes 0 and 2
+/// (hidden from each other). Node 1's slot starts at one TDMA slot and its
+/// 64-byte frame is on the air for `frame_airtime(64)`.
+class RxChargeCase : public ::testing::Test {
+ protected:
+  static constexpr sim::Time us(std::int64_t n) { return sim::Time::micros(n); }
+
+  MacRig rig_{{{-30, 0}, {0, 0}, {30, 0}}, 40.0, 0.0, MacKind::kTdma};
+  const sim::Time slot_ = rig_.tdma().slot(rig_.phy());
+  const sim::Time air_ = rig_.phy().frame_airtime(64);
+
+  /// A raw frame from `src` begun at `at`: it reaches node 1 over
+  /// [at + 1 us, at + 1 us + airtime).
+  void raw(net::NodeId src, sim::Time at, sim::Time airtime) {
+    inject_at(rig_, at, src, airtime);
+  }
+  void power_at(sim::Time at, bool alive) {
+    rig_.sim().schedule_at(at, [this, alive] { rig_.mac(1).set_alive(alive); });
+  }
+  /// Node 1's residences at `at`, in ns.
+  std::array<std::int64_t, kRadioStateCount> at(sim::Time when) {
+    rig_.sim().run_until(when);
+    std::array<std::int64_t, kRadioStateCount> out{};
+    for (std::size_t s = 0; s < kRadioStateCount; ++s) {
+      out[s] = rig_.mac(1).residence_ns(static_cast<RadioState>(s), when);
+    }
+    return out;
+  }
+  static std::array<std::int64_t, kRadioStateCount> want(sim::Time off,
+                                                         sim::Time idle,
+                                                         sim::Time rx,
+                                                         sim::Time tx) {
+    return {off.as_nanos(), idle.as_nanos(), rx.as_nanos(), tx.as_nanos()};
+  }
+};
+
+TEST_F(RxChargeCase, OverlappingArrivalsChargeTheirUnion) {
+  raw(0, us(100), us(500));  // [101, 601)
+  raw(2, us(300), us(500));  // [301, 801)
+  EXPECT_EQ(at(us(1000)), want(us(0), us(300), us(700), us(0)));
+}
+
+TEST_F(RxChargeCase, ArrivalSpanningOurOwnTxStart) {
+  rig_.mac(1).send(MacRig::frame(net::kBroadcast));
+  const sim::Time arrive = slot_ - us(200);
+  raw(0, arrive - us(1), us(500));  // ends inside our frame
+  const sim::Time end = us(4000);
+  EXPECT_EQ(at(end), want(us(0), end - us(200) - air_, us(200), air_));
+}
+
+TEST_F(RxChargeCase, ArrivalStartingDuringOurTx) {
+  rig_.mac(1).send(MacRig::frame(net::kBroadcast));
+  const sim::Time arrive = slot_ + us(100);
+  raw(0, arrive - us(1), us(800));  // outlasts our frame
+  const sim::Time rx = arrive + us(800) - (slot_ + air_);
+  const sim::Time end = us(4000);
+  EXPECT_EQ(at(end), want(us(0), end - rx - air_, rx, air_));
+}
+
+TEST_F(RxChargeCase, PowerDownMidArrival) {
+  raw(0, us(100), us(500));  // [101, 601)
+  power_at(us(300), false);
+  EXPECT_EQ(at(us(1000)), want(us(700), us(101), us(199), us(0)));
+}
+
+TEST_F(RxChargeCase, PowerDownMidTxWithAnArrivalInFlight) {
+  rig_.mac(1).send(MacRig::frame(net::kBroadcast));
+  raw(0, slot_ + us(99), us(800));  // reaches us 100 us into our frame
+  const sim::Time down = slot_ + us(300);
+  power_at(down, false);
+  const sim::Time end = us(4000);
+  EXPECT_EQ(at(end), want(end - down, slot_, us(0), us(300)));
+}
+
+TEST_F(RxChargeCase, DownUpCycleIgnoresArrivalsFromBeforePowerUp) {
+  raw(0, us(100), us(500));  // [101, 601): cut at 200, ignored after 300
+  power_at(us(200), false);
+  power_at(us(300), true);
+  raw(2, us(400), us(500));  // [401, 901)
+  EXPECT_EQ(at(us(1000)), want(us(100), us(301), us(599), us(0)));
+}
+
+TEST_F(RxChargeCase, HarvestMidArrivalCountsOnlyTheElapsedPart) {
+  raw(0, us(100), us(500));  // [101, 601)
+  EXPECT_EQ(at(us(400)), want(us(0), us(101), us(299), us(0)));
+  EXPECT_EQ(at(us(1000)), want(us(0), us(500), us(500), us(0)));
 }
 
 /// The receive path is shared, so both MACs must count collisions alike:
@@ -555,6 +656,153 @@ TEST(MacBackoff, ArrivalDuringDifsConsumesNoSlot) {
   EXPECT_EQ(run.tx_start, at + u.airtime + u.phy.difs + u.phy.slot * u.n);
 }
 
+// Same-instant ties around "medium idle". Each runs in every order the
+// event queue can produce and pins the outcome: when node 0 draws its
+// backoff and when it transmits. A tie's order is the order in which its
+// two events were scheduled.
+
+/// Node 0 of a two-node clique under a channel with propagation `prop`;
+/// node 1's MAC stays silent. `script` schedules sends, raw frames from
+/// node 1 and power changes; returns node 0's first draw and transmission.
+template <class Script>
+FreezeRun run_tie(sim::Time prop, const Script& script) {
+  sim::Simulator sim;
+  const net::Topology topo{{{0, 0}, {10, 0}}, 40.0};
+  Channel channel{sim, topo, prop};
+  const PhyParams phy;
+  const EnergyParams energy;
+  CsmaMac m0{sim, channel, 0, phy, energy, sim::Rng{100}};
+  CsmaMac m1{sim, channel, 1, phy, energy, sim::Rng{101}};
+  trace::Tracer tracer{trace::Tracer::Options{
+      .path = "", .ring_capacity = 256, .seed = 0, .config_digest = 0}};
+  sim.set_tracer(&tracer);
+  const auto raw = [&sim, &channel](sim::Time at, sim::Time airtime) {
+    sim.schedule_at(at, [&channel, airtime] {
+      net::Frame f = MacRig::frame(net::kBroadcast);
+      f.src = 1;
+      channel.begin_transmission(1, std::move(f), FrameKind::kData, airtime);
+    });
+  };
+  const auto send = [&sim, &m0](sim::Time at) {
+    sim.schedule_at(at,
+                    [&m0] { m0.send(MacRig::frame(net::kBroadcast)); });
+  };
+  script(sim, m0, raw, send);
+  sim.run();
+  sim.set_tracer(nullptr);
+  FreezeRun run;
+  for (const trace::Record& r : tracer.ring_snapshot()) {
+    if (r.node != 0) continue;
+    if (r.kind == trace::RecordKind::kMacBackoff && run.slots_drawn < 0) {
+      run.slots_drawn = static_cast<std::int64_t>(r.a);
+      run.drawn_at = sim::Time::nanos(r.t_ns);
+    } else if (r.kind == trace::RecordKind::kMacTxStart &&
+               run.tx_start == sim::Time::zero()) {
+      run.tx_start = sim::Time::nanos(r.t_ns);
+    }
+  }
+  return run;
+}
+
+TEST(MacBackoff, ContentionStartingAsTheLastArrivalEndsWaitsDifsFromThen) {
+  // Frame X reaches node 0 over [1, 301) us. Node 0 starts contending at
+  // 301 us, before or after X's end sweep: either it finds the medium
+  // busy and X's end signals idle, or it finds it idle. Both arm DIFS at
+  // 301 us.
+  const Undisturbed u;
+  const sim::Time end = u.phy.propagation + u.airtime;
+  for (bool send_first : {true, false}) {
+    const FreezeRun run = run_tie(
+        u.phy.propagation, [&](sim::Simulator& sim, MacBase& /*m0*/,
+                               const auto& raw, const auto& send) {
+          raw(sim::Time::zero(), u.airtime);  // end sweep scheduled at 0
+          if (send_first) {
+            send(end);  // scheduled now, before the end sweep exists
+          } else {
+            sim.schedule_at(sim::Time::micros(10), [&send, end] { send(end); });
+          }
+        });
+    EXPECT_EQ(run.slots_drawn, u.n) << "send first: " << send_first;
+    EXPECT_EQ(run.drawn_at, end + u.phy.difs) << "send first: " << send_first;
+    EXPECT_EQ(run.tx_start, end + u.phy.difs + u.phy.slot * u.n)
+        << "send first: " << send_first;
+  }
+}
+
+TEST(MacBackoff, DifsExpiringAsAnArrivalStartsEitherOrder) {
+  // With a propagation delay of DIFS, a frame begun at the instant node 0
+  // starts contending reaches it exactly when DIFS expires; the order of
+  // the send and the frame decides which event runs first. DIFS first:
+  // the backoff is drawn, then frozen with no slot spent. Arrival first:
+  // DIFS is cancelled and the draw waits for the next idle DIFS. Either
+  // way node 0 transmits a DIFS plus the same n slots after the frame.
+  const Undisturbed u;
+  const sim::Time prop = u.phy.difs;
+  const sim::Time at = sim::Time::micros(50);
+  const sim::Time expiry = at + u.phy.difs;
+  const sim::Time idle_difs = at + prop + u.airtime + u.phy.difs;
+  for (bool difs_first : {true, false}) {
+    const FreezeRun run = run_tie(
+        prop, [&](sim::Simulator& /*sim*/, MacBase& /*m0*/, const auto& raw,
+                  const auto& send) {
+          if (difs_first) {
+            send(at);
+            raw(at, u.airtime);
+          } else {
+            raw(at, u.airtime);
+            send(at);
+          }
+        });
+    EXPECT_EQ(run.slots_drawn, u.n) << "DIFS first: " << difs_first;
+    EXPECT_EQ(run.drawn_at, difs_first ? expiry : idle_difs)
+        << "DIFS first: " << difs_first;
+    EXPECT_EQ(run.tx_start, idle_difs + u.phy.slot * u.n)
+        << "DIFS first: " << difs_first;
+  }
+}
+
+TEST(MacBackoff, NextArrivalStartingAsTheLastEndsFreezesTheNewDifs) {
+  // A reaches node 0 over [11, 311) us and B over [311, 611) us. A's end
+  // sweep always runs before B's start sweep at 311 us (it was scheduled
+  // earlier, when A began), so node 0 sees idle, arms DIFS, and B cancels
+  // it at once. The draw waits for DIFS after B.
+  const Undisturbed u;
+  const sim::Time a_start = sim::Time::micros(10);
+  const sim::Time b_start = a_start + u.airtime;
+  const sim::Time b_end = b_start + u.phy.propagation + u.airtime;
+  const FreezeRun run =
+      run_tie(u.phy.propagation, [&](sim::Simulator& /*sim*/,
+                                     MacBase& /*m0*/, const auto& raw,
+                                     const auto& send) {
+        send(sim::Time::zero());
+        raw(a_start, u.airtime);
+        raw(b_start, u.airtime);
+      });
+  EXPECT_EQ(run.slots_drawn, u.n);
+  EXPECT_EQ(run.drawn_at, b_end + u.phy.difs);
+  EXPECT_EQ(run.tx_start, b_end + u.phy.difs + u.phy.slot * u.n);
+}
+
+TEST(MacBackoff, DifsExpiringAsAnIgnoredArrivalEnds) {
+  // Node 0 is down when frame X's start sweep runs, so X never makes it
+  // busy. Back up, it contends so that DIFS expires exactly at X's end
+  // sweep (which runs first: it was scheduled when X began). X's end is
+  // no idle signal to node 0 and does not disturb the expiry.
+  const Undisturbed u;
+  const sim::Time x_end = u.phy.propagation + u.airtime;
+  const FreezeRun run =
+      run_tie(u.phy.propagation, [&](sim::Simulator& sim, MacBase& m0,
+                                     const auto& raw, const auto& send) {
+        m0.set_alive(false);
+        raw(sim::Time::zero(), u.airtime);
+        sim.schedule_at(sim::Time::micros(100), [&m0] { m0.set_alive(true); });
+        send(x_end - u.phy.difs);
+      });
+  EXPECT_EQ(run.slots_drawn, u.n);
+  EXPECT_EQ(run.drawn_at, x_end);
+  EXPECT_EQ(run.tx_start, x_end + u.phy.slot * u.n);
+}
+
 // DCF oracle (Bianchi, "Performance analysis of the IEEE 802.11
 // distributed coordination function", IEEE JSAC 18(3), 2000). N saturated
 // senders in one clique see a per-attempt collision probability p that
@@ -648,10 +896,12 @@ INSTANTIATE_TEST_SUITE_P(Clique, DcfOracle, ::testing::Values(5, 10, 20),
 
 /// Records the channel sweeps through the receive core's hooks. Node 0 is
 /// the only transmitter and its frames never overlap, so every arrival
-/// start finds an idle medium (one `medium_became_busy`) and every end
-/// empties it (one `medium_became_idle`). A start is logged with whether
-/// the radio is in node 0's radio range; `deliver` then shows that the
-/// sweep passed that decodable flag on: only in-range radios receive.
+/// start finds an idle medium and every end empties it. A contending
+/// radio therefore hears one `medium_became_busy` per start and one
+/// `medium_became_idle` per end; a radio that only listens hears neither.
+/// A start is logged with whether the radio is in node 0's radio range;
+/// `deliver` then shows that the sweep passed that decodable flag on: only
+/// in-range radios receive.
 struct SweepLog {
   std::vector<std::pair<net::NodeId, bool>> starts;
   std::vector<net::NodeId> ends;
@@ -661,14 +911,19 @@ struct SweepLog {
 class RecorderMac final : public MacBase {
  public:
   RecorderMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
-              const EnergyParams& energy, SweepLog& log)
-      : MacBase{sim, channel, id, energy, 0}, log_{&log} {}
+              const EnergyParams& energy, SweepLog& log, bool contends)
+      : MacBase{sim, channel, id, energy, 0}, log_{&log}, contends_{contends} {
+    set_contending(contends_);
+  }
 
   void send(net::Frame /*frame*/) override {}
 
  private:
   void on_tx_end(FrameKind /*sent*/) override {}
-  void on_power_change(bool /*alive*/) override {}
+  // Power-down clears the flag; a revived contender contends again.
+  void on_power_change(bool alive) override {
+    set_contending(alive && contends_);
+  }
   void medium_became_busy() override {
     const auto in_range = channel_->topology().neighbors(0);
     log_->starts.emplace_back(
@@ -681,14 +936,15 @@ class RecorderMac final : public MacBase {
   void medium_became_idle() override { log_->ends.push_back(id()); }
 
   SweepLog* log_;
+  bool contends_;
 };
 
-TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
+/// Runs the two-frame script of the test below: node 0 broadcasts once
+/// with node 2 dead, then again after reviving node 2, with node 3 dying
+/// between that frame's sweeps. Returns the log of each frame.
+std::pair<SweepLog, SweepLog> sweep_script(bool contends) {
   // Node 0 transmits. Nodes 1–3 are decodable (within 40 m), nodes 4–5
-  // only carrier-sense the frame (within 80 m). The batched sweeps must
-  // deliver in partitioned audible-list order — decodable prefix by id,
-  // then CS-only by id — with the dead node (2) silently skipped, and
-  // each sweep must be a single event.
+  // only carrier-sense the frame (within 80 m).
   sim::Simulator sim;
   const net::Topology topo{
       {{0, 0}, {10, 0}, {20, 0}, {30, 0}, {50, 0}, {70, 0}}, 40.0, 80.0};
@@ -697,43 +953,63 @@ TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
   SweepLog log;
   std::vector<std::unique_ptr<RecorderMac>> macs;
   for (net::NodeId i = 0; i < topo.node_count(); ++i) {
-    macs.push_back(std::make_unique<RecorderMac>(sim, channel, i, energy, log));
+    macs.push_back(
+        std::make_unique<RecorderMac>(sim, channel, i, energy, log, contends));
   }
   macs[2]->set_alive(false);
-
-  net::Frame f;
-  f.src = 0;
-  f.dst = net::kBroadcast;
-  f.bytes = 64;
-  channel.begin_transmission(0, std::move(f), FrameKind::kData,
-                             sim::Time::micros(500));
+  const auto broadcast = [&channel] {
+    net::Frame f;
+    f.src = 0;
+    f.dst = net::kBroadcast;
+    f.bytes = 64;
+    channel.begin_transmission(0, std::move(f), FrameKind::kData,
+                               sim::Time::micros(500));
+  };
+  broadcast();
   // Two events total on the queue: the start sweep and the end sweep.
   EXPECT_EQ(sim.events_pending(), 2u);
   sim.run();
-
-  const std::vector<std::pair<net::NodeId, bool>> want_starts{
-      {1, true}, {3, true}, {4, false}, {5, false}};
-  EXPECT_EQ(log.starts, want_starts);
-  EXPECT_EQ(log.ends, (std::vector<net::NodeId>{1, 3, 4, 5}));
-  EXPECT_EQ(log.delivered, (std::vector<net::NodeId>{1, 3}));
+  const SweepLog first = log;
 
   // A node that dies between the sweeps misses the end sweep too.
   log = SweepLog{};
   macs[2]->set_alive(true);
-  net::Frame g;
-  g.src = 0;
-  g.dst = net::kBroadcast;
-  g.bytes = 64;
-  channel.begin_transmission(0, std::move(g), FrameKind::kData,
-                             sim::Time::micros(500));
+  broadcast();
   sim.schedule_in(sim::Time::micros(100),
                   [&macs] { macs[3]->set_alive(false); });
   sim.run();
+  return {first, log};
+}
+
+TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
+  // The batched sweeps must reach contending radios in partitioned
+  // audible-list order — decodable prefix by id, then CS-only by id — with
+  // the dead node (2) silently skipped, and each sweep must be a single
+  // event.
+  const auto [first, second] = sweep_script(/*contends=*/true);
+  const std::vector<std::pair<net::NodeId, bool>> want_starts{
+      {1, true}, {3, true}, {4, false}, {5, false}};
+  EXPECT_EQ(first.starts, want_starts);
+  EXPECT_EQ(first.ends, (std::vector<net::NodeId>{1, 3, 4, 5}));
+  EXPECT_EQ(first.delivered, (std::vector<net::NodeId>{1, 3}));
+
   const std::vector<std::pair<net::NodeId, bool>> want_starts2{
       {1, true}, {2, true}, {3, true}, {4, false}, {5, false}};
-  EXPECT_EQ(log.starts, want_starts2);
-  EXPECT_EQ(log.ends, (std::vector<net::NodeId>{1, 2, 4, 5}));
-  EXPECT_EQ(log.delivered, (std::vector<net::NodeId>{1, 2}));
+  EXPECT_EQ(second.starts, want_starts2);
+  EXPECT_EQ(second.ends, (std::vector<net::NodeId>{1, 2, 4, 5}));
+  EXPECT_EQ(second.delivered, (std::vector<net::NodeId>{1, 2}));
+}
+
+TEST(Channel, ListenOnlyRadiosHearNoHooks) {
+  // Radios that do not contend get no busy/idle calls at all; the sweeps
+  // still deliver their clean frames in audible order.
+  const auto [first, second] = sweep_script(/*contends=*/false);
+  EXPECT_TRUE(first.starts.empty());
+  EXPECT_TRUE(first.ends.empty());
+  EXPECT_EQ(first.delivered, (std::vector<net::NodeId>{1, 3}));
+  EXPECT_TRUE(second.starts.empty());
+  EXPECT_TRUE(second.ends.empty());
+  EXPECT_EQ(second.delivered, (std::vector<net::NodeId>{1, 2}));
 }
 
 }  // namespace
