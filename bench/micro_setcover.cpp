@@ -30,9 +30,10 @@ void BM_GreedyCover(benchmark::State& state) {
   const auto universe = static_cast<std::uint32_t>(state.range(0));
   const auto sets = static_cast<std::size_t>(state.range(1));
   const auto family = random_instance(universe, sets, 0.4, 42);
+  wsn::agg::GreedyCoverWorkspace ws;
   for (auto _ : state) {
-    auto r = wsn::agg::greedy_weighted_set_cover(family, universe);
-    benchmark::DoNotOptimize(r);
+    const auto& r = wsn::agg::greedy_weighted_set_cover(ws, family, universe);
+    benchmark::DoNotOptimize(&r);
   }
 }
 BENCHMARK(BM_GreedyCover)
@@ -74,10 +75,11 @@ void BM_GreedyQuality(benchmark::State& state) {
   double worst = 1.0;
   double sum = 0.0;
   int n = 0;
+  wsn::agg::GreedyCoverWorkspace ws;
   for (auto _ : state) {
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
       const auto family = random_instance(12, 10, 0.35, seed);
-      const auto g = wsn::agg::greedy_weighted_set_cover(family, 12);
+      const auto& g = wsn::agg::greedy_weighted_set_cover(ws, family, 12);
       const auto e = wsn::agg::exact_weighted_set_cover(family, 12);
       if (e.total_weight > 0) {
         const double ratio = g.total_weight / e.total_weight;

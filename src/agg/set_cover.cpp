@@ -8,49 +8,25 @@
 namespace wsn::agg {
 namespace {
 
-/// Arbitrary-width bitset sized at construction; enough for the small
-/// universes that occur at a node's fan-in.
-class Bits {
- public:
-  explicit Bits(std::uint32_t n) : n_{n}, words_((n + 63) / 64, 0) {}
+using Word = std::uint64_t;
 
-  void set(std::uint32_t i) { words_[i >> 6] |= 1ULL << (i & 63); }
-  [[nodiscard]] bool test(std::uint32_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
-  }
-  [[nodiscard]] std::uint32_t count() const {
-    std::uint32_t c = 0;
-    for (auto w : words_) c += static_cast<std::uint32_t>(__builtin_popcountll(w));
-    return c;
-  }
-  [[nodiscard]] std::uint32_t count_and_not(const Bits& other) const {
-    // |this \ other|
-    std::uint32_t c = 0;
-    for (std::size_t k = 0; k < words_.size(); ++k) {
-      c += static_cast<std::uint32_t>(
-          __builtin_popcountll(words_[k] & ~other.words_[k]));
-    }
-    return c;
-  }
-  void or_with(const Bits& other) {
-    for (std::size_t k = 0; k < words_.size(); ++k) words_[k] |= other.words_[k];
-  }
-  [[nodiscard]] bool is_subset_of(const Bits& other) const {
-    for (std::size_t k = 0; k < words_.size(); ++k) {
-      if ((words_[k] & ~other.words_[k]) != 0) return false;
-    }
-    return true;
-  }
-  [[nodiscard]] bool covers_universe(std::uint32_t n) const {
-    Bits full{n};
-    for (std::uint32_t i = 0; i < n; ++i) full.set(i);
-    return full.is_subset_of(*this);
-  }
+[[nodiscard]] std::size_t words_for(std::uint32_t m) { return (m + 63) / 64; }
 
- private:
-  std::uint32_t n_;
-  std::vector<std::uint64_t> words_;
-};
+void set_bit(Word* bits, std::uint32_t i) { bits[i >> 6] |= 1ULL << (i & 63); }
+
+/// |a \ b| over `w` words.
+[[nodiscard]] std::uint32_t count_and_not(const Word* a, const Word* b,
+                                          std::size_t w) {
+  std::uint32_t c = 0;
+  for (std::size_t k = 0; k < w; ++k) {
+    c += static_cast<std::uint32_t>(__builtin_popcountll(a[k] & ~b[k]));
+  }
+  return c;
+}
+
+void or_into(Word* dst, const Word* src, std::size_t w) {
+  for (std::size_t k = 0; k < w; ++k) dst[k] |= src[k];
+}
 
 std::uint32_t infer_universe(std::span<const WeightedSet> family,
                              std::uint32_t given) {
@@ -62,54 +38,50 @@ std::uint32_t infer_universe(std::span<const WeightedSet> family,
   return m;
 }
 
-std::vector<Bits> family_masks(std::span<const WeightedSet> family,
-                               std::uint32_t m) {
-  std::vector<Bits> masks;
-  masks.reserve(family.size());
-  for (const auto& s : family) {
-    Bits b{m};
-    for (auto e : s.elements) {
-      assert(e < m && "element outside universe");
-      b.set(e);
-    }
-    masks.push_back(std::move(b));
-  }
-  return masks;
-}
-
 #if WSN_AUDIT_ENABLED
 /// Audit-build check: a result flagged `covered` really covers [0, m).
+/// `got` is scratch.
 void audit_cover(std::span<const WeightedSet> family, std::uint32_t m,
-                 const SetCoverResult& result) {
+                 const SetCoverResult& result, std::vector<Word>& got) {
   if (!result.covered) return;
-  Bits got{m};
+  got.assign(words_for(m), 0);
   for (std::size_t i : result.chosen) {
     WSN_AUDIT_CHECK(i < family.size(), "chosen index outside the family");
-    for (auto e : family[i].elements) got.set(e);
+    for (auto e : family[i].elements) set_bit(got.data(), e);
   }
-  WSN_AUDIT_CHECK(got.covers_universe(m),
-                  "returned cover does not cover the universe");
+  std::uint32_t count = 0;
+  for (Word word : got) {
+    count += static_cast<std::uint32_t>(__builtin_popcountll(word));
+  }
+  WSN_AUDIT_CHECK(count == m, "returned cover does not cover the universe");
 }
-#define WSN_COVER_AUDIT(family, m, result) audit_cover(family, m, result)
-#else
-#define WSN_COVER_AUDIT(family, m, result) ((void)0)
 #endif
 
 }  // namespace
 
-SetCoverResult greedy_weighted_set_cover(std::span<const WeightedSet> family,
-                                         std::uint32_t universe_size) {
+const SetCoverResult& greedy_weighted_set_cover(
+    GreedyCoverWorkspace& ws, std::span<const WeightedSet> family,
+    std::uint32_t universe_size) {
   const std::uint32_t m = infer_universe(family, universe_size);
-  SetCoverResult result;
-  if (m == 0) {
-    result.covered = true;
-    return result;
-  }
-  const std::vector<Bits> masks = family_masks(family, m);
+  SetCoverResult& result = ws.result;
+  result.chosen.clear();
+  result.total_weight = 0.0;
+  result.covered = true;
+  if (m == 0) return result;
 
-  Bits covered{m};
+  // assign() reuses the buffers' capacity: no allocation once warm.
+  const std::size_t w = words_for(m);
+  ws.masks.assign(family.size() * w, 0);
+  for (std::size_t i = 0; i < family.size(); ++i) {
+    for (auto e : family[i].elements) {
+      assert(e < m && "element outside universe");
+      set_bit(&ws.masks[i * w], e);
+    }
+  }
+  const auto mask = [&](std::size_t i) { return &ws.masks[i * w]; };
+  ws.covered.assign(w, 0);
+  ws.chosen.assign(family.size(), 0);
   std::uint32_t covered_count = 0;
-  std::vector<char> chosen(family.size(), 0);
 
   while (covered_count < m) {
     // Pick the set minimising weight / |newly covered|.
@@ -117,8 +89,8 @@ SetCoverResult greedy_weighted_set_cover(std::span<const WeightedSet> family,
     double best_ratio = std::numeric_limits<double>::infinity();
     std::uint32_t best_gain = 0;
     for (std::size_t i = 0; i < family.size(); ++i) {
-      if (chosen[i]) continue;
-      const std::uint32_t gain = masks[i].count_and_not(covered);
+      if (ws.chosen[i]) continue;
+      const std::uint32_t gain = count_and_not(mask(i), ws.covered.data(), w);
       if (gain == 0) continue;
       const double ratio = family[i].weight / static_cast<double>(gain);
       if (ratio < best_ratio) {
@@ -130,48 +102,48 @@ SetCoverResult greedy_weighted_set_cover(std::span<const WeightedSet> family,
     if (best == family.size()) {
       // Universe not coverable by this family.
       result.covered = false;
-      result.total_weight = 0.0;
       for (std::size_t i = 0; i < family.size(); ++i) {
-        if (chosen[i]) result.chosen.push_back(i);
+        if (ws.chosen[i]) result.chosen.push_back(i);
       }
       return result;
     }
-    chosen[best] = 1;
-    covered.or_with(masks[best]);
+    ws.chosen[best] = 1;
+    or_into(ws.covered.data(), mask(best), w);
     covered_count += best_gain;
   }
 
   // Final step (paper §4.2): drop chosen sets fully covered by the union of
   // the other chosen sets. Scan from the most expensive down so the
   // costliest redundancy goes first.
-  std::vector<std::size_t> chosen_idx;
+  ws.chosen_idx.clear();
   for (std::size_t i = 0; i < family.size(); ++i) {
-    if (chosen[i]) chosen_idx.push_back(i);
+    if (ws.chosen[i]) ws.chosen_idx.push_back(i);
   }
-  std::vector<std::size_t> by_weight_desc = chosen_idx;
-  std::sort(by_weight_desc.begin(), by_weight_desc.end(),
+  ws.by_weight_desc.assign(ws.chosen_idx.begin(), ws.chosen_idx.end());
+  std::sort(ws.by_weight_desc.begin(), ws.by_weight_desc.end(),
             [&](std::size_t a, std::size_t b) {
               if (family[a].weight != family[b].weight) {
                 return family[a].weight > family[b].weight;
               }
               return a < b;
             });
-  for (std::size_t candidate : by_weight_desc) {
-    Bits rest{m};
-    for (std::size_t i : chosen_idx) {
-      if (chosen[i] && i != candidate) rest.or_with(masks[i]);
+  for (std::size_t candidate : ws.by_weight_desc) {
+    ws.rest.assign(w, 0);
+    for (std::size_t i : ws.chosen_idx) {
+      if (ws.chosen[i] && i != candidate) or_into(ws.rest.data(), mask(i), w);
     }
-    if (masks[candidate].is_subset_of(rest)) chosen[candidate] = 0;
+    if (count_and_not(mask(candidate), ws.rest.data(), w) == 0) {
+      ws.chosen[candidate] = 0;
+    }
   }
 
-  result.covered = true;
   for (std::size_t i = 0; i < family.size(); ++i) {
-    if (chosen[i]) {
+    if (ws.chosen[i]) {
       result.chosen.push_back(i);
       result.total_weight += family[i].weight;
     }
   }
-  WSN_COVER_AUDIT(family, m, result);
+  WSN_AUDIT_ONLY(audit_cover(family, m, result, ws.rest);)
   return result;
 }
 
@@ -221,7 +193,7 @@ SetCoverResult exact_weighted_set_cover(std::span<const WeightedSet> family,
     result.chosen.push_back(static_cast<std::size_t>(choice[cur]));
   }
   std::sort(result.chosen.begin(), result.chosen.end());
-  WSN_COVER_AUDIT(family, m, result);
+  WSN_AUDIT_ONLY(std::vector<Word> got; audit_cover(family, m, result, got);)
   return result;
 }
 

@@ -22,6 +22,21 @@ struct SetCoverResult {
   bool covered = false;  ///< false if the family cannot cover the universe
 };
 
+/// Caller-owned scratch for greedy_weighted_set_cover: the sets' bitsets as
+/// one flat array of words, the chosen flags, the index lists and the
+/// result. The buffers keep their capacity from call to call, so once a
+/// workspace has seen the largest instance, a cover costs no heap
+/// allocation. The fields are the solver's; read only `result`.
+struct GreedyCoverWorkspace {
+  std::vector<std::uint64_t> masks;    ///< set i's words at [i·w, (i+1)·w)
+  std::vector<std::uint64_t> covered;  ///< w words
+  std::vector<std::uint64_t> rest;     ///< w words
+  std::vector<char> chosen;            ///< one flag per set
+  std::vector<std::size_t> chosen_idx;
+  std::vector<std::size_t> by_weight_desc;
+  SetCoverResult result;
+};
+
 /// Greedy heuristic for weighted set cover (Chvátal): repeatedly pick the
 /// set with the lowest cost ratio weight / |uncovered ∩ set|, then drop
 /// redundant chosen sets (paper §4.2's final step). Approximation ratio
@@ -29,9 +44,11 @@ struct SetCoverResult {
 ///
 /// `universe_size` bounds element indices; pass 0 to infer it as
 /// max(element)+1 over all sets. Ties are broken toward the lower set
-/// index, deterministically.
-SetCoverResult greedy_weighted_set_cover(std::span<const WeightedSet> family,
-                                         std::uint32_t universe_size = 0);
+/// index, deterministically. Returns `ws.result`, valid until the next
+/// call on `ws`.
+const SetCoverResult& greedy_weighted_set_cover(
+    GreedyCoverWorkspace& ws, std::span<const WeightedSet> family,
+    std::uint32_t universe_size = 0);
 
 /// Exact minimum-weight cover by dynamic programming over element subsets.
 /// Requires universe_size <= 20 (2^m states); intended for tests and for

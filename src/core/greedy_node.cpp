@@ -82,8 +82,8 @@ EnergyCost GreedyNode::flush_policy(const std::vector<DataItem>& outgoing,
       }
       s.weight = static_cast<double>(in.cost);
     }
-    const auto cover = agg::greedy_weighted_set_cover(
-        family, static_cast<std::uint32_t>(item_index_.size()));
+    const agg::SetCoverResult& cover = agg::greedy_weighted_set_cover(
+        cover_ws_, family, static_cast<std::uint32_t>(item_index_.size()));
     if (cover.covered) {
       outgoing_cost = static_cast<EnergyCost>(cover.total_weight + 0.5) + 1;
     } else {
@@ -122,8 +122,8 @@ EnergyCost GreedyNode::flush_policy(const std::vector<DataItem>& outgoing,
                      ? static_cast<double>(in.cost) * distinct / total
                      : static_cast<double>(in.cost);
     }
-    const auto cover = agg::greedy_weighted_set_cover(
-        family, static_cast<std::uint32_t>(source_index_.size()));
+    const agg::SetCoverResult& cover = agg::greedy_weighted_set_cover(
+        cover_ws_, family, static_cast<std::uint32_t>(source_index_.size()));
     for (std::size_t idx : cover.chosen) mark_useful(window[idx].from);
   }
   return outgoing_cost;

@@ -52,10 +52,11 @@ class GreedyNode final : public diffusion::DiffusionNode {
   // pricing an aggregate stops allocating once the fan-in is warm. The
   // family buffer is used live-prefix style: claim_family_prefix() hands
   // out the first `n` sets with their element vectors cleared but their
-  // storage intact.
+  // storage intact; the solver's own buffers live in cover_ws_.
   sim::FlatMap<std::uint64_t, std::uint32_t> item_index_;
   sim::FlatMap<diffusion::SourceId, std::uint32_t> source_index_;
   std::vector<agg::WeightedSet> family_scratch_;
+  agg::GreedyCoverWorkspace cover_ws_;
   [[nodiscard]] std::span<agg::WeightedSet> claim_family_prefix(std::size_t n);
 };
 

@@ -37,14 +37,21 @@ DiffusionNode::DiffusionNode(sim::Simulator& sim, mac::MacBase& mac,
 
 void DiffusionNode::start() {
   trunc_timer_.arm(params_.t_n + rng_.jitter(params_.t_n));
-  repair_timer_.arm(params_.repair_silence.scaled(0.5) +
-                    rng_.jitter(params_.repair_silence));
+  // Only a sink drives repair (run_repair), so only a sink arms the repair
+  // tick; make_sink must come first. Every node still draws the tick's
+  // jitter, so no node's RNG stream depends on its role.
+  const sim::Time repair_delay = params_.repair_silence.scaled(0.5) +
+                                 rng_.jitter(params_.repair_silence);
+  if (is_sink_) repair_timer_.arm(repair_delay);
   housekeeping_timer_.arm(kHousekeepingPeriod +
                           rng_.jitter(kHousekeepingJitter));
+  WSN_AUDIT_ONLY(started_ = true;)
   WSN_AUDIT_ONLY(last_housekeeping_ = sim_->now();)
 }
 
 void DiffusionNode::make_sink(net::Rect region) {
+  WSN_AUDIT_CHECK(!started_,
+                  "make_sink after start: the sink would get no repair tick");
   is_sink_ = true;
   region_ = region;
   interest_timer_.arm(rng_.jitter(sim::Time::millis(100)));
@@ -60,7 +67,7 @@ MsgId DiffusionNode::fresh_msg_id() {
 // ---------------------------------------------------------------- sending
 
 void DiffusionNode::send(net::NodeId dst, std::uint32_t bytes,
-                         net::MessagePtr payload) {
+                         std::shared_ptr<const DiffusionMsg> payload) {
   net::Frame f;
   f.dst = dst;
   f.bytes = bytes;
@@ -196,8 +203,14 @@ void DiffusionNode::degrade_gradient(net::NodeId nb) {
 // ---------------------------------------------------------------- receive
 
 void DiffusionNode::mac_receive(const net::Frame& frame) {
-  const auto* msg = dynamic_cast<const DiffusionMsg*>(frame.payload.get());
+  // Every frame a diffusion node receives was built by send(), which takes
+  // only diffusion messages, so the payload's type is known without RTTI.
+  // Audit builds still check it.
+  const auto* msg = static_cast<const DiffusionMsg*>(frame.payload.get());
   if (msg == nullptr) return;
+  WSN_AUDIT_CHECK(dynamic_cast<const DiffusionMsg*>(  // lint:rtti-ok
+                      frame.payload.get()) == msg,
+                  "frame payload is not a diffusion message");
   switch (msg->type) {
     case MsgType::kInterest:
       handle_interest(static_cast<const InterestMsg&>(*msg), frame.src);
@@ -653,13 +666,14 @@ void DiffusionNode::run_truncation() {
 }
 
 void DiffusionNode::run_repair() {
+  // Only the data *consumer* drives repair, so only a sink ticks here.
+  // Letting every on-tree node re-pull after silence re-animates abandoned
+  // branches and fights the truncation rule; the sink's forced
+  // reinforcement rebuilds the whole path, routing around suspects marked
+  // by failed unicasts en route.
+  WSN_AUDIT_CHECK(is_sink_, "repair tick at a node that is not a sink");
   repair_timer_.arm(params_.repair_silence.scaled(0.5));
   if (!mac_->alive()) return;
-  // Only the data *consumer* drives repair. Letting every on-tree node
-  // re-pull after silence re-animates abandoned branches and fights the
-  // truncation rule; the sink's forced reinforcement rebuilds the whole
-  // path, routing around suspects marked by failed unicasts en route.
-  if (!is_sink_) return;
   const sim::Time now = sim_->now();
   if (now - last_repair_ <= params_.repair_silence) return;
 

@@ -59,7 +59,8 @@ class DiffusionNode : public mac::MacUser {
   DiffusionNode& operator=(const DiffusionNode&) = delete;
 
   /// Makes this node a sink for the task covering `region` and starts its
-  /// periodic interest flood.
+  /// periodic interest flood. Call before start(), which arms the sink's
+  /// repair tick (audited).
   void make_sink(net::Rect region);
 
   /// Marks the node's sensor as detecting a phenomenon. It becomes an
@@ -68,7 +69,7 @@ class DiffusionNode : public mac::MacUser {
   void set_detecting(bool detecting);
 
   /// Starts periodic maintenance (truncation / repair / cache pruning).
-  /// Call once after construction, before Simulator::run.
+  /// Call once after construction and make_sink, before Simulator::run.
   void start();
 
   // --- inspection (tests, tree extraction, examples) ---
@@ -164,8 +165,10 @@ class DiffusionNode : public mac::MacUser {
 
   // --- shared machinery available to subclasses ---
   // Each message kind leaves the node through one sender, which counts it,
-  // traces it and hands it to the MAC via send(), in that order.
-  void send(net::NodeId dst, std::uint32_t bytes, net::MessagePtr payload);
+  // traces it and hands it to the MAC via send(), in that order. send()
+  // takes only diffusion messages, so mac_receive needs no RTTI to read one.
+  void send(net::NodeId dst, std::uint32_t bytes,
+            std::shared_ptr<const DiffusionMsg> payload);
   void send_reinforcement(net::NodeId to, MsgId id, bool force = false);
   /// Applies the local reinforcement rule for exploratory event `id_of_expl`
   /// and forwards the reinforcement upstream if the choice changed (or
@@ -302,6 +305,7 @@ class DiffusionNode : public mac::MacUser {
   // inserts assert the purge cadence is alive, and housekeeping asserts no
   // entry outlived its TTL plus one purge period.
   WSN_AUDIT_ONLY(sim::Time last_housekeeping_;)
+  WSN_AUDIT_ONLY(bool started_ = false;)
   WSN_AUDIT_ONLY(void audit_cache_bounds(sim::Time now) const;)
   WSN_AUDIT_ONLY(void audit_purge_cadence() const;)
   sim::Time last_repair_ = sim::Time::zero();

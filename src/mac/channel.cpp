@@ -1,5 +1,6 @@
 #include "mac/channel.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "mac/mac_base.hpp"
@@ -38,41 +39,64 @@ void Channel::sweep_arrival_starts(const TransmissionPtr& tx) {
   // decode it. Liveness is sampled here, at delivery time. Every overlap
   // counts one collision per decodable frame it corrupts: the clean victim
   // first, then the newcomer.
+  //
+  // This loop visits ≈146 radios per frame at the paper's densest point, so
+  // its common case is branch-free: the busy test is bitwise over the
+  // hoisted key of the last end sweep, the busy key and the clean pointer
+  // are updated by selects, and the loop is split at the decodable prefix.
+  // The rare paths — a collision or a contending radio — sit behind
+  // [[unlikely]] calls.
   const sim::Time now = sim_->now();
   const sim::Time end = tx->end + propagation_;
+  const Transmission* const newcomer = tx.get();
+  const std::uint64_t id = tx->id;
+  const std::int64_t last_end = last_end_.as_nanos();
+  const std::uint64_t last_id = last_end_id_;
+  RadioRecord* const radios = radios_.data();
+  MacBase* const* const macs = macs_.data();
   const auto audible = topo_->audible(tx->src);
   const std::size_t prefix = topo_->decodable_prefix(tx->src);
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kChannelSweep, tx->src,
-                 trace::kNoPeer, tx->id, audible.size());
-  for (std::size_t i = 0; i < audible.size(); ++i) {
-    RadioRecord& r = radios_[audible[i]];
-    if (!r.alive) continue;
-    const bool decodable = i < prefix;
-    const bool was_busy = r.transmitting || end_pending(r.busy_end, r.busy_id);
-    if (r.clean != nullptr) {
-      macs_[audible[i]]->count_collision(*r.clean);
-      r.clean = nullptr;
+                 trace::kNoPeer, id, audible.size());
+  // `decodable` is a compile-time constant in each half of the list.
+  const auto visit = [&](net::NodeId nb, auto decodable) {
+    RadioRecord& r = radios[nb];
+    if (!r.alive) return;
+    const std::int64_t busy_end = r.busy_end.as_nanos();
+    // transmitting || end_pending(busy key), without short-circuit jumps.
+    const bool was_busy = r.transmitting | (busy_end > last_end) |
+                          ((busy_end == last_end) & (r.busy_id > last_id));
+    if (r.clean != nullptr) [[unlikely]] {
+      count_collision(macs[nb], *r.clean);
     }
-    if (decodable) {
-      if (was_busy) {
-        macs_[audible[i]]->count_collision(*tx);
-      } else {
-        r.clean = tx.get();
-      }
+    if constexpr (decltype(decodable)::value) {
+      r.clean = was_busy ? nullptr : newcomer;
+      if (was_busy) [[unlikely]] count_collision(macs[nb], *newcomer);
+    } else {
+      r.clean = nullptr;
     }
     r.rx.arrive(now, end);
     // The newest id wins a tie on end, so this is the larger key.
-    if (end >= r.busy_end) {
-      r.busy_end = end;
-      r.busy_id = tx->id;
-    }
+    const bool later = end.as_nanos() >= busy_end;
+    r.busy_end = later ? end : r.busy_end;
+    r.busy_id = later ? id : r.busy_id;
     WSN_AUDIT_CHECK(r.clean == nullptr ||
                         (r.clean->id == r.busy_id && !r.transmitting),
                     "clean arrival that is not the busy key, or overlaps "
                     "our own transmission");
-    if (!was_busy && r.contending) macs_[audible[i]]->medium_became_busy();
+    if (!was_busy & r.contending) [[unlikely]] became_busy(macs[nb]);
+  };
+  for (std::size_t i = 0; i < prefix; ++i) visit(audible[i], std::true_type{});
+  for (std::size_t i = prefix; i < audible.size(); ++i) {
+    visit(audible[i], std::false_type{});
   }
 }
+
+void Channel::count_collision(MacBase* mac, const Transmission& tx) {
+  mac->count_collision(tx);
+}
+
+void Channel::became_busy(MacBase* mac) { mac->medium_became_busy(); }
 
 void Channel::sweep_arrival_ends(const TransmissionPtr& tx) {
   // Only two kinds of radio need their MAC here: the one whose clean

@@ -107,6 +107,10 @@ class Channel {
  private:
   void sweep_arrival_starts(const TransmissionPtr& tx);
   void sweep_arrival_ends(const TransmissionPtr& tx);
+  // The start sweep's rare paths, kept out of its loop body.
+  [[gnu::noinline]] static void count_collision(MacBase* mac,
+                                                const Transmission& tx);
+  [[gnu::noinline]] static void became_busy(MacBase* mac);
 
   sim::Simulator* sim_;
   const net::Topology* topo_;

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "agg/aggregation_fn.hpp"
 #include "agg/set_cover.hpp"
@@ -37,6 +40,13 @@ TEST(AggregateSize, TimestampSharesRedundantFields) {
   EXPECT_LT(kTimestamp.bytes(3), kLinear.bytes(3));
 }
 
+/// The greedy cover on a fresh workspace.
+SetCoverResult greedy_cover(std::span<const WeightedSet> family,
+                            std::uint32_t universe_size) {
+  GreedyCoverWorkspace ws;
+  return greedy_weighted_set_cover(ws, family, universe_size);
+}
+
 // --- the worked example from paper §4.2 / Figure 4(a) -------------------
 // S1={a1,a2,b1} w=5, S2={b1,b2} w=6, S3={a2,b2} w=7 over {a1,a2,b1,b2}.
 // Greedy picks S1 (ratio 5/3), then S2 (6/1); cover weight 11, and the
@@ -51,7 +61,7 @@ std::vector<WeightedSet> figure4_event_sets() {
 
 TEST(SetCover, PaperFigure4EventExample) {
   const auto family = figure4_event_sets();
-  const auto r = greedy_weighted_set_cover(family, 4);
+  const auto r = greedy_cover(family, 4);
   ASSERT_TRUE(r.covered);
   EXPECT_EQ(r.chosen, (std::vector<std::size_t>{0, 1}));
   EXPECT_DOUBLE_EQ(r.total_weight, 11.0);
@@ -82,7 +92,7 @@ TEST(SetCover, PaperFigure4SourceTransform) {
 
   // Greedy over the transformed instance selects only S1* → L negatively
   // reinforces H (S2) and K (S3), exactly the paper's conclusion.
-  const auto r = greedy_weighted_set_cover(transformed, 2);
+  const auto r = greedy_cover(transformed, 2);
   ASSERT_TRUE(r.covered);
   EXPECT_EQ(r.chosen, (std::vector<std::size_t>{0}));
 }
@@ -93,7 +103,7 @@ TEST(SetCover, RedundantSubsetRemoved) {
   // Greedy ratios: A=0.5, B=0.5, C=0.525 → picks A, B; C never chosen.
   // Reverse: C first if cheap — make C w=1.9 (ratio 0.475): picks C, done.
   std::vector<WeightedSet> family{{{0, 1}, 1.0}, {{2, 3}, 1.0}, {{0, 1, 2, 3}, 1.9}};
-  auto r = greedy_weighted_set_cover(family, 4);
+  auto r = greedy_cover(family, 4);
   ASSERT_TRUE(r.covered);
   EXPECT_EQ(r.chosen, (std::vector<std::size_t>{2}));
   EXPECT_DOUBLE_EQ(r.total_weight, 1.9);
@@ -102,14 +112,14 @@ TEST(SetCover, RedundantSubsetRemoved) {
   // covers the rest with B (ratio 0.5) and A (ratio 1 for its last
   // element), at which point D ⊆ A is redundant and must be dropped.
   family.push_back({{0}, 0.1});
-  r = greedy_weighted_set_cover(family, 4);
+  r = greedy_cover(family, 4);
   ASSERT_TRUE(r.covered);
   EXPECT_EQ(r.chosen, (std::vector<std::size_t>{0, 1}));
   EXPECT_DOUBLE_EQ(r.total_weight, 2.0);
 }
 
 TEST(SetCover, EmptyUniverseIsTriviallyCovered) {
-  const auto r = greedy_weighted_set_cover({}, 0);
+  const auto r = greedy_cover({}, 0);
   EXPECT_TRUE(r.covered);
   EXPECT_TRUE(r.chosen.empty());
   EXPECT_DOUBLE_EQ(r.total_weight, 0.0);
@@ -117,7 +127,7 @@ TEST(SetCover, EmptyUniverseIsTriviallyCovered) {
 
 TEST(SetCover, UncoverableReported) {
   std::vector<WeightedSet> family{{{0}, 1.0}};
-  const auto r = greedy_weighted_set_cover(family, 2);
+  const auto r = greedy_cover(family, 2);
   EXPECT_FALSE(r.covered);
 }
 
@@ -146,6 +156,64 @@ TEST(SetCover, TransformHandlesEmptySets) {
   EXPECT_DOUBLE_EQ(t[0].weight, 4.0);
 }
 
+/// Random instance over [0, m) with a catch-all set, so it is coverable.
+std::vector<WeightedSet> random_family(sim::Rng& rng, std::uint32_t m,
+                                       std::size_t n_sets) {
+  std::vector<WeightedSet> family(n_sets);
+  for (auto& s : family) {
+    for (std::uint32_t e = 0; e < m; ++e) {
+      if (rng.chance(0.45)) s.elements.push_back(e);
+    }
+    s.weight = rng.uniform(0.5, 10.0);
+  }
+  WeightedSet all;
+  for (std::uint32_t e = 0; e < m; ++e) all.elements.push_back(e);
+  all.weight = rng.uniform(5.0, 20.0);
+  family.push_back(all);
+  return family;
+}
+
+// One workspace carried across instances of every shape above — larger
+// and smaller universes and families, covered and not — must give each
+// instance the cover a fresh workspace gives it.
+TEST(SetCover, ReusedWorkspaceMatchesFresh) {
+  std::vector<std::pair<std::vector<WeightedSet>, std::uint32_t>> cases;
+  sim::Rng rng{7};
+  cases.emplace_back(random_family(rng, 130, 20), 130);  // three words
+  cases.emplace_back(figure4_event_sets(), 4);
+  cases.emplace_back(
+      transform_to_sources(figure4_event_sets(),
+                           std::vector<std::vector<std::uint32_t>>{
+                               {0, 0, 1}, {1, 1}, {0, 1}}),
+      2);
+  cases.emplace_back(
+      std::vector<WeightedSet>{
+          {{0, 1}, 1.0}, {{2, 3}, 1.0}, {{0, 1, 2, 3}, 1.9}, {{0}, 0.1}},
+      4);
+  cases.emplace_back(std::vector<WeightedSet>{}, 0);
+  cases.emplace_back(std::vector<WeightedSet>{{{0}, 1.0}}, 2);
+  cases.emplace_back(random_family(rng, 70, 9), 70);
+  for (int i = 0; i < 20; ++i) {
+    const auto m = static_cast<std::uint32_t>(rng.uniform_int(2, 10));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 12));
+    cases.emplace_back(random_family(rng, m, n), m);
+  }
+
+  GreedyCoverWorkspace reused;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "pass " << pass << ", case " << i);
+      const auto& [family, m] = cases[i];
+      const SetCoverResult fresh = greedy_cover(family, m);
+      const SetCoverResult& again =
+          greedy_weighted_set_cover(reused, family, m);
+      EXPECT_EQ(again.covered, fresh.covered);
+      EXPECT_EQ(again.chosen, fresh.chosen);
+      EXPECT_EQ(again.total_weight, fresh.total_weight);
+    }
+  }
+}
+
 // Property: on random instances, greedy covers, never beats exact, and
 // stays within the ln(d)+1 approximation bound.
 class SetCoverProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -155,23 +223,11 @@ TEST_P(SetCoverProperty, GreedyVsExact) {
   for (int trial = 0; trial < 40; ++trial) {
     const auto m = static_cast<std::uint32_t>(rng.uniform_int(2, 10));
     const auto n_sets = static_cast<std::size_t>(rng.uniform_int(2, 12));
-    std::vector<WeightedSet> family(n_sets);
+    const std::vector<WeightedSet> family = random_family(rng, m, n_sets);
     std::size_t max_set = 1;
-    for (auto& s : family) {
-      for (std::uint32_t e = 0; e < m; ++e) {
-        if (rng.chance(0.45)) s.elements.push_back(e);
-      }
-      s.weight = rng.uniform(0.5, 10.0);
-      max_set = std::max(max_set, s.elements.size());
-    }
-    // Guarantee coverability with one catch-all set of random weight.
-    WeightedSet all;
-    for (std::uint32_t e = 0; e < m; ++e) all.elements.push_back(e);
-    all.weight = rng.uniform(5.0, 20.0);
-    family.push_back(all);
-    max_set = std::max(max_set, all.elements.size());
+    for (const auto& s : family) max_set = std::max(max_set, s.elements.size());
 
-    const auto greedy = greedy_weighted_set_cover(family, m);
+    const auto greedy = greedy_cover(family, m);
     const auto exact = exact_weighted_set_cover(family, m);
     ASSERT_TRUE(greedy.covered);
     ASSERT_TRUE(exact.covered);

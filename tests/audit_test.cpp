@@ -5,6 +5,7 @@
 
 #include "mac/energy.hpp"
 #include "mac/params.hpp"
+#include "protocol_rig.hpp"
 #include "sim/audit.hpp"
 #include "sim/event_queue.hpp"
 
@@ -93,6 +94,23 @@ TEST(Audit, MonotoneEnergyAccumulationIsClean) {
   EXPECT_GE(meter.joules(end, rx.ns_at(end)),
             meter.active_joules(end, rx.ns_at(end)));
   EXPECT_EQ(sim::audit::violations(), 0u);
+  sim::audit::set_abort_on_violation(true);
+}
+
+TEST(Audit, MakeSinkAfterStartIsCaught) {
+  sim::audit::set_abort_on_violation(false);
+  sim::audit::reset_violations();
+  {
+    testing::ProtocolRig rig{{{0.0, 0.0}}, core::Algorithm::kGreedy};
+    rig.node(0).make_sink(rig.whole_field());  // the documented order
+    rig.start_all();
+    EXPECT_EQ(sim::audit::violations(), 0u);
+  }
+  testing::ProtocolRig rig{{{0.0, 0.0}}, core::Algorithm::kGreedy};
+  rig.start_all();
+  rig.node(0).make_sink(rig.whole_field());  // too late: no repair tick
+  EXPECT_GE(sim::audit::violations(), 1u);
+  sim::audit::reset_violations();
   sim::audit::set_abort_on_violation(true);
 }
 

@@ -95,7 +95,9 @@ TEST(Determinism, DifferentSeedsDiverge) {
 /// Metric digests pinned for three small configs, so a change to the
 /// receive path, the MACs or the energy model that moves any metric fails
 /// here and not only in the benchmark. A deliberate model change updates
-/// these values and says so.
+/// these values and says so. The event counts are pinned too, so a change
+/// to the event stream (a timer added or dropped) shows here even when it
+/// moves no metric.
 TEST(Determinism, GoldenMetricDigests) {
   ExperimentConfig csma_greedy;
   csma_greedy.field.nodes = 80;
@@ -112,12 +114,15 @@ TEST(Determinism, GoldenMetricDigests) {
   tdma_failures.failures.enabled = true;
   tdma_failures.failures.period = sim::Time::seconds(10.0);
 
-  EXPECT_EQ(stats::digest_of(run_experiment(csma_greedy).metrics),
-            0x8a321c51371868f3ULL);
-  EXPECT_EQ(stats::digest_of(run_experiment(opportunistic_failures).metrics),
-            0xb69ee5a02cb2fd52ULL);
-  EXPECT_EQ(stats::digest_of(run_experiment(tdma_failures).metrics),
-            0x7d60afa43c41a7abULL);
+  const RunResult a = run_experiment(csma_greedy);
+  EXPECT_EQ(stats::digest_of(a.metrics), 0x8a321c51371868f3ULL);
+  EXPECT_EQ(a.events_dispatched, 56'119u);
+  const RunResult b = run_experiment(opportunistic_failures);
+  EXPECT_EQ(stats::digest_of(b.metrics), 0xb69ee5a02cb2fd52ULL);
+  EXPECT_EQ(b.events_dispatched, 51'426u);
+  const RunResult c = run_experiment(tdma_failures);
+  EXPECT_EQ(stats::digest_of(c.metrics), 0x7d60afa43c41a7abULL);
+  EXPECT_EQ(c.events_dispatched, 66'069u);
 }
 
 TEST(Determinism, DigestIsOrderSensitive) {

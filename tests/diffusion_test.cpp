@@ -150,6 +150,20 @@ TEST(Diffusion, SurvivesRelayFailureViaRepair) {
   EXPECT_GT(after, before + 40u);
 }
 
+// Only the sink drives repair, so only a sink arms the repair tick: start()
+// schedules exactly one more event at a sink than at any other node
+// (truncation and housekeeping tick everywhere).
+TEST(Diffusion, OnlyASinkArmsTheRepairTick) {
+  const auto armed_by_start = [](bool sink) {
+    ProtocolRig rig{{{0, 0}}, Algorithm::kOpportunistic};
+    if (sink) rig.node(0).make_sink(rig.whole_field());
+    const std::size_t before = rig.sim().events_pending();
+    rig.start_all();
+    return rig.sim().events_pending() - before;
+  };
+  EXPECT_EQ(armed_by_start(true), armed_by_start(false) + 1);
+}
+
 TEST(Diffusion, TwoSourcesBothDelivered) {
   // Y topology: sources 3 and 4 behind relay 2.
   std::vector<net::Vec2> y{{0, 0}, {30, 0}, {60, 0}, {90, 15}, {90, -15}};

@@ -36,6 +36,12 @@ Rules (beyond what clang-tidy covers):
                       takes its task as a template parameter; a
                       std::function reintroduces a second kind of callable
                       and its heap fallback.
+  R8  no-rtti         No dynamic_cast in src/. A payload's type is known
+                      from who built it (the diffusion layer's send() takes
+                      only diffusion messages), so the hot path uses
+                      static_cast; a dynamic_cast costs a string compare
+                      per call. An audit-only check of such a cast may
+                      annotate its line with `lint:rtti-ok`.
 
 Exit status 0 when clean; 1 with one `path:line: [rule] message` per finding.
 """
@@ -53,6 +59,7 @@ CPP_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 ALLOW_MARK = "lint:unordered-ok"
 POOL_MARK = "lint:pool-ok"
 TRACE_MARK = "lint:trace-ok"
+RTTI_MARK = "lint:rtti-ok"
 
 RNG_PATTERN = re.compile(
     r"\b(?:std::)?(?:mt19937(?:_64)?|minstd_rand0?|ranlux\d+(?:_base)?|"
@@ -69,6 +76,7 @@ POOL_BYPASS_PATTERN = re.compile(
 TRACE_SINK_PATTERN = re.compile(
     r"\btracer\s*\(\s*\)|(?:->|\.)\s*emit\s*\(")
 STD_FUNCTION_PATTERN = re.compile(r"\bstd::function\b")
+DYNAMIC_CAST_PATTERN = re.compile(r"\bdynamic_cast\b")
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -164,6 +172,12 @@ class Linter:
                 self.report(path, idx, "one-callable",
                             "std::function in src/; use sim::InlineFn or a "
                             "template parameter")
+            if (in_sim and DYNAMIC_CAST_PATTERN.search(clean)
+                    and RTTI_MARK not in raw):
+                self.report(path, idx, "no-rtti",
+                            "dynamic_cast in src/; use static_cast on a "
+                            "payload whose type the sender fixes, or mark an "
+                            f"audit-only check with {RTTI_MARK}")
             if in_sim and WALL_CLOCK_PATTERN.search(clean):
                 self.report(path, idx, "wall-clock",
                             "wall-clock read in sim code; use "
