@@ -75,7 +75,8 @@ class SilentMac final : public wsn::mac::MacBase {
  private:
   void on_tx_end(wsn::mac::FrameKind /*sent*/) override {}
   void on_power_change(bool /*alive*/) override {}
-  void deliver(const wsn::mac::Transmission& /*tx*/) override {}
+  void deliver(const wsn::mac::Transmission& /*tx*/,
+               std::uint32_t /*from_slot*/) override {}
 };
 
 /// A staggered broadcast storm on the fig-5 350-node field. Every

@@ -13,6 +13,14 @@ namespace {
 /// jitter) — the bound the WSN_AUDIT invariant enforces.
 const sim::Time kHousekeepingPeriod = sim::Time::seconds(10.0);
 const sim::Time kHousekeepingJitter = sim::Time::seconds(1.0);
+
+/// Position of `nb` in the ascending list `nbrs`, or `nbrs.size()` when
+/// `nb` is not in it. Receptions carry their sender's slot instead.
+std::uint32_t slot_of(std::span<const net::NodeId> nbrs, net::NodeId nb) {
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), nb);
+  const auto pos = it != nbrs.end() && *it == nb ? it : nbrs.end();
+  return static_cast<std::uint32_t>(pos - nbrs.begin());
+}
 }  // namespace
 
 DiffusionNode::DiffusionNode(sim::Simulator& sim, mac::MacBase& mac,
@@ -135,20 +143,17 @@ void DiffusionNode::mark_useful(net::NodeId nb) {
 const std::vector<net::NodeId>& DiffusionNode::data_gradient_neighbors() {
   gradient_scratch_.clear();
   const sim::Time now = sim_->now();
-  for (const auto& [nb, g] : gradients_) {
-    if (g.type == GradientType::kData && g.expires > now) {
-      gradient_scratch_.push_back(nb);
-    }
+  const auto nbrs = mac_->neighbors();
+  for (std::size_t k = 0; k < gradient_table_.size(); ++k) {
+    if (gradient_table_[k].live_data(now)) gradient_scratch_.push_back(nbrs[k]);
   }
   return gradient_scratch_;
 }
 
 bool DiffusionNode::has_data_gradient_out() const {
   const sim::Time now = sim_->now();
-  for (const auto& [nb, g] : gradients_) {
-    if (g.type == GradientType::kData && g.expires > now) return true;
-  }
-  return false;
+  return std::any_of(gradient_table_.begin(), gradient_table_.end(),
+                     [now](const EdgeGradient& g) { return g.live_data(now); });
 }
 
 bool DiffusionNode::is_suspect(net::NodeId nb) const {
@@ -174,46 +179,66 @@ std::vector<std::pair<net::NodeId, GradientType>> DiffusionNode::gradient_view()
     const {
   std::vector<std::pair<net::NodeId, GradientType>> v;
   const sim::Time now = sim_->now();
-  for (const auto& [nb, g] : gradients_) {
-    if (g.expires > now) v.emplace_back(nb, g.type);
+  const auto nbrs = mac_->neighbors();
+  for (std::size_t k = 0; k < gradient_table_.size(); ++k) {
+    const EdgeGradient& g = gradient_table_[k];
+    if (g.present && g.expires > now) v.emplace_back(nbrs[k], g.type);
   }
   return v;
 }
 
 // --------------------------------------------------------------- gradients
 
-void DiffusionNode::refresh_gradient(net::NodeId nb) {
-  auto [it, inserted] = gradients_.try_emplace(nb);
-  if (inserted) {
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kGradientNew, id(), nb,
-                   it->second.type, 0);
+DiffusionNode::EdgeGradient& DiffusionNode::gradient_at(std::uint32_t slot) {
+  if (gradient_table_.empty()) {
+    gradient_table_.resize(mac_->neighbors().size());
   }
-  it->second.expires = sim_->now() + params_.gradient_timeout;
+  return gradient_table_[slot];
 }
 
-void DiffusionNode::degrade_gradient(net::NodeId nb) {
-  auto it = gradients_.find(nb);
-  if (it == gradients_.end()) return;
-  if (it->second.type == GradientType::kData) {
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kTreeChange, id(), nb, 0, 0);
+void DiffusionNode::refresh_gradient(std::uint32_t slot) {
+  EdgeGradient& g = gradient_at(slot);
+  if (!g.present) {
+    g.type = GradientType::kExploratory;
+    g.present = true;
+    ++gradient_count_;
+    WSN_TRACE_EMIT(sim_, trace::RecordKind::kGradientNew, id(),
+                   mac_->neighbors()[slot], g.type, 0);
   }
-  it->second.type = GradientType::kExploratory;
+  g.expires = sim_->now() + params_.gradient_timeout;
+}
+
+void DiffusionNode::degrade_gradient(std::uint32_t slot) {
+  if (slot >= gradient_table_.size()) return;  // not a neighbour, or no table
+  EdgeGradient& g = gradient_table_[slot];
+  if (!g.present) return;
+  if (g.type == GradientType::kData) {
+    WSN_TRACE_EMIT(sim_, trace::RecordKind::kTreeChange, id(),
+                   mac_->neighbors()[slot], 0, 0);
+  }
+  g.type = GradientType::kExploratory;
 }
 
 // ---------------------------------------------------------------- receive
 
-void DiffusionNode::mac_receive(const net::Frame& frame) {
+void DiffusionNode::mac_receive(const net::Frame& frame,
+                                std::uint32_t from_slot) {
   // Every frame a diffusion node receives was built by send(), which takes
   // only diffusion messages, so the payload's type is known without RTTI.
-  // Audit builds still check it.
+  // Audit builds still check it, and that the slot the channel handed up
+  // names the sender: every gradient key is then a decodable neighbour.
   const auto* msg = static_cast<const DiffusionMsg*>(frame.payload.get());
   if (msg == nullptr) return;
   WSN_AUDIT_CHECK(dynamic_cast<const DiffusionMsg*>(  // lint:rtti-ok
                       frame.payload.get()) == msg,
                   "frame payload is not a diffusion message");
+  WSN_AUDIT_CHECK(from_slot < mac_->neighbors().size() &&
+                      mac_->neighbors()[from_slot] == frame.src,
+                  "sender slot does not name the frame's sender");
   switch (msg->type) {
     case MsgType::kInterest:
-      handle_interest(static_cast<const InterestMsg&>(*msg), frame.src);
+      handle_interest(static_cast<const InterestMsg&>(*msg), frame.src,
+                      from_slot);
       break;
     case MsgType::kExploratory:
       handle_exploratory(static_cast<const ExploratoryMsg&>(*msg), frame.src);
@@ -226,10 +251,10 @@ void DiffusionNode::mac_receive(const net::Frame& frame) {
       break;
     case MsgType::kReinforcement:
       handle_reinforcement(static_cast<const ReinforcementMsg&>(*msg),
-                           frame.src);
+                           frame.src, from_slot);
       break;
     case MsgType::kNegativeReinforcement:
-      handle_negative(frame.src);
+      handle_negative(frame.src, from_slot);
       break;
   }
 }
@@ -239,11 +264,12 @@ void DiffusionNode::mac_send_failed(const net::Frame& frame) {
   // success in between means the next hop is dead or unreachable.
   if (++send_failures_[frame.dst] < 2) return;
   suspects_[frame.dst] = sim_->now() + params_.suspect_hold;
-  auto it = gradients_.find(frame.dst);
-  const bool had_data =
-      it != gradients_.end() && it->second.type == GradientType::kData;
+  const std::uint32_t slot = slot_of(mac_->neighbors(), frame.dst);
+  const bool had_data = slot < gradient_table_.size() &&
+                        gradient_table_[slot].present &&
+                        gradient_table_[slot].type == GradientType::kData;
   if (had_data) {
-    degrade_gradient(frame.dst);
+    degrade_gradient(slot);
     if (!has_data_gradient_out() && !is_sink_) {
       // Orphaned: stop pulling data and tell upstreams to stop sending.
       cascade_negative_upstream();
@@ -270,10 +296,11 @@ void DiffusionNode::send_interest() {
   interest_timer_.arm(params_.interest_period);
 }
 
-void DiffusionNode::handle_interest(const InterestMsg& msg, net::NodeId from) {
+void DiffusionNode::handle_interest(const InterestMsg& msg, net::NodeId from,
+                                    std::uint32_t slot) {
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kInterestRecv, id(), from, msg.sink,
                  msg.round);
-  refresh_gradient(from);
+  refresh_gradient(slot);
   auto [it, inserted] = interest_rounds_.try_emplace(msg.sink, 0);
   if (!inserted && it->second >= msg.round) {
     WSN_TRACE_EMIT(sim_, trace::RecordKind::kCacheHit, id(), from,
@@ -415,7 +442,7 @@ void DiffusionNode::handle_exploratory(const ExploratoryMsg& msg,
   // add the transmission cost before resending). Exploratory events follow
   // gradients: a node nobody tasked (no gradient at all — possible under
   // directional interests) does not forward them.
-  if (!rec.forward_scheduled && !gradients_.empty()) {
+  if (!rec.forward_scheduled && gradient_count_ != 0) {
     rec.forward_scheduled = true;
     const MsgId mid = msg.msg_id;
     sim_->schedule_in(rng_.jitter(params_.exploratory_jitter), [this, mid] {
@@ -445,12 +472,15 @@ void DiffusionNode::propagate_reinforcement(MsgId id_of_expl, bool force) {
 }
 
 void DiffusionNode::handle_reinforcement(const ReinforcementMsg& msg,
-                                         net::NodeId from) {
+                                         net::NodeId from,
+                                         std::uint32_t slot) {
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kReinforceRecv, id(), from,
                  msg.exploratory_id, msg.force ? 1 : 0);
-  auto [git, fresh] = gradients_.try_emplace(from);
-  Gradient& g = git->second;
+  EdgeGradient& g = gradient_at(slot);
+  const bool fresh = !g.present;
   if (fresh) {
+    g.present = true;
+    ++gradient_count_;
     WSN_TRACE_EMIT(sim_, trace::RecordKind::kGradientNew, id(), from,
                    GradientType::kData, 0);
   }
@@ -462,9 +492,9 @@ void DiffusionNode::handle_reinforcement(const ReinforcementMsg& msg,
   propagate_reinforcement(msg.exploratory_id, msg.force);
 }
 
-void DiffusionNode::handle_negative(net::NodeId from) {
+void DiffusionNode::handle_negative(net::NodeId from, std::uint32_t slot) {
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kNegativeRecv, id(), from, 0, 0);
-  degrade_gradient(from);
+  degrade_gradient(slot);
   if (!has_data_gradient_out() && !is_sink_) {
     // All downstream demand gone: stop expecting data and cascade upstream.
     cascade_negative_upstream();
@@ -584,9 +614,8 @@ void DiffusionNode::flush() {
     return;  // consumed here
   }
 
-  const auto& gradients = data_gradient_neighbors();
   bool sent_any = false;
-  if (!gradients.empty()) {
+  if (has_data_gradient_out()) {
     expected_sources_.clear();
     for (const DataItem& item : union_scratch_) {
       expected_sources_.insert(item.key.source);
@@ -594,7 +623,11 @@ void DiffusionNode::flush() {
     // Split horizon: each downstream neighbour gets every pending item
     // except the ones it delivered to us itself — this keeps items (and
     // therefore set-cover weight) from circulating around gradient cycles.
-    for (net::NodeId nb : gradients) {
+    const auto nbrs = mac_->neighbors();
+    for (std::size_t k = 0; k < gradient_table_.size(); ++k) {
+      EdgeGradient& g = gradient_table_[k];
+      if (!g.live_data(now)) continue;
+      const net::NodeId nb = nbrs[k];
       auto msg = make_msg<DataMsg>(sim_->arena());
       msg->items.reserve(pending_.size());
       for (const PendingItem& p : pending_) {
@@ -604,7 +637,7 @@ void DiffusionNode::flush() {
       // An in-use link keeps itself alive: dead next hops are torn down by
       // the MAC failure callback and useless ones by negative
       // reinforcement, so expiry only needs to reap *idle* gradients.
-      gradients_[nb].expires = now + params_.gradient_timeout;
+      g.expires = now + params_.gradient_timeout;
       msg->msg_id = fresh_msg_id();
       msg->cost_e = outgoing_cost;
       ++stats_.data_sent;
@@ -742,15 +775,19 @@ void DiffusionNode::housekeeping() {
               }));
   // A data gradient expiring off the tree is a topology event, not just a
   // purge, so those get a kTreeChange on top of the purge tally.
-  trace_purge(trace::TraceCache::kGradients,
-              gradients_.erase_if([&](const auto& kv) {
-                const bool dead = kv.second.expires <= now;
-                if (dead && kv.second.type == GradientType::kData) {
-                  WSN_TRACE_EMIT(sim_, trace::RecordKind::kTreeChange, id(),
-                                 kv.first, 0, 0);
-                }
-                return dead;
-              }));
+  std::size_t purged = 0;
+  for (std::size_t k = 0; k < gradient_table_.size(); ++k) {
+    EdgeGradient& g = gradient_table_[k];
+    if (!g.present || g.expires > now) continue;
+    if (g.type == GradientType::kData) {
+      WSN_TRACE_EMIT(sim_, trace::RecordKind::kTreeChange, id(),
+                     mac_->neighbors()[k], 0, 0);
+    }
+    g = EdgeGradient{};
+    ++purged;
+  }
+  gradient_count_ -= purged;
+  trace_purge(trace::TraceCache::kGradients, purged);
   trace_purge(trace::TraceCache::kSuspects,
               suspects_.erase_if([&](const auto& kv) {
                 return kv.second <= now;
@@ -773,6 +810,11 @@ void DiffusionNode::housekeeping() {
     WSN_AUDIT_CHECK(expl_cache_.contains(mid),
                     "icm cache entry survived the purge of its event");
   }
+  WSN_AUDIT_CHECK(static_cast<std::size_t>(std::count_if(
+                      gradient_table_.begin(), gradient_table_.end(),
+                      [](const EdgeGradient& g) { return g.present; })) ==
+                      gradient_count_,
+                  "gradient count disagrees with the table");
   last_housekeeping_ = now;
 #endif
 }

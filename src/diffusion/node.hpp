@@ -86,16 +86,11 @@ class DiffusionNode : public mac::MacUser {
       const;
 
   // --- MacUser ---
-  void mac_receive(const net::Frame& frame) final;
+  void mac_receive(const net::Frame& frame, std::uint32_t from_slot) final;
   void mac_send_failed(const net::Frame& frame) final;
   void mac_send_succeeded(const net::Frame& frame) final;
 
  protected:
-  struct Gradient {
-    GradientType type = GradientType::kExploratory;
-    sim::Time expires;
-  };
-
   /// Cap on tracked senders per exploratory event — enough for repair
   /// fallbacks, small enough to live inline in the record.
   static constexpr std::size_t kMaxSendersTracked = 4;
@@ -209,12 +204,14 @@ class DiffusionNode : public mac::MacUser {
   ProtocolStats stats_;
 
  private:
-  // message handlers
-  void handle_interest(const InterestMsg& msg, net::NodeId from);
+  // message handlers; `slot` is the sender's place in mac_->neighbors()
+  void handle_interest(const InterestMsg& msg, net::NodeId from,
+                       std::uint32_t slot);
   void handle_exploratory(const ExploratoryMsg& msg, net::NodeId from);
   void handle_data(const DataMsg& msg, net::NodeId from);
-  void handle_reinforcement(const ReinforcementMsg& msg, net::NodeId from);
-  void handle_negative(net::NodeId from);
+  void handle_reinforcement(const ReinforcementMsg& msg, net::NodeId from,
+                            std::uint32_t slot);
+  void handle_negative(net::NodeId from, std::uint32_t slot);
 
   // senders
   void broadcast_interest(std::shared_ptr<const InterestMsg> msg);
@@ -234,8 +231,20 @@ class DiffusionNode : public mac::MacUser {
   void housekeeping();
 
   void activate_source();
-  void refresh_gradient(net::NodeId nb);
-  void degrade_gradient(net::NodeId nb);
+  /// Gradient toward one neighbour; `present` marks a live table entry.
+  struct EdgeGradient {
+    sim::Time expires;
+    GradientType type = GradientType::kExploratory;
+    bool present = false;
+
+    [[nodiscard]] bool live_data(sim::Time now) const {
+      return present && type == GradientType::kData && expires > now;
+    }
+  };
+  /// Gradient toward the neighbour in `slot`; sizes the table on first use.
+  EdgeGradient& gradient_at(std::uint32_t slot);
+  void refresh_gradient(std::uint32_t slot);
+  void degrade_gradient(std::uint32_t slot);
   void maybe_early_flush();
   [[nodiscard]] bool is_aggregation_point() const;
   /// Claims the next reusable aggregation-window slot (fields reset, item
@@ -250,12 +259,17 @@ class DiffusionNode : public mac::MacUser {
   bool source_active_ = false;
   EventSeq next_seq_ = 0;
 
-  // Per-node state lives in sorted flat maps (sim/flat_map.hpp): fan-out
-  // is bounded by radio degree, iteration is deterministic by key, and
-  // erase/clear keep capacity so steady-state maintenance never allocates.
+  // Gradient state toward the sink side, one entry per neighbour slot:
+  // aligned with mac_->neighbors() (ascending id), sized once to the degree
+  // at the first gradient. Receptions index it by the sender's slot.
+  std::vector<EdgeGradient> gradient_table_;
+  std::size_t gradient_count_ = 0;  ///< entries with `present` set
 
-  // gradient state: neighbour -> gradient toward the sink side
-  sim::FlatMap<net::NodeId, Gradient> gradients_;
+  // The rest of the per-node state lives in sorted flat maps
+  // (sim/flat_map.hpp): fan-out is bounded by radio degree, iteration is
+  // deterministic by key, and erase/clear keep capacity so steady-state
+  // maintenance never allocates.
+
   // interest duplicate suppression: sink -> highest round rebroadcast
   sim::FlatMap<net::NodeId, std::uint32_t> interest_rounds_;
 

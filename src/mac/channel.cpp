@@ -108,7 +108,13 @@ void Channel::sweep_arrival_ends(const TransmissionPtr& tx) {
                   "end sweep away from the arrival's end");
   last_end_ = sim_->now();
   last_end_id_ = tx->id;
-  for (net::NodeId nb : topo_->audible(tx->src)) {
+  // A clean arrival is decodable, so its receiver sits in the decodable
+  // prefix, where the topology's reverse slots say where the sender sits in
+  // the receiver's neighbour list: the slot travels up with the frame.
+  const auto audible = topo_->audible(tx->src);
+  const auto from_slots = topo_->reverse_slots(tx->src);
+  for (std::size_t i = 0; i < audible.size(); ++i) {
+    const net::NodeId nb = audible[i];
     RadioRecord& r = radios_[nb];
     WSN_AUDIT_CHECK(r.alive || (r.clean == nullptr && r.busy_id == 0 &&
                                 !r.contending && !r.transmitting),
@@ -116,8 +122,10 @@ void Channel::sweep_arrival_ends(const TransmissionPtr& tx) {
     if (r.clean == tx.get()) {
       WSN_AUDIT_CHECK(r.busy_id == tx->id && !r.transmitting,
                       "clean arrival ending under another or our own carrier");
+      WSN_AUDIT_CHECK(i < from_slots.size(),
+                      "clean arrival outside the decodable prefix");
       r.clean = nullptr;
-      if (!tx->aborted) macs_[nb]->deliver(*tx);
+      if (!tx->aborted) macs_[nb]->deliver(*tx, from_slots[i]);
     }
     if (r.contending && r.busy_id == tx->id && !r.transmitting) {
       macs_[nb]->medium_became_idle();

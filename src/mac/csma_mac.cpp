@@ -150,7 +150,7 @@ void CsmaMac::send_ack(net::NodeId to) {
   });
 }
 
-void CsmaMac::deliver(const Transmission& tx) {
+void CsmaMac::deliver(const Transmission& tx, std::uint32_t from_slot) {
   const net::Frame& f = tx.frame;
   if (tx.kind == FrameKind::kAck) {
     if (f.dst == id_ && state_ == State::kWaitAck && !queue_.empty() &&
@@ -162,7 +162,7 @@ void CsmaMac::deliver(const Transmission& tx) {
   }
   if (f.dst != id_ && f.dst != net::kBroadcast) return;  // overheard only
   if (f.dst == id_) send_ack(f.src);
-  hand_up(tx);
+  hand_up(tx, from_slot);
 }
 
 }  // namespace wsn::mac

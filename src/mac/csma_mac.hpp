@@ -41,7 +41,7 @@ class CsmaMac final : public MacBase {
   }
   void on_tx_end(FrameKind sent) override;
   void on_power_change(bool alive) override;
-  void deliver(const Transmission& tx) override;
+  void deliver(const Transmission& tx, std::uint32_t from_slot) override;
   void medium_became_busy() override;
   void medium_became_idle() override;
   void start_contention();

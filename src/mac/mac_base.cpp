@@ -110,11 +110,11 @@ void MacBase::complete_head(bool success) {
   audit_frame_conservation();
 }
 
-void MacBase::hand_up(const Transmission& tx) {
+void MacBase::hand_up(const Transmission& tx, std::uint32_t from_slot) {
   const net::Frame& f = tx.frame;
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacRx, id_, f.src, tx.id, f.bytes);
   ++stats_.frames_delivered;
-  if (user_ != nullptr) user_->mac_receive(f);
+  if (user_ != nullptr) user_->mac_receive(f, from_slot);
 }
 
 }  // namespace wsn::mac

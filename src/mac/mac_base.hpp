@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "mac/channel.hpp"
 #include "mac/energy.hpp"
@@ -19,7 +20,11 @@ class MacUser {
  public:
   virtual ~MacUser() = default;
   /// A decoded frame addressed to this node (or broadcast) arrived.
-  virtual void mac_receive(const net::Frame& frame) = 0;
+  /// `from_slot` is the sender's position in this node's neighbour list
+  /// (`MacBase::neighbors()`), so per-neighbour state indexes without a
+  /// search.
+  virtual void mac_receive(const net::Frame& frame,
+                           std::uint32_t from_slot) = 0;
   /// A unicast frame was dropped after exhausting its retries — the usual
   /// sign of a dead or unreachable next hop. Default: ignore.
   virtual void mac_send_failed(const net::Frame& frame) { (void)frame; }
@@ -88,6 +93,11 @@ class MacBase {
 
   [[nodiscard]] bool alive() const { return radio_->alive; }
   [[nodiscard]] net::NodeId id() const { return id_; }
+  /// The nodes this radio can decode, ascending id; `mac_receive`'s slot
+  /// indexes this list.
+  [[nodiscard]] std::span<const net::NodeId> neighbors() const {
+    return channel_->topology().neighbors(id_);
+  }
   [[nodiscard]] const MacStats& stats() const { return stats_; }
   /// Whether the radio is transmitting or receiving any arrival.
   [[nodiscard]] bool medium_busy() const {
@@ -122,7 +132,8 @@ class MacBase {
   /// Called by `set_alive` after the shared power-down/up reset.
   virtual void on_power_change(bool alive) = 0;
   /// A decodable frame ended intact (not overlapped, not aborted).
-  virtual void deliver(const Transmission& tx) = 0;
+  /// `from_slot` is the sender's position in `neighbors()`.
+  virtual void deliver(const Transmission& tx, std::uint32_t from_slot) = 0;
   /// An arrival started while the radio was contending, neither
   /// transmitting nor receiving. Default: ignore.
   virtual void medium_became_busy() {}
@@ -145,8 +156,9 @@ class MacBase {
   /// Retires the queue head and tells the user a unicast's outcome. Failure
   /// means its retries ran out: counted and traced as a drop first.
   void complete_head(bool success);
-  /// Hands a clean data frame addressed here (or broadcast) to the user.
-  void hand_up(const Transmission& tx);
+  /// Hands a clean data frame addressed here (or broadcast) to the user,
+  /// with the sender's slot in `neighbors()`.
+  void hand_up(const Transmission& tx, std::uint32_t from_slot);
 
   sim::Simulator* sim_;
   Channel* channel_;

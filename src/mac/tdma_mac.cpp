@@ -60,7 +60,7 @@ void TdmaMac::on_tx_end(FrameKind sent) {
   });
 }
 
-void TdmaMac::deliver(const Transmission& tx) {
+void TdmaMac::deliver(const Transmission& tx, std::uint32_t from_slot) {
   const net::Frame& f = tx.frame;
   if (tx.kind == FrameKind::kAck) {
     if (f.dst == id_ && awaiting_ack_ && !queue_.empty()) {
@@ -77,7 +77,7 @@ void TdmaMac::deliver(const Transmission& tx) {
       transmit_ack(to, phy_.ack_airtime());
     });
   }
-  hand_up(tx);
+  hand_up(tx, from_slot);
 }
 
 }  // namespace wsn::mac

@@ -50,7 +50,7 @@ class TdmaMac final : public MacBase {
  private:
   void on_tx_end(FrameKind sent) override;
   void on_power_change(bool alive) override;
-  void deliver(const Transmission& tx) override;
+  void deliver(const Transmission& tx, std::uint32_t from_slot) override;
   void on_slot_start();
   void schedule_next_slot();
 

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "sim/audit.hpp"
+
 namespace wsn::net {
 namespace {
 
@@ -29,7 +31,7 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
   }
   const std::size_t n = positions_.size();
   audible_lists_.resize(n);
-  decodable_.resize(n);
+  slot_offsets_.assign(n + 1, 0);
   if (n == 0) return;
 
   // Bin nodes into cs_range×cs_range cells; audible nodes can only be in
@@ -72,10 +74,33 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
     // by id) followed by carrier-sense-only nodes, sorted by id.
     std::sort(decodable.begin(), decodable.end());
     std::sort(cs_only.begin(), cs_only.end());
-    decodable_[i] = decodable.size();
+    slot_offsets_[i + 1] = slot_offsets_[i] + decodable.size();
     decodable.insert(decodable.end(), cs_only.begin(), cs_only.end());
     audible_lists_[i].assign(decodable.begin(), decodable.end());  // exact size
   }
+
+  // Reverse slots in one pass, no search: receivers r in ascending id meet
+  // each sender s in the order r appears in neighbors(s), so a cursor per
+  // sender is r's position there. The lists are symmetric (unit disk), so
+  // every cursor ends at its sender's degree.
+  reverse_slots_.resize(slot_offsets_[n]);
+  std::vector<std::uint32_t> cursor(n, 0);
+  for (NodeId r = 0; r < n; ++r) {
+    const auto nbrs = neighbors(r);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const NodeId s = nbrs[k];
+      WSN_AUDIT_CHECK(cursor[s] < decodable_prefix(s) &&
+                          neighbors(s)[cursor[s]] == r,
+                      "neighbour lists are not symmetric");
+      reverse_slots_[slot_offsets_[r] + k] = cursor[s]++;
+    }
+  }
+#if WSN_AUDIT_ENABLED
+  for (NodeId s = 0; s < n; ++s) {
+    WSN_AUDIT_CHECK(cursor[s] == decodable_prefix(s),
+                    "reverse slots do not cover a neighbour list");
+  }
+#endif
 }
 
 bool Topology::in_range(NodeId a, NodeId b) const {
@@ -85,9 +110,8 @@ bool Topology::in_range(NodeId a, NodeId b) const {
 
 double Topology::average_degree() const {
   if (positions_.empty()) return 0.0;
-  std::size_t total = 0;
-  for (std::size_t d : decodable_) total += d;
-  return static_cast<double>(total) / static_cast<double>(positions_.size());
+  return static_cast<double>(slot_offsets_.back()) /
+         static_cast<double>(positions_.size());
 }
 
 bool Topology::connected() const {

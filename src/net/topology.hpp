@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -39,7 +40,7 @@ class Topology {
   /// Neighbours of `id` (nodes strictly within radio range, excluding
   /// `id` itself), sorted by id: the decodable prefix of `audible(id)`.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId id) const {
-    return audible(id).first(decodable_[id]);
+    return audible(id).first(decodable_prefix(id));
   }
 
   /// Nodes within carrier-sense range of `id` (superset of neighbors).
@@ -54,7 +55,14 @@ class Topology {
 
   /// Number of leading `audible(id)` entries that are within radio range.
   [[nodiscard]] std::size_t decodable_prefix(NodeId id) const {
-    return decodable_[id];
+    return slot_offsets_[id + 1] - slot_offsets_[id];
+  }
+
+  /// Reverse edge slots: entry k is the position of `id` in
+  /// `neighbors(neighbors(id)[k])`, so a receiver of `id`'s frame learns
+  /// where the sender sits in its own neighbour list without a search.
+  [[nodiscard]] std::span<const std::uint32_t> reverse_slots(NodeId id) const {
+    return {reverse_slots_.data() + slot_offsets_[id], decodable_prefix(id)};
   }
 
   [[nodiscard]] bool in_range(NodeId a, NodeId b) const;
@@ -73,7 +81,9 @@ class Topology {
   double range_;
   double cs_range_;
   std::vector<std::vector<NodeId>> audible_lists_;
-  std::vector<std::size_t> decodable_;  ///< neighbours per audible list
+  /// Node i's neighbours are edges [slot_offsets_[i], slot_offsets_[i+1]).
+  std::vector<std::size_t> slot_offsets_;
+  std::vector<std::uint32_t> reverse_slots_;  ///< one per edge
 };
 
 }  // namespace wsn::net

@@ -3,6 +3,10 @@
 // the macros cost nothing.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
+#include "diffusion/messages.hpp"
 #include "mac/energy.hpp"
 #include "mac/params.hpp"
 #include "protocol_rig.hpp"
@@ -109,6 +113,30 @@ TEST(Audit, MakeSinkAfterStartIsCaught) {
   testing::ProtocolRig rig{{{0.0, 0.0}}, core::Algorithm::kGreedy};
   rig.start_all();
   rig.node(0).make_sink(rig.whole_field());  // too late: no repair tick
+  EXPECT_GE(sim::audit::violations(), 1u);
+  sim::audit::reset_violations();
+  sim::audit::set_abort_on_violation(true);
+}
+
+TEST(Audit, MismatchedSenderSlotIsCaught) {
+  sim::audit::set_abort_on_violation(false);
+  sim::audit::reset_violations();
+  // Node 1 hears 0 and 2, so its neighbour slots are {0: node 0, 1: node 2}.
+  testing::ProtocolRig rig{{{0.0, 0.0}, {30.0, 0.0}, {60.0, 0.0}},
+                           core::Algorithm::kGreedy};
+  const auto interest_from_2 = [] {
+    auto msg = std::make_shared<diffusion::InterestMsg>();
+    msg->sink = 2;
+    msg->round = 1;
+    net::Frame f;
+    f.src = 2;
+    f.dst = net::kBroadcast;
+    f.payload = std::move(msg);
+    return f;
+  };
+  rig.node(1).mac_receive(interest_from_2(), rig.slot(1, 2));
+  EXPECT_EQ(sim::audit::violations(), 0u);
+  rig.node(1).mac_receive(interest_from_2(), rig.slot(1, 0));  // names node 0
   EXPECT_GE(sim::audit::violations(), 1u);
   sim::audit::reset_violations();
   sim::audit::set_abort_on_violation(true);

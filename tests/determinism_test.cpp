@@ -114,6 +114,15 @@ TEST(Determinism, GoldenMetricDigests) {
   tdma_failures.failures.enabled = true;
   tdma_failures.failures.period = sim::Time::seconds(10.0);
 
+  // Directional interests scoped to the source corner: the only mode in
+  // which nodes hold no gradient at all, so whether a node's gradient
+  // table is empty decides whether it forwards exploratory events.
+  ExperimentConfig directional_failures = opportunistic_failures;
+  directional_failures.algorithm = core::Algorithm::kGreedy;
+  directional_failures.diffusion.interest_propagation =
+      diffusion::InterestPropagation::kDirectional;
+  directional_failures.interest_region = directional_failures.source_rect;
+
   const RunResult a = run_experiment(csma_greedy);
   EXPECT_EQ(stats::digest_of(a.metrics), 0x8a321c51371868f3ULL);
   EXPECT_EQ(a.events_dispatched, 56'119u);
@@ -123,6 +132,9 @@ TEST(Determinism, GoldenMetricDigests) {
   const RunResult c = run_experiment(tdma_failures);
   EXPECT_EQ(stats::digest_of(c.metrics), 0x7d60afa43c41a7abULL);
   EXPECT_EQ(c.events_dispatched, 66'069u);
+  const RunResult d = run_experiment(directional_failures);
+  EXPECT_EQ(stats::digest_of(d.metrics), 0xa0a7a80941697cdbULL);
+  EXPECT_EQ(d.events_dispatched, 39'622u);
 }
 
 TEST(Determinism, DigestIsOrderSensitive) {

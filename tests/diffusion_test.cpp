@@ -200,7 +200,7 @@ TEST(Diffusion, DuplicateSuppressionCachesExpireByTtl) {
     f.dst = 1;
     f.bytes = 64;
     f.payload = std::move(msg);
-    rig.node(1).mac_receive(f);
+    rig.node(1).mac_receive(f, rig.slot(1, 2));
   };
 
   inject_data(7001, 1);
@@ -234,7 +234,7 @@ TEST(Diffusion, PurgedExploratoryIdRefloodsCorrectly) {
     f.dst = net::kBroadcast;
     f.bytes = 64;
     f.payload = std::move(msg);
-    rig.node(1).mac_receive(f);
+    rig.node(1).mac_receive(f, rig.slot(1, 2));
   };
 
   inject_expl(9001);

@@ -2,6 +2,7 @@
 // recording user per node over explicit node positions.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -14,13 +15,18 @@
 
 namespace wsn::testing {
 
-/// Records what the MAC hands up and how its unicasts ended.
+/// Records what the MAC hands up (with the sender's neighbour slot) and how
+/// its unicasts ended.
 struct RecordingUser final : mac::MacUser {
   std::vector<net::Frame> received;
+  std::vector<std::uint32_t> slots;  ///< from_slot of each received frame
   int failed = 0;
   int succeeded = 0;
 
-  void mac_receive(const net::Frame& f) override { received.push_back(f); }
+  void mac_receive(const net::Frame& f, std::uint32_t from_slot) override {
+    received.push_back(f);
+    slots.push_back(from_slot);
+  }
   void mac_send_failed(const net::Frame&) override { ++failed; }
   void mac_send_succeeded(const net::Frame&) override { ++succeeded; }
 };
@@ -52,6 +58,7 @@ class MacRig {
   RecordingUser& user(net::NodeId i) { return *users_[i]; }
   sim::Simulator& sim() { return sim_; }
   mac::Channel& channel() { return channel_; }
+  const net::Topology& topology() const { return topo_; }
   const mac::PhyParams& phy() const { return phy_; }
   const mac::TdmaParams& tdma() const { return tdma_; }
   const mac::EnergyParams& energy() const { return energy_; }

@@ -541,6 +541,53 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MacKind::kCsma, MacKind::kTdma),
     [](const auto& info) { return mac_kind_name(info.param); });
 
+/// The end sweep hands each receiver the sender's slot in the receiver's
+/// own neighbour list; the diffusion layer indexes per-edge state with it.
+class MacSlotHandOff : public ::testing::TestWithParam<MacKind> {};
+
+TEST_P(MacSlotHandOff, EveryReceptionNamesItsSenderSlot) {
+  sim::Rng rng{7};
+  std::vector<net::Vec2> pts;
+  const std::size_t n = 12;
+  for (std::size_t i = 0; i < n; ++i) {
+    pts.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
+  }
+  MacRig rig{pts, 40.0, 88.0, GetParam()};
+  // Every node broadcasts once and unicasts to each neighbour, spread out
+  // so most frames get through on either MAC.
+  for (net::NodeId src = 0; src < n; ++src) {
+    const sim::Time at = sim::Time::millis(20 * src);
+    rig.sim().schedule_at(at, [&rig, src] {
+      rig.mac(src).send(MacRig::frame(net::kBroadcast));
+      for (net::NodeId nb : rig.topology().neighbors(src)) {
+        rig.mac(src).send(MacRig::frame(nb));
+      }
+    });
+  }
+  const sim::Time drain = GetParam() == MacKind::kTdma
+                              ? rig.tdma_cycle() * 100
+                              : sim::Time::zero();
+  rig.sim().run_until(sim::Time::seconds(1.0) + drain);
+
+  std::size_t checked = 0;
+  for (net::NodeId r = 0; r < n; ++r) {
+    const auto& user = rig.user(r);
+    const auto nbrs = rig.topology().neighbors(r);
+    ASSERT_EQ(user.slots.size(), user.received.size());
+    for (std::size_t k = 0; k < user.received.size(); ++k) {
+      ASSERT_LT(user.slots[k], nbrs.size()) << "receiver " << r;
+      EXPECT_EQ(nbrs[user.slots[k]], user.received[k].src) << "receiver " << r;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, n);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothMacs, MacSlotHandOff,
+    ::testing::Values(MacKind::kCsma, MacKind::kTdma),
+    [](const auto& info) { return mac_kind_name(info.param); });
+
 TEST(Mac, BidirectionalTrafficCompletes) {
   MacRig rig{{{0, 0}, {20, 0}}, 40.0};
   for (int i = 0; i < 20; ++i) {
@@ -847,7 +894,8 @@ double bianchi_collision_probability(int senders) {
 /// Keeps one unicast to node 0 queued at all times: each outcome refills.
 struct SaturatedSender final : mac::MacUser {
   MacBase* mac = nullptr;
-  void mac_receive(const net::Frame& /*f*/) override {}
+  void mac_receive(const net::Frame& /*f*/,
+                   std::uint32_t /*from_slot*/) override {}
   void mac_send_succeeded(const net::Frame& /*f*/) override { refill(); }
   void mac_send_failed(const net::Frame& /*f*/) override { refill(); }
   void refill() const { mac->send(MacRig::frame(0)); }
@@ -930,7 +978,8 @@ class RecorderMac final : public MacBase {
         id(), std::find(in_range.begin(), in_range.end(), id()) !=
                   in_range.end());
   }
-  void deliver(const Transmission& /*tx*/) override {
+  void deliver(const Transmission& /*tx*/,
+               std::uint32_t /*from_slot*/) override {
     log_->delivered.push_back(id());
   }
   void medium_became_idle() override { log_->ends.push_back(id()); }

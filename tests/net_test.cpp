@@ -119,7 +119,9 @@ TEST(Topology, RejectsBadRangesInEveryBuildType) {
 
 // Property: grid-accelerated neighbour lists match the O(n²) definition,
 // on the paper's 200 m field (3 cells wide) and on a 1000 m one (12 cells),
-// with the 88 m carrier-sense range and with CS 0 (= radio range).
+// with the 88 m carrier-sense range and with CS 0 (= radio range), down to
+// empty and single-node fields. Every reverse slot points back: entry k of
+// reverse_slots(i) is where i sits in the list of its k-th neighbour.
 class TopologyProperty
     : public ::testing::TestWithParam<
           std::tuple<std::size_t, std::uint64_t, double, double>> {};
@@ -163,12 +165,20 @@ TEST_P(TopologyProperty, MatchesBruteForce) {
     std::vector<NodeId> got_a_sorted(got_a.begin(), got_a.end());
     std::sort(got_a_sorted.begin(), got_a_sorted.end());
     ASSERT_EQ(got_a_sorted, expected_audible) << "node " << i;
+
+    const auto back = t.reverse_slots(i);
+    ASSERT_EQ(back.size(), t.decodable_prefix(i)) << "node " << i;
+    for (std::size_t k = 0; k < back.size(); ++k) {
+      const auto theirs = t.neighbors(got[k]);
+      ASSERT_LT(back[k], theirs.size()) << "node " << i << " slot " << k;
+      ASSERT_EQ(theirs[back[k]], i) << "node " << i << " slot " << k;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, TopologyProperty,
-    ::testing::Combine(::testing::Values<std::size_t>(10, 50, 150),
+    ::testing::Combine(::testing::Values<std::size_t>(0, 1, 10, 50, 150),
                        ::testing::Values<std::uint64_t>(1, 2, 3),
                        ::testing::Values(200.0, 1000.0),
                        ::testing::Values(88.0, 0.0)));

@@ -3,6 +3,8 @@
 // node positions so tests can craft exact topologies.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -45,6 +47,13 @@ class ProtocolRig {
   sim::Simulator& sim() { return sim_; }
   stats::MetricsCollector& collector() { return collector_; }
   const net::Topology& topology() const { return topo_; }
+  /// Position of `nb` in `neighbors(at)`: the slot the channel hands `at`
+  /// with a frame from `nb` (tests that inject frames pass it).
+  [[nodiscard]] std::uint32_t slot(net::NodeId at, net::NodeId nb) const {
+    const auto nbrs = topo_.neighbors(at);
+    return static_cast<std::uint32_t>(
+        std::find(nbrs.begin(), nbrs.end(), nb) - nbrs.begin());
+  }
 
   void run_for(double seconds) { sim_.run_until(sim::Time::seconds(seconds)); }
 
