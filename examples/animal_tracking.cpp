@@ -1,20 +1,18 @@
 // The paper's §2 motivating scenario: tracking animals in a wilderness
 // refuge. A user (sink) tasks the network with an interest scoped to a
 // remote sub-region; only sensors detecting animals *inside that region*
-// become sources. This example drives the public API directly (no
-// run_experiment) to show how a bespoke deployment is assembled.
+// become sources. This example skips run_experiment to show how a bespoke
+// deployment is assembled: draw a field, build the stack on it with
+// scenario::Network, give nodes their roles, start and run.
 //
 //   $ ./animal_tracking [seed]
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "cli.hpp"
-#include "core/algorithm.hpp"
-#include "mac/channel.hpp"
-#include "mac/csma_mac.hpp"
 #include "net/field.hpp"
 #include "net/topology.hpp"
+#include "scenario/experiment.hpp"
+#include "scenario/network.hpp"
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
 
@@ -30,23 +28,11 @@ int main(int argc, char** argv) {
   const net::Topology topo =
       net::generate_connected_topology(spec, field_rng).topology;
 
+  // --- the default stack: CSMA MACs running greedy aggregation ---
   sim::Simulator sim;
-  mac::PhyParams phy;
-  mac::Channel channel{sim, topo, phy.propagation};
-  mac::EnergyParams energy;
-  diffusion::DiffusionParams params;
-
   stats::MetricsCollector metrics;
-  std::vector<std::unique_ptr<mac::CsmaMac>> macs;
-  std::vector<std::unique_ptr<diffusion::DiffusionNode>> nodes;
-  for (net::NodeId id = 0; id < topo.node_count(); ++id) {
-    macs.push_back(std::make_unique<mac::CsmaMac>(sim, channel, id, phy,
-                                                  energy,
-                                                  master.fork(100 + id)));
-    nodes.push_back(core::make_diffusion_node(
-        core::Algorithm::kGreedy, sim, *macs[id], topo.position(id), params,
-        master.fork(500 + id), &metrics));
-  }
+  scenario::Network network{sim, topo, scenario::ExperimentConfig{}, master,
+                            &metrics};
 
   // --- the tracking task: animals in the north-west quadrant ---
   const net::Rect watch_region{0.0, 100.0, 100.0, 200.0};
@@ -62,7 +48,7 @@ int main(int argc, char** argv) {
       user = id;
     }
   }
-  nodes[user]->make_sink(watch_region);
+  network.node(user).make_sink(watch_region);
 
   // Animals wander: sensors all over the park detect movement, but only
   // those inside the tasked region will answer the interest.
@@ -71,10 +57,10 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 10; ++i) {
     const auto id = static_cast<net::NodeId>(
         wander.uniform_int(0, static_cast<std::int64_t>(topo.node_count()) - 1));
-    nodes[id]->set_detecting(true);
+    network.node(id).set_detecting(true);
     if (watch_region.contains(topo.position(id))) ++in_region;
   }
-  for (auto& n : nodes) n->start();
+  network.start();
 
   std::printf("Wilderness refuge: %zu sensors, user node %u at (%.0f, %.0f)\n",
               topo.node_count(), user, topo.position(user).x,
@@ -88,14 +74,18 @@ int main(int argc, char** argv) {
   sim.run_until(sim::Time::seconds(120.0));
 
   int active = 0;
-  for (auto& n : nodes) active += n->is_active_source() ? 1 : 0;
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    active += network.node(id).is_active_source() ? 1 : 0;
+  }
   std::printf("Active sources (must equal in-region detectors): %d\n", active);
   std::printf("Track updates delivered to the user: %llu distinct events\n",
               static_cast<unsigned long long>(metrics.distinct_received()));
   std::printf("Mean track latency: %.3f s\n", metrics.delay().mean());
 
   double joules = 0.0;
-  for (auto& m : macs) joules += m->energy_joules(sim.now());
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    joules += network.mac(id).energy_joules(sim.now());
+  }
   std::printf("Network energy over %.0f s: %.1f J total (%.3f J/node)\n",
               sim.now().as_seconds(), joules,
               joules / static_cast<double>(topo.node_count()));

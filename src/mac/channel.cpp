@@ -100,8 +100,10 @@ void Channel::became_busy(MacBase* mac) { mac->medium_became_busy(); }
 
 void Channel::sweep_arrival_ends(const TransmissionPtr& tx) {
   // Only two kinds of radio need their MAC here: the one whose clean
-  // arrival this is, and a contending one whose medium this end makes
-  // idle. Everyone else charged its receive time at the start sweep.
+  // arrival this is, if the frame is addressed to it or broadcast, and a
+  // contending one whose medium this end makes idle. Everyone else charged
+  // its receive time at the start sweep; an overheard unicast or ACK only
+  // clears the clean arrival.
   WSN_AUDIT_CHECK(end_pending(sim_->now(), tx->id),
                   "end sweeps out of (end, tx id) order");
   WSN_AUDIT_CHECK(sim_->now() == tx->end + propagation_,
@@ -113,6 +115,7 @@ void Channel::sweep_arrival_ends(const TransmissionPtr& tx) {
   // the receiver's neighbour list: the slot travels up with the frame.
   const auto audible = topo_->audible(tx->src);
   const auto from_slots = topo_->reverse_slots(tx->src);
+  const net::NodeId dst = tx->frame.dst;
   for (std::size_t i = 0; i < audible.size(); ++i) {
     const net::NodeId nb = audible[i];
     RadioRecord& r = radios_[nb];
@@ -125,7 +128,9 @@ void Channel::sweep_arrival_ends(const TransmissionPtr& tx) {
       WSN_AUDIT_CHECK(i < from_slots.size(),
                       "clean arrival outside the decodable prefix");
       r.clean = nullptr;
-      if (!tx->aborted) macs_[nb]->deliver(*tx, from_slots[i]);
+      if (!tx->aborted && (dst == nb || dst == net::kBroadcast)) {
+        macs_[nb]->deliver(*tx, from_slots[i]);
+      }
     }
     if (r.contending && r.busy_id == tx->id && !r.transmitting) {
       macs_[nb]->medium_became_idle();

@@ -153,14 +153,13 @@ void CsmaMac::send_ack(net::NodeId to) {
 void CsmaMac::deliver(const Transmission& tx, std::uint32_t from_slot) {
   const net::Frame& f = tx.frame;
   if (tx.kind == FrameKind::kAck) {
-    if (f.dst == id_ && state_ == State::kWaitAck && !queue_.empty() &&
+    if (state_ == State::kWaitAck && !queue_.empty() &&
         queue_.front().frame.dst == f.src) {
       ack_timer_.cancel();
       finish_current(true);
     }
     return;
   }
-  if (f.dst != id_ && f.dst != net::kBroadcast) return;  // overheard only
   if (f.dst == id_) send_ack(f.src);
   hand_up(tx, from_slot);
 }

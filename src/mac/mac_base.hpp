@@ -61,8 +61,9 @@ struct MacStats {
 /// air (and our own transmission corrupts whatever we were receiving): at
 /// most one arrival — a decodable one that started on an idle medium and
 /// has not been overlapped since — can still be clean. The sweeps call a
-/// MAC only to count a collision, to deliver its clean frame, or, while it
-/// contends, to say the medium turned busy or idle.
+/// MAC only to count a collision, to deliver its clean frame when it is
+/// addressed here or broadcast, or, while it contends, to say the medium
+/// turned busy or idle.
 class MacBase {
  public:
   MacBase(sim::Simulator& sim, Channel& channel, net::NodeId id,
@@ -131,8 +132,10 @@ class MacBase {
   virtual void on_tx_end(FrameKind sent) = 0;
   /// Called by `set_alive` after the shared power-down/up reset.
   virtual void on_power_change(bool alive) = 0;
-  /// A decodable frame ended intact (not overlapped, not aborted).
-  /// `from_slot` is the sender's position in `neighbors()`.
+  /// A decodable frame addressed to this node or broadcast ended intact
+  /// (not overlapped, not aborted); the channel keeps overheard unicasts
+  /// and ACKs to itself. `from_slot` is the sender's position in
+  /// `neighbors()`.
   virtual void deliver(const Transmission& tx, std::uint32_t from_slot) = 0;
   /// An arrival started while the radio was contending, neither
   /// transmitting nor receiving. Default: ignore.

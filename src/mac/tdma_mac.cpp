@@ -63,13 +63,12 @@ void TdmaMac::on_tx_end(FrameKind sent) {
 void TdmaMac::deliver(const Transmission& tx, std::uint32_t from_slot) {
   const net::Frame& f = tx.frame;
   if (tx.kind == FrameKind::kAck) {
-    if (f.dst == id_ && awaiting_ack_ && !queue_.empty()) {
+    if (awaiting_ack_ && !queue_.empty()) {
       awaiting_ack_ = false;
       complete_head(true);
     }
     return;
   }
-  if (f.dst != id_ && f.dst != net::kBroadcast) return;
   if (f.dst == id_) {
     // Acknowledge inside the sender's slot, a SIFS after the data.
     sim_->schedule_in(phy_.sifs, [this, to = f.src] {

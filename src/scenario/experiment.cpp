@@ -7,11 +7,9 @@
 #include <string>
 #include <type_traits>
 
-#include "mac/channel.hpp"
-#include "mac/csma_mac.hpp"
-#include "mac/tdma_mac.hpp"
 #include "net/topology.hpp"
 #include "scenario/failure.hpp"
+#include "scenario/network.hpp"
 #include "sim/simulator.hpp"
 #include "stats/accumulator.hpp"
 #include "stats/digest.hpp"
@@ -220,30 +218,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   sim::Simulator sim;
   if (tracer != nullptr) sim.set_tracer(tracer.get());
-  mac::Channel channel{sim, topo, config.phy.propagation};
-
-  std::vector<std::unique_ptr<mac::MacBase>> macs;
-  macs.reserve(topo.node_count());
-  for (net::NodeId id = 0; id < topo.node_count(); ++id) {
-    if (config.mac_type == MacType::kCsma) {
-      macs.push_back(std::make_unique<mac::CsmaMac>(sim, channel, id,
-                                                    config.phy, config.energy,
-                                                    master.fork(1000 + id)));
-    } else {
-      macs.push_back(std::make_unique<mac::TdmaMac>(
-          sim, channel, id, static_cast<std::uint32_t>(topo.node_count()),
-          config.phy, config.tdma, config.energy));
-    }
-  }
-
   stats::MetricsCollector collector;
-  std::vector<std::unique_ptr<diffusion::DiffusionNode>> nodes;
-  nodes.reserve(topo.node_count());
-  for (net::NodeId id = 0; id < topo.node_count(); ++id) {
-    nodes.push_back(core::make_diffusion_node(
-        config.algorithm, sim, *macs[id], topo.position(id), config.diffusion,
-        master.fork(2000 + id), &collector));
-  }
+  Network network{sim, topo, config, master, &collector};
 
   // --- workload placement ---
   RunResult result;
@@ -282,17 +258,19 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   const net::Rect task_region = config.interest_region.value_or(
       net::Rect{0.0, 0.0, config.field.side_m, config.field.side_m});
-  for (net::NodeId s : result.sources) nodes[s]->set_detecting(true);
-  for (net::NodeId k : result.sinks) nodes[k]->make_sink(task_region);
-  for (auto& n : nodes) n->start();
+  for (net::NodeId s : result.sources) network.node(s).set_detecting(true);
+  for (net::NodeId k : result.sinks) network.node(k).make_sink(task_region);
+  network.start();
 
   // --- failure process ---
   std::vector<char> protected_nodes(topo.node_count(), 0);
   for (net::NodeId s : result.sources) protected_nodes[s] = 1;
   for (net::NodeId k : result.sinks) protected_nodes[k] = 1;
-  std::vector<mac::MacBase*> mac_ptrs;
-  for (auto& m : macs) mac_ptrs.push_back(m.get());
-  FailureProcess failures{sim, mac_ptrs, protected_nodes, config.failures,
+  std::vector<mac::MacBase*> macs;
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    macs.push_back(&network.mac(id));
+  }
+  FailureProcess failures{sim, macs, protected_nodes, config.failures,
                           failure_rng};
 
   // --- run ---
@@ -309,7 +287,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
   double total_active = 0.0;
   stats::Accumulator per_node_energy;
   result.node_positions = topo.positions();
-  for (auto& m : macs) {
+  for (const mac::MacBase* m : macs) {
     const double j = m->energy_joules(sim.now());
     result.node_energy_joules.push_back(j);
     per_node_energy.add(j);
@@ -327,8 +305,9 @@ RunResult run_experiment(const ExperimentConfig& config) {
     result.arrivals_corrupted += st.arrivals_corrupted;
     result.drops += st.drops_queue_full + st.drops_retry_exhausted;
   }
-  for (auto& n : nodes) {
-    const auto& p = n->stats();
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    diffusion::DiffusionNode& n = network.node(id);
+    const auto& p = n.stats();
     result.protocol.interests_sent += p.interests_sent;
     result.protocol.exploratory_sent += p.exploratory_sent;
     result.protocol.data_sent += p.data_sent;
@@ -338,8 +317,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
     result.protocol.repairs_attempted += p.repairs_attempted;
     result.protocol.items_dropped_no_gradient += p.items_dropped_no_gradient;
     result.protocol.aggregates_received += p.aggregates_received;
-    for (net::NodeId nb : n->data_gradient_neighbors()) {
-      result.tree_edges.emplace_back(n->id(), nb);
+    for (net::NodeId nb : n.data_gradient_neighbors()) {
+      result.tree_edges.emplace_back(id, nb);
     }
   }
   if (tracer != nullptr) {

@@ -22,6 +22,7 @@ EventHandle EventQueue::schedule(Time at, Callback fn) {
   heap_.push_back(Entry{at, next_seq_++, index, slot.gen});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
+  audit_top_live();
   return EventHandle{(static_cast<std::uint64_t>(slot.gen) << 32) |
                      (static_cast<std::uint64_t>(index) + 1u)};
 }
@@ -37,13 +38,15 @@ void EventQueue::release_slot(std::uint32_t index) {
 bool EventQueue::cancel(EventHandle h) {
   const std::uint32_t index = slot_of(h);
   if (index == kNoSlot || slots_[index].gen != gen_of(h)) return false;
-  // Lazy heap deletion: the entry stays until it surfaces at the top, where
-  // the generation mismatch identifies it as stale.
+  // Lazy heap deletion: the entry stays in the heap, marked stale by the
+  // generation mismatch, unless it is the top, which is dropped now.
   release_slot(index);
+  drop_stale_top();
+  audit_top_live();
   return true;
 }
 
-void EventQueue::drop_stale_top() const {
+void EventQueue::drop_stale_top() {
   while (!heap_.empty() &&
          slots_[heap_.front().slot].gen != heap_.front().gen) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -52,18 +55,18 @@ void EventQueue::drop_stale_top() const {
 }
 
 Time EventQueue::next_time() const {
-  drop_stale_top();
   return heap_.empty() ? Time::max() : heap_.front().at;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  drop_stale_top();
   assert(!heap_.empty() && "pop() on empty EventQueue");
   const Entry top = heap_.front();
   Fired fired{top.at, std::move(slots_[top.slot].fn)};
   release_slot(top.slot);
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
+  drop_stale_top();
+  audit_top_live();
   WSN_AUDIT_CHECK(fired.at >= last_popped_,
                   "event queue popped a time earlier than a previous pop");
   last_popped_ = fired.at;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/audit.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
 
@@ -38,6 +39,10 @@ class EventHandle {
 /// vector. Cancellation destroys the callback eagerly (releasing captured
 /// resources immediately) and bumps the slot generation; the heap entry is
 /// dropped lazily when it surfaces, detected by generation mismatch.
+///
+/// Invariant: the heap top is always live. `pop()` and `cancel()` drop
+/// stale entries that reach the top before returning, so `next_time()` and
+/// `pop()` read the top without a search (audited after every mutation).
 class EventQueue {
  public:
   using Callback = InlineFn;
@@ -107,10 +112,16 @@ class EventQueue {
     return static_cast<std::uint32_t>(h.raw_ >> 32);
   }
 
-  void drop_stale_top() const;
+  /// Pops stale entries off the top, restoring the live-top invariant.
+  void drop_stale_top();
   void release_slot(std::uint32_t index);
+  void audit_top_live() const {
+    WSN_AUDIT_CHECK(heap_.empty() ||
+                        slots_[heap_.front().slot].gen == heap_.front().gen,
+                    "event queue top is a stale (cancelled or fired) entry");
+  }
 
-  mutable std::vector<Entry> heap_;  ///< binary heap via std::push/pop_heap
+  std::vector<Entry> heap_;  ///< binary heap via std::push/pop_heap
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  ///< recycled slot indices
   std::size_t live_ = 0;             ///< pending (scheduled, not yet

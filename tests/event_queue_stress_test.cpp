@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/audit.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/random.hpp"
@@ -132,7 +133,14 @@ class ReferenceQueue {
 TEST(EventQueueStress, MatchesReferenceModelOverRandomOps) {
   // ~1e5 interleaved schedule/cancel/pop/pending ops driven by a pinned
   // stream. The slab queue must fire the same (time, payload) sequence and
-  // answer pending()/size()/next_time() identically at every step.
+  // answer pending()/size()/next_time() identically at every step. Audit
+  // builds count, rather than abort on, violations here: the live-top
+  // invariant must hold after every schedule, cancel and pop.
+#if WSN_AUDIT_ENABLED
+  audit::set_abort_on_violation(false);
+  audit::reset_violations();
+  const std::uint64_t checks_before = audit::checks_performed();
+#endif
   Rng rng{2026};
   EventQueue q;
   ReferenceQueue ref;
@@ -192,6 +200,11 @@ TEST(EventQueueStress, MatchesReferenceModelOverRandomOps) {
   }
   EXPECT_TRUE(ref.empty());
   EXPECT_EQ(fired, ref_fired);
+#if WSN_AUDIT_ENABLED
+  EXPECT_GT(audit::checks_performed(), checks_before);
+  EXPECT_EQ(audit::violations(), 0u);
+  audit::set_abort_on_violation(true);
+#endif
 }
 
 TEST(EventQueueStress, SteadyStateHotPathDoesNotAllocate) {

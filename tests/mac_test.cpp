@@ -988,10 +988,11 @@ class RecorderMac final : public MacBase {
   bool contends_;
 };
 
-/// Runs the two-frame script of the test below: node 0 broadcasts once
+/// Runs the three-frame script of the tests below: node 0 broadcasts once
 /// with node 2 dead, then again after reviving node 2, with node 3 dying
-/// between that frame's sweeps. Returns the log of each frame.
-std::pair<SweepLog, SweepLog> sweep_script(bool contends) {
+/// between that frame's sweeps, then sends a unicast to node 1. Returns
+/// the log of each frame.
+std::array<SweepLog, 3> sweep_script(bool contends) {
   // Node 0 transmits. Nodes 1–3 are decodable (within 40 m), nodes 4–5
   // only carrier-sense the frame (within 80 m).
   sim::Simulator sim;
@@ -1006,15 +1007,15 @@ std::pair<SweepLog, SweepLog> sweep_script(bool contends) {
         std::make_unique<RecorderMac>(sim, channel, i, energy, log, contends));
   }
   macs[2]->set_alive(false);
-  const auto broadcast = [&channel] {
+  const auto send_to = [&channel](net::NodeId dst) {
     net::Frame f;
     f.src = 0;
-    f.dst = net::kBroadcast;
+    f.dst = dst;
     f.bytes = 64;
     channel.begin_transmission(0, std::move(f), FrameKind::kData,
                                sim::Time::micros(500));
   };
-  broadcast();
+  send_to(net::kBroadcast);
   // Two events total on the queue: the start sweep and the end sweep.
   EXPECT_EQ(sim.events_pending(), 2u);
   sim.run();
@@ -1023,11 +1024,18 @@ std::pair<SweepLog, SweepLog> sweep_script(bool contends) {
   // A node that dies between the sweeps misses the end sweep too.
   log = SweepLog{};
   macs[2]->set_alive(true);
-  broadcast();
+  send_to(net::kBroadcast);
   sim.schedule_in(sim::Time::micros(100),
                   [&macs] { macs[3]->set_alive(false); });
   sim.run();
-  return {first, log};
+  const SweepLog second = log;
+
+  // Every live decodable radio (1 and 2) hears the unicast cleanly; only
+  // its addressee is handed it.
+  log = SweepLog{};
+  send_to(1);
+  sim.run();
+  return {first, second, log};
 }
 
 TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
@@ -1035,7 +1043,7 @@ TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
   // audible-list order — decodable prefix by id, then CS-only by id — with
   // the dead node (2) silently skipped, and each sweep must be a single
   // event.
-  const auto [first, second] = sweep_script(/*contends=*/true);
+  const auto [first, second, unicast] = sweep_script(/*contends=*/true);
   const std::vector<std::pair<net::NodeId, bool>> want_starts{
       {1, true}, {3, true}, {4, false}, {5, false}};
   EXPECT_EQ(first.starts, want_starts);
@@ -1047,18 +1055,22 @@ TEST(Channel, BatchedArrivalsFollowAudibleOrderAndSkipDeadNodes) {
   EXPECT_EQ(second.starts, want_starts2);
   EXPECT_EQ(second.ends, (std::vector<net::NodeId>{1, 2, 4, 5}));
   EXPECT_EQ(second.delivered, (std::vector<net::NodeId>{1, 2}));
+  // Overhearers still see the medium go idle.
+  EXPECT_EQ(unicast.ends, (std::vector<net::NodeId>{1, 2, 4, 5}));
+  EXPECT_EQ(unicast.delivered, (std::vector<net::NodeId>{1}));
 }
 
 TEST(Channel, ListenOnlyRadiosHearNoHooks) {
   // Radios that do not contend get no busy/idle calls at all; the sweeps
   // still deliver their clean frames in audible order.
-  const auto [first, second] = sweep_script(/*contends=*/false);
+  const auto [first, second, unicast] = sweep_script(/*contends=*/false);
   EXPECT_TRUE(first.starts.empty());
   EXPECT_TRUE(first.ends.empty());
   EXPECT_EQ(first.delivered, (std::vector<net::NodeId>{1, 3}));
   EXPECT_TRUE(second.starts.empty());
   EXPECT_TRUE(second.ends.empty());
   EXPECT_EQ(second.delivered, (std::vector<net::NodeId>{1, 2}));
+  EXPECT_EQ(unicast.delivered, (std::vector<net::NodeId>{1}));
 }
 
 }  // namespace

@@ -1,17 +1,17 @@
-// Shared fixture for protocol-level tests: builds a full stack
-// (topology → channel → MACs → diffusion nodes → metrics) over explicit
-// node positions so tests can craft exact topologies.
+// Shared fixture for protocol-level tests: builds the full stack through
+// scenario::Network (channel → CSMA MACs → diffusion nodes, with metrics)
+// over explicit node positions so tests can craft exact topologies.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/algorithm.hpp"
-#include "mac/channel.hpp"
-#include "mac/csma_mac.hpp"
 #include "net/topology.hpp"
+#include "scenario/experiment.hpp"
+#include "scenario/network.hpp"
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
 
@@ -26,24 +26,13 @@ class ProtocolRig {
               diffusion::DiffusionParams params = {}, double range = 40.0,
               std::uint64_t seed = 1, bool with_metrics = true)
       : topo_{std::move(positions), range},
-        channel_{sim_, topo_, phy_.propagation},
-        params_{params} {
-    sim::Rng master{seed};
-    for (net::NodeId i = 0; i < topo_.node_count(); ++i) {
-      macs_.push_back(std::make_unique<mac::CsmaMac>(
-          sim_, channel_, i, phy_, energy_, master.fork(100 + i)));
-      nodes_.push_back(core::make_diffusion_node(
-          alg, sim_, *macs_[i], topo_.position(i), params_,
-          master.fork(500 + i), with_metrics ? &collector_ : nullptr));
-    }
-  }
+        network_{sim_, topo_, config(alg, params), sim::Rng{seed},
+                 with_metrics ? &collector_ : nullptr} {}
 
-  void start_all() {
-    for (auto& n : nodes_) n->start();
-  }
+  void start_all() { network_.start(); }
 
-  diffusion::DiffusionNode& node(net::NodeId i) { return *nodes_[i]; }
-  mac::CsmaMac& mac(net::NodeId i) { return *macs_[i]; }
+  diffusion::DiffusionNode& node(net::NodeId i) { return network_.node(i); }
+  mac::MacBase& mac(net::NodeId i) { return network_.mac(i); }
   sim::Simulator& sim() { return sim_; }
   stats::MetricsCollector& collector() { return collector_; }
   const net::Topology& topology() const { return topo_; }
@@ -63,15 +52,19 @@ class ProtocolRig {
   }
 
  private:
+  /// A CSMA stack with the default radio, running `alg` with `params`.
+  static scenario::ExperimentConfig config(
+      core::Algorithm alg, const diffusion::DiffusionParams& params) {
+    scenario::ExperimentConfig config;
+    config.algorithm = alg;
+    config.diffusion = params;
+    return config;
+  }
+
   sim::Simulator sim_;
   net::Topology topo_;
-  mac::PhyParams phy_;
-  mac::Channel channel_;
-  mac::EnergyParams energy_;
-  diffusion::DiffusionParams params_;
   stats::MetricsCollector collector_;
-  std::vector<std::unique_ptr<mac::CsmaMac>> macs_;
-  std::vector<std::unique_ptr<diffusion::DiffusionNode>> nodes_;
+  scenario::Network network_;
 };
 
 }  // namespace wsn::testing

@@ -7,8 +7,12 @@
 #include <string>
 #include <vector>
 
+#include "net/topology.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/network.hpp"
 #include "scenario/sweep.hpp"
+#include "sim/random.hpp"
+#include "sim/simulator.hpp"
 
 namespace wsn::scenario {
 namespace {
@@ -397,6 +401,27 @@ TEST(Experiment, TreeEdgesAreValidNodePairs) {
     EXPECT_LT(from, 70u);
     EXPECT_LT(to, 70u);
     EXPECT_NE(from, to);
+  }
+}
+
+TEST(Network, BuildsEveryLayerByIdAndSchedulesOnlyTdmaSlots) {
+  // Building the stack schedules nothing for CSMA and one first-slot event
+  // per TDMA MAC, and wires MAC and node `id` to radio `id`. So the order
+  // the stack is built in cannot move a result.
+  const net::Topology topo{
+      {{0, 0}, {30, 0}, {60, 0}, {0, 30}, {30, 30}, {60, 30}}, 40.0};
+  for (const MacType type : {MacType::kCsma, MacType::kTdma}) {
+    ExperimentConfig config;
+    config.mac_type = type;
+    sim::Simulator sim;
+    Network network{sim, topo, config, sim::Rng{1}, nullptr};
+    ASSERT_EQ(network.size(), topo.node_count());
+    EXPECT_EQ(sim.events_pending(),
+              type == MacType::kCsma ? 0u : topo.node_count());
+    for (net::NodeId id = 0; id < network.size(); ++id) {
+      EXPECT_EQ(network.mac(id).id(), id);
+      EXPECT_EQ(network.node(id).id(), id);
+    }
   }
 }
 

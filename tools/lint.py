@@ -42,6 +42,12 @@ Rules (beyond what clang-tidy covers):
                       static_cast; a dynamic_cast costs a string compare
                       per call. An audit-only check of such a cast may
                       annotate its line with `lint:rtti-ok`.
+  R9  one-stack       No call to make_diffusion_node( in src/, tests/,
+                      bench/ or examples/ outside src/scenario/network.cpp
+                      and the factory itself (src/core/algorithm.*). The
+                      protocol stack is built in one place,
+                      scenario::Network; run_experiment, the protocol test
+                      rig and the examples reach MACs and nodes through it.
 
 Exit status 0 when clean; 1 with one `path:line: [rule] message` per finding.
 """
@@ -77,6 +83,9 @@ TRACE_SINK_PATTERN = re.compile(
     r"\btracer\s*\(\s*\)|(?:->|\.)\s*emit\s*\(")
 STD_FUNCTION_PATTERN = re.compile(r"\bstd::function\b")
 DYNAMIC_CAST_PATTERN = re.compile(r"\bdynamic_cast\b")
+NODE_FACTORY_PATTERN = re.compile(r"\bmake_diffusion_node\s*\(")
+ONE_STACK_FILES = {"src/scenario/network.cpp", "src/core/algorithm.hpp",
+                   "src/core/algorithm.cpp"}
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -178,6 +187,11 @@ class Linter:
                             "dynamic_cast in src/; use static_cast on a "
                             "payload whose type the sender fixes, or mark an "
                             f"audit-only check with {RTTI_MARK}")
+            if (rel not in ONE_STACK_FILES
+                    and NODE_FACTORY_PATTERN.search(clean)):
+                self.report(path, idx, "one-stack",
+                            "make_diffusion_node outside src/scenario/network.cpp; "
+                            "build the stack with scenario::Network")
             if in_sim and WALL_CLOCK_PATTERN.search(clean):
                 self.report(path, idx, "wall-clock",
                             "wall-clock read in sim code; use "
