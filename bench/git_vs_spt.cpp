@@ -9,8 +9,6 @@
 #include <limits>
 #include <vector>
 
-#include "bench_common.hpp"
-
 #include "net/field.hpp"
 #include "net/topology.hpp"
 #include "scenario/parallel.hpp"

@@ -8,9 +8,14 @@
 // sides: the hottest node's energy (lifetime proxy) and the per-node
 // spread, under perfect and under linear aggregation.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "agg/aggregation_fn.hpp"
-#include "bench_common.hpp"
+#include "scenario/experiment.hpp"
+#include "scenario/parallel.hpp"
+#include "scenario/sweep.hpp"
+#include "stats/accumulator.hpp"
 
 namespace {
 

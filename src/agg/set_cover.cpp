@@ -197,6 +197,16 @@ SetCoverResult exact_weighted_set_cover(std::span<const WeightedSet> family,
   return result;
 }
 
+void collapse_to_sources(WeightedSet& set, std::size_t events) {
+  std::sort(set.elements.begin(), set.elements.end());
+  set.elements.erase(std::unique(set.elements.begin(), set.elements.end()),
+                     set.elements.end());
+  const auto total = static_cast<double>(events);
+  const auto distinct = static_cast<double>(set.elements.size());
+  // w* = w · |S*| / |S| preserves the initial cost ratio w/|S| = w*/|S*|.
+  if (total > 0.0) set.weight = set.weight * distinct / total;
+}
+
 std::vector<WeightedSet> transform_to_sources(
     std::span<const WeightedSet> event_sets,
     std::span<const std::vector<std::uint32_t>> event_sources) {
@@ -205,16 +215,8 @@ std::vector<WeightedSet> transform_to_sources(
   out.reserve(event_sets.size());
   for (std::size_t i = 0; i < event_sets.size(); ++i) {
     assert(event_sets[i].elements.size() == event_sources[i].size());
-    WeightedSet t;
-    t.elements = event_sources[i];
-    std::sort(t.elements.begin(), t.elements.end());
-    t.elements.erase(std::unique(t.elements.begin(), t.elements.end()),
-                     t.elements.end());
-    const auto original = static_cast<double>(event_sets[i].elements.size());
-    const auto distinct = static_cast<double>(t.elements.size());
-    // w* = w · |S*| / |S| preserves the initial cost ratio w/|S| = w*/|S*|.
-    t.weight = original > 0.0 ? event_sets[i].weight * distinct / original
-                              : event_sets[i].weight;
+    WeightedSet t{event_sources[i], event_sets[i].weight};
+    collapse_to_sources(t, event_sets[i].elements.size());
     out.push_back(std::move(t));
   }
   return out;

@@ -56,6 +56,13 @@ const SetCoverResult& greedy_weighted_set_cover(
 SetCoverResult exact_weighted_set_cover(std::span<const WeightedSet> family,
                                         std::uint32_t universe_size = 0);
 
+/// One set's step of the §4.3 source transform, in place: on entry
+/// `set.elements` holds the source index of each of the set's `events`
+/// events; on return it holds the distinct sources, sorted, and
+/// `set.weight` is w·|S*|/|S| (unchanged when `events` is 0). Allocates
+/// nothing.
+void collapse_to_sources(WeightedSet& set, std::size_t events);
+
 /// The paper's §4.3 source transform: given aggregates whose elements are
 /// *events* tagged with the source that produced them, produce the
 /// source-level instance. Each aggregate's element set becomes the set of

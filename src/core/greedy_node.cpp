@@ -112,15 +112,8 @@ EnergyCost GreedyNode::flush_policy(const std::vector<DataItem>& outgoing,
       for (const DataItem& item : in.items) {
         s.elements.push_back(source_index_.at(item.key.source));
       }
-      std::sort(s.elements.begin(), s.elements.end());
-      s.elements.erase(std::unique(s.elements.begin(), s.elements.end()),
-                       s.elements.end());
-      // w* = w·|S*|/|S| preserves the initial cost ratio (paper §4.3).
-      const double total = static_cast<double>(in.items.size());
-      const double distinct = static_cast<double>(s.elements.size());
-      s.weight = total > 0.0
-                     ? static_cast<double>(in.cost) * distinct / total
-                     : static_cast<double>(in.cost);
+      s.weight = static_cast<double>(in.cost);
+      agg::collapse_to_sources(s, in.items.size());
     }
     const agg::SetCoverResult& cover = agg::greedy_weighted_set_cover(
         cover_ws_, family, static_cast<std::uint32_t>(source_index_.size()));

@@ -124,6 +124,10 @@ void validate(const ExperimentConfig& config) {
   Problems p;
   const net::FieldSpec& f = config.field;
   p.positive(f.side_m, "field.side_m");
+  // Without a source no event is ever generated; without a sink nobody
+  // asks for one (run_experiment would still place one corner sink).
+  p.require(config.num_sources > 0, "num_sources", "must be >= 1");
+  p.require(config.num_sinks > 0, "num_sinks", "must be >= 1");
   const std::size_t endpoints = config.num_sources + config.num_sinks;
   if (f.nodes == 0 || f.nodes < endpoints) {
     p.add("field.nodes must be at least 1 and at least num_sources + "

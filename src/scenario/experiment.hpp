@@ -75,10 +75,10 @@ struct ExperimentConfig {
 [[nodiscard]] std::uint64_t config_digest(const ExperimentConfig& config);
 
 /// Throws std::invalid_argument with one message naming every offending
-/// field of a config that cannot run: fewer nodes than sources + sinks, a
-/// non-finite or non-positive size, range, rate or re-arming period, a
-/// negative duration, an endpoint rect that is inverted or leaves the
-/// field, or an invalid enabled failure model (see
+/// field of a config that cannot run: no source or no sink, fewer nodes
+/// than sources + sinks, a non-finite or non-positive size, range, rate or
+/// re-arming period, a negative duration, an endpoint rect that is inverted
+/// or leaves the field, or an invalid enabled failure model (see
 /// validate(const FailureModel&)).
 void validate(const ExperimentConfig& config);
 

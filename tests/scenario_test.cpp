@@ -309,6 +309,8 @@ TEST(Experiment, RejectsConfigsThatWouldRunEmpty) {
        [](ExperimentConfig& c) { c.sink_rect = {200.0, 164.0, 164.0, 200.0}; }},
       {"interest_region",
        [](ExperimentConfig& c) { c.interest_region = {{0.0, 0.0, NAN, 1.0}}; }},
+      {"num_sources", [](ExperimentConfig& c) { c.num_sources = 0; }},
+      {"num_sinks", [](ExperimentConfig& c) { c.num_sinks = 0; }},
   };
   for (const BadConfig& bad : cases) expect_rejected(bad, /*run=*/true);
 }
