@@ -14,10 +14,19 @@
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 
 namespace {
 
 using namespace wsn::sim;
+
+/// Dispatches every pending event through the engine's one dispatch call.
+std::uint64_t drain(EventQueue& q) {
+  std::uint64_t dispatched = 0;
+  Time now;
+  while (q.run_next(Time::max(), now)) ++dispatched;
+  return dispatched;
+}
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
@@ -27,25 +36,53 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
     for (int i = 0; i < n; ++i) {
       q.schedule(Time::nanos(rng.uniform_int(0, 1'000'000)), [] {});
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+    benchmark::DoNotOptimize(drain(q));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1'000)->Arg(10'000)->Arg(100'000);
 
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  Rng rng{2};
-  for (auto _ : state) {
-    EventQueue q;
-    std::vector<EventHandle> hs;
-    for (int i = 0; i < 10'000; ++i) {
-      hs.push_back(q.schedule(Time::nanos(rng.uniform_int(0, 1'000'000)), [] {}));
+/// The CSMA timer pattern at the densest fig. 5 point: 350 nodes with a
+/// DIFS, a backoff and an ACK timer each. A DIFS expiry arms the backoff,
+/// a backoff expiry arms the ACK wait and re-arms DIFS, and an ACK expiry
+/// restarts DIFS; every fourth DIFS expiry cancels the pending ACK wait
+/// first, as a clean reception does.
+void BM_TimerRearm(benchmark::State& state) {
+  constexpr int kNodes = 350;
+  struct CsmaTimers {
+    CsmaTimers(Simulator& sim, Rng& rng)
+        : difs{sim, [this] { on_difs(); }},
+          backoff{sim, [this] { on_backoff(); }},
+          ack{sim, [this] { difs.arm(Time::micros(50)); }},
+          rng_{&rng} {}
+    void on_difs() {
+      if (++difs_count % 4 == 0) ack.cancel();
+      backoff.arm(Time::micros(20 * rng_->uniform_int(0, 31)));
     }
-    for (std::size_t i = 0; i < hs.size(); i += 2) q.cancel(hs[i]);
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+    void on_backoff() {
+      ack.arm(Time::micros(300));
+      difs.arm(Time::micros(50 + rng_->uniform_int(0, 1'000)));
+    }
+    Timer difs;
+    Timer backoff;
+    Timer ack;
+    Rng* rng_;
+    int difs_count = 0;
+  };
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    Rng rng{3};
+    std::vector<std::unique_ptr<CsmaTimers>> nodes;
+    for (int i = 0; i < kNodes; ++i) {
+      nodes.push_back(std::make_unique<CsmaTimers>(sim, rng));
+      nodes.back()->difs.arm(Time::micros(rng.uniform_int(0, 1'000)));
+    }
+    events += static_cast<std::int64_t>(sim.run_until(Time::millis(200)));
   }
+  state.SetItemsProcessed(events);
 }
-BENCHMARK(BM_EventQueueCancelHeavy);
+BENCHMARK(BM_TimerRearm);
 
 void BM_SimulatorSelfScheduling(benchmark::State& state) {
   for (auto _ : state) {

@@ -20,10 +20,7 @@ void MacBase::set_alive(bool alive) {
     r = RadioRecord{};
     r.rx = rx;
     r.rx.power_down(sim_->now());
-    if (tx_end_event_.valid()) {
-      sim_->cancel(tx_end_event_);
-      tx_end_event_ = sim::EventHandle{};
-    }
+    tx_end_timer_.cancel();
   }
   meter_.set_state(sim_->now(), alive ? RadioState::kIdle : RadioState::kOff);
   on_power_change(alive);
@@ -57,7 +54,7 @@ void MacBase::begin_tx(const net::Frame& frame, FrameKind kind,
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxStart, id_, frame.dst, tx->id,
                  frame.bytes);
   if (kind == FrameKind::kData) outgoing_tx_ = std::move(tx);
-  tx_end_event_ = sim_->schedule_in(airtime, [this] { end_tx(); });
+  tx_end_timer_.arm(airtime);
 }
 
 void MacBase::transmit_head(sim::Time airtime) {
@@ -78,7 +75,6 @@ void MacBase::transmit_ack(net::NodeId to, sim::Time airtime) {
 }
 
 void MacBase::end_tx() {
-  tx_end_event_ = sim::EventHandle{};
   radio_->transmitting = false;
   // Only data frames are kept in outgoing_tx_, so its absence means the
   // frame that just ended was an ACK (traced with tx id 0).

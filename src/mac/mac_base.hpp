@@ -11,6 +11,7 @@
 #include "sim/audit.hpp"
 #include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "trace/trace.hpp"
 
 namespace wsn::mac {
@@ -73,7 +74,8 @@ class MacBase {
         id_{id},
         meter_{energy},
         queue_limit_{queue_limit},
-        radio_{channel.attach(id, this)} {}
+        radio_{channel.attach(id, this)},
+        tx_end_timer_{sim, [this] { end_tx(); }} {}
   virtual ~MacBase() = default;
 
   MacBase(const MacBase&) = delete;
@@ -192,7 +194,7 @@ class MacBase {
 
   RadioRecord* radio_;  ///< this node's entry in the channel's array
   TransmissionPtr outgoing_tx_;  ///< in-flight data frame (for abort)
-  sim::EventHandle tx_end_event_;
+  sim::Timer tx_end_timer_;  ///< armed for the airtime of our own frame
 
   // Frame-conservation ledger (audit builds check it; counters are cheap
   // enough to keep unconditionally so the ABI does not fork on WSN_AUDIT).

@@ -1,133 +1,177 @@
 // Pending-event priority queue for the discrete-event engine.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <compare>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "sim/audit.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
 
 namespace wsn::sim {
 
-/// Opaque handle to a scheduled event; used to cancel it.
-///
-/// A handle packs (slot, generation): slots are recycled but every reuse
-/// bumps the generation, so a stale handle never aliases a newer event and
-/// is a safe no-op to cancel.
-class EventHandle {
- public:
-  constexpr EventHandle() = default;
-  [[nodiscard]] constexpr bool valid() const { return raw_ != 0; }
-  constexpr bool operator==(const EventHandle&) const = default;
-
- private:
-  friend class EventQueue;
-  constexpr explicit EventHandle(std::uint64_t raw) : raw_{raw} {}
-  std::uint64_t raw_ = 0;  ///< (generation << 32) | (slot + 1); 0 = invalid
-};
-
-/// Min-heap of (time, insertion order) → callback.
+/// Monotone priority queue of (time, insertion order) → callback: a radix
+/// heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) over intrusive
+/// doubly-linked lists.
 ///
 /// Ties at equal time are dispatched in insertion order, which makes
-/// multi-node protocol interleavings deterministic.
+/// multi-node protocol interleavings deterministic: the key is 128 bits,
+/// the time in ns biased to unsigned, then a sequence number drawn afresh
+/// by every schedule and every timer arm.
 ///
-/// Hot-path cost contract: schedule, cancel and pop perform **no heap
-/// allocation and no hashing** in steady state. Callbacks live inline
-/// (InlineFn) in a slab of recycled slots; the binary heap holds only
-/// trivially-copyable (time, seq, slot, generation) entries on a flat
-/// vector. Cancellation destroys the callback eagerly (releasing captured
-/// resources immediately) and bumps the slot generation; the heap entry is
-/// dropped lazily when it surfaces, detected by generation mismatch.
+/// `base_` is the key of the last dispatched node, and every linked key is
+/// above it. Bucket b (0..127) holds the keys whose highest bit differing
+/// from `base_` is bit b, so a lower bucket holds only smaller keys.
+/// Dispatch takes the minimum of the smallest non-empty bucket, makes it
+/// the base and moves that bucket's other nodes into lower buckets. Peeks
+/// and a dispatch that finds its minimum beyond `until` change nothing.
 ///
-/// Invariant: the heap top is always live. `pop()` and `cancel()` drop
-/// stale entries that reach the top before returning, so `next_time()` and
-/// `pop()` read the top without a search (audited after every mutation).
+/// Two kinds of node share the buckets:
+///   * one-shot events, built by `schedule` in a slab slot (fixed-size
+///     chunks, so addresses are stable) and freed after they run;
+///   * timer nodes, embedded in sim::Timer: `arm` relinks one with a fresh
+///     key and `disarm` unlinks it at once. Only timers can be cancelled.
+///
+/// Hot-path cost contract: schedule, arm, disarm and dispatch perform **no
+/// heap allocation and no hashing** in steady state, and no closure is
+/// ever moved: it is built in its node and runs there.
 class EventQueue {
  public:
-  using Callback = InlineFn;
+  /// One queue entry: key, bucket links and the callback. sim::Timer
+  /// embeds one; the slab holds the one-shot ones.
+  class Node {
+   public:
+    Node() = default;
+    /// A timer node whose callback `fn` is built in place.
+    template <typename F>
+      requires std::is_invocable_r_v<void, std::decay_t<F>&>
+    explicit Node(F&& fn) {
+      fn_.emplace(std::forward<F>(fn));
+    }
+    Node(const Node&) = delete;
+    Node& operator=(const Node&) = delete;
 
-  /// Schedules `fn` at absolute time `at`. Returns a cancellation handle.
-  EventHandle schedule(Time at, Callback fn);
+    [[nodiscard]] bool linked() const { return bucket_ != kUnlinked; }
 
-  /// Cancels a pending event. Safe on already-fired or invalid handles.
-  /// Returns true iff the event was pending and is now cancelled.
-  bool cancel(EventHandle h);
+   private:
+    friend class EventQueue;
 
-  /// True iff the handle refers to a still-pending event.
-  [[nodiscard]] bool pending(EventHandle h) const {
-    const std::uint32_t index = slot_of(h);
-    return index != kNoSlot && slots_[index].gen == gen_of(h);
+    struct Key {
+      std::uint64_t time = 0;  ///< ns, biased so signed order is kept
+      std::uint64_t seq = 0;
+      constexpr auto operator<=>(const Key&) const = default;
+    };
+
+    Key key_;
+    Node* prev_ = nullptr;
+    Node* next_ = nullptr;  ///< also the free-list link of a free slot
+    std::uint32_t bucket_ = kUnlinked;
+    bool one_shot_ = false;  ///< a slab slot, freed after its callback
+    InlineFn fn_;
+  };
+
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  /// Builds `fn` in a slab slot and schedules it at absolute time `at`.
+  /// Precondition (audited): `at` is not earlier than the last dispatched
+  /// event; the queue is monotone.
+  template <typename F>
+  void schedule(Time at, F&& fn) {
+    Node& node = acquire();
+    node.fn_.emplace(std::forward<F>(fn));
+    insert(node, at);
   }
 
+  /// (Re)links a timer node at `at` with a fresh sequence number, as a
+  /// cancel followed by a schedule would. Same precondition as schedule.
+  void arm(Node& node, Time at) {
+    disarm(node);
+    insert(node, at);
+  }
+
+  /// Unlinks a timer node if it is linked.
+  void disarm(Node& node) {
+    if (node.linked()) {
+      unlink(node);
+      --live_;
+    }
+  }
+
+  /// Pending one-shots plus linked timer nodes.
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Time of the earliest pending event; Time::max() when empty.
   [[nodiscard]] Time next_time() const;
 
-  /// Pops and returns the earliest pending event. Precondition: !empty().
-  struct Fired {
-    Time at;
-    Callback fn;
-  };
-  Fired pop();
+  /// Dispatches the earliest pending event if its time is <= `until`:
+  /// sets `now` to its time, then runs its callback in place (a one-shot's
+  /// slot is freed only after the callback returns). Returns false,
+  /// changing nothing, when the queue is empty or the next event lies
+  /// beyond `until`.
+  bool run_next(Time until, Time& now);
 
-  /// Drops every pending event (destroying callbacks) and resets the pop
-  /// watermark, but keeps slab and heap capacity so a reused queue stays
-  /// allocation-free. All outstanding handles become stale.
+  /// Drops every pending event (destroying one-shot closures, unlinking
+  /// timer nodes) and resets the dispatch watermark, but keeps the slab so
+  /// a reused queue stays allocation-free.
   void clear();
 
  private:
-  /// Heap entry. The callback is NOT here — it stays put in its slot, so
-  /// heap sift operations move only these 24 trivially-copyable bytes.
-  struct Entry {
-    Time at;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  using Key = Node::Key;
 
-  /// Slab cell: the inline callback plus the generation stamped into
-  /// handles and heap entries referring to its current occupant.
-  struct Slot {
-    InlineFn fn;
-    std::uint32_t gen = 1;
-  };
+  static constexpr std::uint32_t kBuckets = 128;
+  static constexpr std::uint32_t kUnlinked = kBuckets;
+  // Slab chunks of 8 slots (896 bytes). A set-up run schedules only a few
+  // one-shots; a 14 KB chunk freed at teardown merged the run's freed
+  // objects into the heap top, glibc returned them to the system, and the
+  // next 200-node set-up page-faulted ~450 KB back in (107 minor faults
+  // per set-up). An 8-slot chunk goes back to glibc's per-thread cache and
+  // faults no more than the binary heap did.
+  static constexpr std::uint32_t kChunkSlots = 8;
+  static constexpr std::uint64_t kTimeBias = std::uint64_t{1} << 63;
+  static constexpr Key kOrigin{kTimeBias, 0};  ///< (Time::zero(), 0)
 
-  static constexpr std::uint32_t kNoSlot = 0xFFFF'FFFFu;
-
-  /// Slot index of a handle, or kNoSlot when invalid / out of range.
-  [[nodiscard]] std::uint32_t slot_of(EventHandle h) const {
-    const auto index = static_cast<std::uint32_t>(h.raw_ & 0xFFFF'FFFFu) - 1u;
-    return h.valid() && index < slots_.size() ? index : kNoSlot;
+  static std::uint64_t bias(Time t) {
+    return static_cast<std::uint64_t>(t.as_nanos()) ^ kTimeBias;
   }
-  [[nodiscard]] static std::uint32_t gen_of(EventHandle h) {
-    return static_cast<std::uint32_t>(h.raw_ >> 32);
+  static Time unbias(std::uint64_t t) {
+    return Time::nanos(static_cast<std::int64_t>(t ^ kTimeBias));
   }
 
-  /// Pops stale entries off the top, restoring the live-top invariant.
-  void drop_stale_top();
-  void release_slot(std::uint32_t index);
-  void audit_top_live() const {
-    WSN_AUDIT_CHECK(heap_.empty() ||
-                        slots_[heap_.front().slot].gen == heap_.front().gen,
-                    "event queue top is a stale (cancelled or fired) entry");
+  /// Highest bit of `key XOR base_`. Sequence numbers are never reused, so
+  /// no linked key equals `base_`.
+  [[nodiscard]] std::uint32_t bucket_of(const Key& key) const {
+    const std::uint64_t hi = key.time ^ base_.time;
+    return hi != 0 ? 63u + static_cast<std::uint32_t>(std::bit_width(hi))
+                   : static_cast<std::uint32_t>(
+                         std::bit_width(key.seq ^ base_.seq)) - 1u;
   }
 
-  std::vector<Entry> heap_;  ///< binary heap via std::push/pop_heap
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;  ///< recycled slot indices
-  std::size_t live_ = 0;             ///< pending (scheduled, not yet
-                                     ///< fired/cancelled) events
+  Node& acquire();
+  void release(Node& node);
+  /// Stamps (at, fresh seq) into an unlinked node and links it.
+  void insert(Node& node, Time at);
+  void link(Node& node);
+  void unlink(Node& node);
+  /// The smallest non-empty bucket; kBuckets when the queue is empty.
+  [[nodiscard]] std::uint32_t first_bucket() const;
+  /// The node with the smallest key in a non-empty bucket list.
+  static Node* min_of(Node* list);
+
+  std::array<Node*, kBuckets> head_{};
+  std::array<std::uint64_t, 2> occupied_{};  ///< bit b: head_[b] != nullptr
+  Key base_ = kOrigin;  ///< key of the last dispatched node
+  std::vector<std::unique_ptr<Node[]>> chunks_;  ///< one-shot slab
+  Node* free_ = nullptr;                         ///< free slots, via next_
+  std::size_t live_ = 0;
   std::uint64_t next_seq_ = 1;
-  Time last_popped_ = Time::zero();  ///< audit: pop times never decrease
 };
 
 }  // namespace wsn::sim

@@ -1,4 +1,4 @@
-// Move-only, allocation-free callable for engine-scheduled events.
+// Allocation-free callable for engine-scheduled events, built in place.
 #pragma once
 
 #include <cstddef>
@@ -11,17 +11,19 @@ namespace wsn::sim {
 /// Small-buffer `void()` callable with **no heap fallback**: a closure
 /// larger than the inline buffer is a compile error, not a silent
 /// allocation. This is the engine's per-event cost contract — every
-/// schedule stores its callback inline in the EventQueue slab, so the hot
-/// path (schedule/cancel/pop) performs zero allocations in steady state.
+/// schedule builds its callback in place in an EventQueue slab slot (a
+/// timer's in its own queue node), and dispatch runs it there, so the hot
+/// path (schedule/cancel/dispatch) neither allocates nor moves a closure.
+/// InlineFn is therefore neither copyable nor movable.
 ///
 /// Requirements on the wrapped callable F:
 ///   * sizeof(F) <= kInlineBytes (keep capture lists small: `this` plus a
 ///     couple of values; a shared_ptr capture costs 16 bytes),
 ///   * alignof(F) <= kAlign,
-///   * nothrow move constructible (moves happen inside the queue's slab).
+///   * nothrow move constructible (closures are handed over by value).
 ///
 /// Copyable callables (e.g. a type-erased library wrapper, for test
-/// convenience) are accepted and copied in; InlineFn itself is move-only.
+/// convenience) are accepted and copied in.
 class InlineFn {
  public:
   /// Inline storage size. Sized for the engine's largest closure family
@@ -32,12 +34,14 @@ class InlineFn {
   static constexpr std::size_t kAlign = 16;
 
   InlineFn() = default;
+  InlineFn(const InlineFn&) = delete;
+  InlineFn& operator=(const InlineFn&) = delete;
+  ~InlineFn() { reset(); }
 
+  /// Builds `f` in the inline buffer. Precondition: empty.
   template <typename F>
-    requires(!std::is_same_v<std::decay_t<F>, InlineFn> &&
-             std::is_invocable_r_v<void, std::decay_t<F>&>)
-  // NOLINTNEXTLINE(google-explicit-constructor): callback sink by design
-  InlineFn(F&& f) {  // NOLINT(bugprone-forwarding-reference-overload)
+    requires std::is_invocable_r_v<void, std::decay_t<F>&>
+  void emplace(F&& f) {
     using Fn = std::decay_t<F>;
     static_assert(sizeof(Fn) <= kInlineBytes,
                   "engine closure exceeds InlineFn inline storage; shrink "
@@ -47,69 +51,27 @@ class InlineFn {
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "engine closures must be nothrow move constructible");
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    ops_ = &OpsFor<Fn>::kOps;
-  }
-
-  InlineFn(InlineFn&& other) noexcept : ops_{other.ops_} {
-    if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
+    invoke_ = [](void* self) { (*static_cast<Fn*>(self))(); };
+    if constexpr (!std::is_trivially_destructible_v<Fn>) {
+      destroy_ = [](void* self) { static_cast<Fn*>(self)->~Fn(); };
     }
   }
-
-  InlineFn& operator=(InlineFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(storage_, other.storage_);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  InlineFn(const InlineFn&) = delete;
-  InlineFn& operator=(const InlineFn&) = delete;
-
-  ~InlineFn() { reset(); }
 
   /// Destroys the held callable (releasing captured resources), leaving
   /// the InlineFn empty.
   void reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
+    if (destroy_ != nullptr) destroy_(storage_);
+    invoke_ = nullptr;
+    destroy_ = nullptr;
   }
 
-  [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
-
-  /// Invokes the callable. Precondition: non-empty.
-  void operator()() { ops_->invoke(storage_); }
+  /// Invokes the callable in place. Precondition: non-empty.
+  void operator()() { invoke_(storage_); }
 
  private:
-  struct Ops {
-    void (*invoke)(void* self);
-    /// Move-constructs dst from src, then destroys src.
-    void (*relocate)(void* dst, void* src);
-    void (*destroy)(void* self);
-  };
-
-  template <typename Fn>
-  struct OpsFor {
-    static void invoke(void* self) { (*static_cast<Fn*>(self))(); }
-    static void relocate(void* dst, void* src) {
-      Fn* from = static_cast<Fn*>(src);
-      ::new (dst) Fn(std::move(*from));
-      from->~Fn();
-    }
-    static void destroy(void* self) { static_cast<Fn*>(self)->~Fn(); }
-    static constexpr Ops kOps{&invoke, &relocate, &destroy};
-  };
-
   alignas(kAlign) std::byte storage_[kInlineBytes];
-  const Ops* ops_ = nullptr;
+  void (*invoke_)(void* self) = nullptr;
+  void (*destroy_)(void* self) = nullptr;  ///< null when trivial
 };
 
 }  // namespace wsn::sim

@@ -5,11 +5,7 @@ namespace wsn::sim {
 std::uint64_t Simulator::run_until(Time until) {
   stopped_ = false;
   std::uint64_t dispatched_this_run = 0;
-  while (!stopped_ && !queue_.empty()) {
-    if (queue_.next_time() > until) break;
-    auto fired = queue_.pop();
-    now_ = fired.at;
-    fired.fn();
+  while (!stopped_ && queue_.run_next(until, now_)) {
     ++dispatched_;
     ++dispatched_this_run;
   }

@@ -28,19 +28,20 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedules `fn` after a relative delay (clamped to be non-negative).
-  EventHandle schedule_in(Time delay, EventQueue::Callback fn) {
+  /// The closure is built in place in the queue's slab. A scheduled event
+  /// cannot be cancelled; whatever protocol code may cancel is a Timer.
+  template <typename F>
+  void schedule_in(Time delay, F&& fn) {
     if (delay < Time::zero()) delay = Time::zero();
-    return queue_.schedule(now_ + delay, std::move(fn));
+    queue_.schedule(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Schedules `fn` at an absolute time (must not be in the past).
-  EventHandle schedule_at(Time at, EventQueue::Callback fn) {
+  /// Schedules `fn` at an absolute time (clamped to be no earlier than now).
+  template <typename F>
+  void schedule_at(Time at, F&& fn) {
     if (at < now_) at = now_;
-    return queue_.schedule(at, std::move(fn));
+    queue_.schedule(at, std::forward<F>(fn));
   }
-
-  bool cancel(EventHandle h) { return queue_.cancel(h); }
-  [[nodiscard]] bool pending(EventHandle h) const { return queue_.pending(h); }
 
   /// Runs until the queue drains or `until` is reached, whichever first.
   /// The clock ends at min(until, last event time). Returns the number of
@@ -56,6 +57,7 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_dispatched() const {
     return dispatched_;
   }
+  /// Pending one-shot events plus armed timers.
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
   /// The run's message/transmission pool. Everything with this simulator's
@@ -72,6 +74,8 @@ class Simulator {
   [[nodiscard]] trace::Tracer* tracer() const { return tracer_; }
 
  private:
+  friend class Timer;  // links and unlinks its own node in queue_
+
   // Declared before the event queue: pending closures capture pooled
   // shared_ptrs, so the arena must outlive the queue's destructor.
   RecyclingArena arena_;

@@ -3,36 +3,42 @@
 
 #include <utility>
 
-#include "sim/inline_fn.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
 namespace wsn::sim {
 
 /// One-shot timer with restart/cancel, the building block for the protocol
 /// timers in this codebase (aggregation delay T_a, reinforcement wait T_p,
-/// truncation window T_n, gradient expiry).
+/// truncation window T_n, gradient expiry, the MAC's DIFS, backoff, ACK and
+/// end-of-frame waits).
 ///
-/// The callback is set once; `arm` (re)schedules it. Arming an armed timer
-/// cancels the previous expiry first. The owner must outlive the simulator
-/// run or call `cancel()` in its destructor path (Timer cancels itself on
-/// destruction).
+/// The timer embeds its own event-queue node, and the callback is built in
+/// that node once, at construction. `arm` relinks the node with a fresh
+/// key, exactly as cancelling and scheduling anew would order it; `cancel`
+/// unlinks it; `armed()` means it is linked. Nothing is allocated or moved.
+///
+/// The Simulator must outlive its timers: a Timer unlinks its node from the
+/// simulator's queue on destruction. Every stack declares the Simulator
+/// before the MACs and nodes that own timers: run_experiment, the MAC and
+/// protocol test rigs, animal_tracking, micro_sim and perfbench's traced
+/// stack.
 class Timer {
  public:
-  Timer(Simulator& sim, InlineFn on_expire)
-      : sim_{&sim}, on_expire_{std::move(on_expire)} {}
+  template <typename F>
+  Timer(Simulator& sim, F&& on_expire)
+      : sim_{&sim}, node_{std::forward<F>(on_expire)} {}
 
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
   ~Timer() { cancel(); }
 
-  /// Schedules expiry `delay` from now, replacing any pending expiry.
+  /// Schedules expiry `delay` (clamped to be non-negative) from now,
+  /// replacing any pending expiry.
   void arm(Time delay) {
-    cancel();
-    handle_ = sim_->schedule_in(delay, [this] {
-      handle_ = EventHandle{};
-      on_expire_();
-    });
+    if (delay < Time::zero()) delay = Time::zero();
+    sim_->queue_.arm(node_, sim_->now() + delay);
   }
 
   /// Schedules expiry only if not already armed.
@@ -40,21 +46,13 @@ class Timer {
     if (!armed()) arm(delay);
   }
 
-  void cancel() {
-    if (handle_.valid()) {
-      sim_->cancel(handle_);
-      handle_ = EventHandle{};
-    }
-  }
+  void cancel() { sim_->queue_.disarm(node_); }
 
-  [[nodiscard]] bool armed() const {
-    return handle_.valid() && sim_->pending(handle_);
-  }
+  [[nodiscard]] bool armed() const { return node_.linked(); }
 
  private:
   Simulator* sim_;
-  InlineFn on_expire_;
-  EventHandle handle_;
+  EventQueue::Node node_;
 };
 
 }  // namespace wsn::sim

@@ -19,6 +19,13 @@ namespace {
 using sim::EventQueue;
 using sim::Time;
 
+/// Dispatches every pending event, whatever its time.
+void drain(EventQueue& q) {
+  Time now;
+  while (q.run_next(Time::max(), now)) {
+  }
+}
+
 #if WSN_AUDIT_ENABLED
 
 TEST(Audit, ChecksRunDuringEventQueuePops) {
@@ -26,7 +33,7 @@ TEST(Audit, ChecksRunDuringEventQueuePops) {
   EventQueue q;
   q.schedule(Time::millis(1), [] {});
   q.schedule(Time::millis(2), [] {});
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_GT(sim::audit::checks_performed(), before);
 }
 
@@ -34,13 +41,42 @@ TEST(Audit, CancellationEdgesRaiseNoViolations) {
   sim::audit::set_abort_on_violation(false);
   sim::audit::reset_violations();
   EventQueue q;
-  auto h = q.schedule(Time::millis(1), [] {});
-  q.pop().fn();
-  EXPECT_FALSE(q.cancel(h));              // cancel-after-fire
-  auto h2 = q.schedule(Time::millis(2), [] {});
-  EXPECT_TRUE(q.cancel(h2));
-  EXPECT_FALSE(q.cancel(h2));             // double-cancel
-  EXPECT_FALSE(q.pending(sim::EventHandle{}));  // default handle
+  EventQueue::Node timer{[] {}};
+  q.disarm(timer);  // never armed
+  q.arm(timer, Time::millis(1));
+  drain(q);
+  q.disarm(timer);  // cancel-after-fire
+  q.arm(timer, Time::millis(2));
+  q.arm(timer, Time::millis(3));  // re-arm while linked
+  q.disarm(timer);
+  q.disarm(timer);  // double-cancel
+  q.schedule(Time::millis(4), [] {});
+  q.clear();
+  EXPECT_EQ(sim::audit::violations(), 0u);
+  sim::audit::set_abort_on_violation(true);
+}
+
+TEST(Audit, ScheduleBeforeLastPopIsCaught) {
+  // The radix heap is monotone: a key below the last dispatched one would
+  // share a bucket with keys above it. The precondition is checked when
+  // the key goes in, by a one-shot schedule and by a timer arm alike.
+  sim::audit::set_abort_on_violation(false);
+  sim::audit::reset_violations();
+  EventQueue q;
+  q.schedule(Time::millis(5), [] {});
+  drain(q);
+  EXPECT_EQ(sim::audit::violations(), 0u);
+  q.schedule(Time::millis(4), [] {});
+  EXPECT_EQ(sim::audit::violations(), 1u);
+  EventQueue::Node timer_node;
+  q.arm(timer_node, Time::millis(3));
+  EXPECT_EQ(sim::audit::violations(), 2u);
+  q.disarm(timer_node);
+  // clear() resets the watermark: earlier times are legal again.
+  q.clear();
+  sim::audit::reset_violations();
+  q.schedule(Time::millis(1), [] {});
+  drain(q);
   EXPECT_EQ(sim::audit::violations(), 0u);
   sim::audit::set_abort_on_violation(true);
 }
@@ -147,7 +183,7 @@ TEST(Audit, MismatchedSenderSlotIsCaught) {
 TEST(Audit, DisabledBuildPerformsNoChecks) {
   EventQueue q;
   q.schedule(Time::millis(1), [] {});
-  q.pop().fn();
+  drain(q);
   mac::EnergyMeter meter{mac::EnergyParams{}};
   meter.set_state(Time::seconds(1.0), mac::RadioState::kTx);
   // Every call below would violate in an audit build.

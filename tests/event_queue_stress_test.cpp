@@ -1,6 +1,6 @@
-// Slab EventQueue stress tests: fire-order equivalence against a naive
-// reference model, steady-state allocation-freeness of the hot path, and
-// clear()/slot-reuse regressions.
+// EventQueue stress tests: fire-order equivalence of the radix heap against
+// a naive reference model, steady-state allocation-freeness of the hot
+// path, in-place dispatch, and clear()/slot-reuse regressions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,7 +22,7 @@
 // Global allocation counter. Linking a replacement operator new into a test
 // binary counts every heap allocation made anywhere in the process, which
 // is exactly what the steady-state test needs: after warm-up, a full
-// schedule/cancel/pop cycle on the EventQueue must not allocate at all.
+// schedule/cancel/dispatch cycle on the EventQueue must not allocate at all.
 //
 // GCC flags `delete`-site inlining of the malloc-backed replacement pair as
 // mismatched new/delete; the pair IS consistent (new -> malloc,
@@ -79,34 +79,32 @@ struct FakeTx {};
 static_assert(sizeof(std::function<void()>) <= InlineFn::kInlineBytes,
               "InlineFn must hold a std::function for test scheduling");
 static_assert(!std::is_copy_constructible_v<InlineFn>);
-static_assert(std::is_nothrow_move_constructible_v<InlineFn>);
+// Closures are built and run in place, never moved.
+static_assert(!std::is_move_constructible_v<InlineFn>);
 
 // ---------------------------------------------------------------- reference
 /// Naive but obviously-correct event queue: an ordered map keyed by
-/// (time, insertion seq). The oracle for the randomized stress test.
+/// (time, insertion seq), and each pending seq's time for cancelling. The
+/// oracle for the randomized stress test.
 class ReferenceQueue {
  public:
   std::uint64_t schedule(Time at) {
     const std::uint64_t seq = next_seq_++;
     pending_.emplace(std::pair{at, seq}, seq);
+    time_of_.emplace(seq, at);
     return seq;
   }
 
   bool cancel(std::uint64_t seq) {
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->second == seq) {
-        pending_.erase(it);
-        return true;
-      }
-    }
-    return false;
+    const auto it = time_of_.find(seq);
+    if (it == time_of_.end()) return false;
+    pending_.erase(std::pair{it->second, seq});
+    time_of_.erase(it);
+    return true;
   }
 
   [[nodiscard]] bool pending(std::uint64_t seq) const {
-    for (const auto& [key, s] : pending_) {
-      if (s == seq) return true;
-    }
-    return false;
+    return time_of_.contains(seq);
   }
 
   [[nodiscard]] bool empty() const { return pending_.empty(); }
@@ -120,22 +118,41 @@ class ReferenceQueue {
     auto it = pending_.begin();
     auto fired = std::pair{it->first.first, it->second};
     pending_.erase(it);
+    time_of_.erase(fired.second);
     return fired;
   }
 
  private:
   std::map<std::pair<Time, std::uint64_t>, std::uint64_t> pending_;
+  std::map<std::uint64_t, Time> time_of_;
   std::uint64_t next_seq_ = 1;
 };
 
 // -------------------------------------------------------------------- tests
 
+/// Dispatches one event regardless of its time; returns its time, or
+/// Time::max() when the queue was empty.
+Time run_one(EventQueue& q) {
+  Time now = Time::max();
+  q.run_next(Time::max(), now);
+  return now;
+}
+
+void drain(EventQueue& q) {
+  while (run_one(q) != Time::max()) {
+  }
+}
+
 TEST(EventQueueStress, MatchesReferenceModelOverRandomOps) {
-  // ~1e5 interleaved schedule/cancel/pop/pending ops driven by a pinned
-  // stream. The slab queue must fire the same (time, payload) sequence and
-  // answer pending()/size()/next_time() identically at every step. Audit
-  // builds count, rather than abort on, violations here: the live-top
-  // invariant must hold after every schedule, cancel and pop.
+  // ~1.3e5 interleaved schedule/cancel/dispatch/pending ops, timer arms
+  // and re-arms, and peeks, driven by a pinned stream. The radix heap must
+  // fire the same (time, payload) sequence and answer linked()/size()/
+  // next_time() identically at every step. A timer is one oracle entry,
+  // re-keyed with a fresh seq on every arm. A peek, or a dispatch bounded
+  // below the earliest event, must leave the queue as it was: schedules
+  // below the peeked time follow them. Audit builds count, rather than
+  // abort on, violations here: the bucket invariants must hold after
+  // every operation.
 #if WSN_AUDIT_ENABLED
   audit::set_abort_on_violation(false);
   audit::reset_violations();
@@ -145,60 +162,93 @@ TEST(EventQueueStress, MatchesReferenceModelOverRandomOps) {
   EventQueue q;
   ReferenceQueue ref;
 
-  struct Tracked {
-    EventHandle handle;
-    std::uint64_t ref_seq;
-  };
-  std::vector<Tracked> seen;  // all handles ever issued, live or stale
   std::vector<std::uint64_t> fired;
   std::vector<std::uint64_t> ref_fired;
 
+  // Timers: a node each, and the oracle seq of its pending expiry (0 when
+  // idle). An expiry reports the seq it was armed under.
+  constexpr int kTimers = 24;
+  std::vector<std::uint64_t> timer_seq(kTimers, 0);
+  std::vector<std::unique_ptr<EventQueue::Node>> timers;
+  for (int i = 0; i < kTimers; ++i) {
+    const auto t = static_cast<std::size_t>(i);
+    timers.push_back(std::make_unique<EventQueue::Node>([&, t] {
+      fired.push_back(timer_seq[t]);
+      timer_seq[t] = 0;
+    }));
+  }
+  auto pick_timer = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, kTimers - 1));
+  };
+
   Time now = Time::zero();
-  constexpr int kOps = 100'000;
+  auto schedule = [&](Time at) {
+    const std::uint64_t ref_seq = ref.schedule(at);
+    q.schedule(at, [ref_seq, &fired] { fired.push_back(ref_seq); });
+  };
+  auto dispatch = [&] {
+    ASSERT_EQ(q.next_time(), ref.next_time());
+    const auto [ref_at, ref_seq] = ref.pop();
+    const Time at = run_one(q);
+    ASSERT_EQ(at, ref_at);
+    now = at;
+    ref_fired.push_back(ref_seq);
+  };
+
+  // Rolls 0..99 keep the one-shot era's mix (schedule 45, cancel 20,
+  // pending 10, dispatch 25), with timers standing in for the cancellable
+  // events; rolls 100..129 add timer arms and peeks on top.
+  constexpr int kOps = 130'000;
   for (int op = 0; op < kOps; ++op) {
-    const auto roll = rng.uniform_int(0, 99);
+    const auto roll = rng.uniform_int(0, 129);
     if (roll < 45 || q.empty()) {
-      // Schedule at a time >= the last pop so pop order stays monotone.
-      const Time at = now + Time::nanos(rng.uniform_int(0, 5'000'000));
-      const std::uint64_t ref_seq = ref.schedule(at);
-      EventHandle h =
-          q.schedule(at, [ref_seq, &fired] { fired.push_back(ref_seq); });
-      ASSERT_TRUE(h.valid());
-      ASSERT_TRUE(q.pending(h));
-      seen.push_back({h, ref_seq});
+      // Schedule at a time >= the last dispatch so the order stays monotone.
+      schedule(now + Time::nanos(rng.uniform_int(0, 5'000'000)));
     } else if (roll < 65) {
-      // Cancel a random ever-issued handle (possibly long stale); the
-      // slab's generation check must agree with the oracle.
-      const auto idx = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(seen.size()) - 1));
-      ASSERT_EQ(q.cancel(seen[idx].handle), ref.cancel(seen[idx].ref_seq));
-      ASSERT_FALSE(q.pending(seen[idx].handle));
+      // Cancel a random timer, armed, idle or fired.
+      const std::size_t t = pick_timer();
+      if (timer_seq[t] != 0) {
+        ASSERT_TRUE(ref.cancel(timer_seq[t]));
+      }
+      timer_seq[t] = 0;
+      q.disarm(*timers[t]);
+      ASSERT_FALSE(timers[t]->linked());
     } else if (roll < 75) {
-      const auto idx = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(seen.size()) - 1));
-      ASSERT_EQ(q.pending(seen[idx].handle), ref.pending(seen[idx].ref_seq));
+      const std::size_t t = pick_timer();
+      ASSERT_EQ(timers[t]->linked(), timer_seq[t] != 0 &&
+                                         ref.pending(timer_seq[t]));
+    } else if (roll < 100) {
+      dispatch();
+    } else if (roll < 120) {
+      // Arm or re-arm a timer: the oracle drops its old entry and takes a
+      // fresh one, as Timer::arm's relink does.
+      const std::size_t t = pick_timer();
+      if (timer_seq[t] != 0) {
+        ASSERT_TRUE(ref.cancel(timer_seq[t]));
+      }
+      const Time at = now + Time::nanos(rng.uniform_int(0, 5'000'000));
+      timer_seq[t] = ref.schedule(at);
+      q.arm(*timers[t], at);
     } else {
-      // Pop one event from each; time and payload must match.
-      ASSERT_EQ(q.next_time(), ref.next_time());
-      auto f = q.pop();
-      const auto [ref_at, ref_seq] = ref.pop();
-      ASSERT_EQ(f.at, ref_at);
-      now = f.at;
-      f.fn();
-      ref_fired.push_back(ref_seq);
+      // Peek, stop a dispatch short of the earliest event, then schedule
+      // below it.
+      const Time peeked = q.next_time();
+      ASSERT_EQ(peeked, ref.next_time());
+      if (peeked != Time::max() && peeked > now) {
+        Time unchanged = now;
+        ASSERT_FALSE(q.run_next(peeked - Time::nanos(1), unchanged));
+        ASSERT_EQ(unchanged, now);
+        const std::int64_t gap = (peeked - now).as_nanos();
+        schedule(now + Time::nanos(rng.uniform_int(0, gap - 1)));
+      }
     }
     ASSERT_EQ(q.size(), ref.size());
     ASSERT_EQ(q.empty(), ref.empty());
+    if (HasFatalFailure()) return;  // from inside a lambda above
   }
-  while (!q.empty()) {
-    ASSERT_EQ(q.next_time(), ref.next_time());
-    auto f = q.pop();
-    const auto [ref_at, ref_seq] = ref.pop();
-    ASSERT_EQ(f.at, ref_at);
-    f.fn();
-    ref_fired.push_back(ref_seq);
-  }
-  EXPECT_TRUE(ref.empty());
+  while (!ref.empty() && !HasFatalFailure()) dispatch();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(run_one(q), Time::max());
   EXPECT_EQ(fired, ref_fired);
 #if WSN_AUDIT_ENABLED
   EXPECT_GT(audit::checks_performed(), checks_before);
@@ -210,31 +260,40 @@ TEST(EventQueueStress, MatchesReferenceModelOverRandomOps) {
 TEST(EventQueueStress, SteadyStateHotPathDoesNotAllocate) {
   EventQueue q;
   std::uint64_t sink = 0;
-  std::vector<EventHandle> handles;
   constexpr int kBatch = 256;
-  handles.reserve(kBatch);
+
+  // A third of each batch are timer nodes, armed and then cancelled.
+  std::vector<std::unique_ptr<EventQueue::Node>> cancelled;
+  for (int i = 0; i < kBatch; i += 3) {
+    cancelled.push_back(
+        std::make_unique<EventQueue::Node>([&sink, i] { sink += i; }));
+  }
+  // A timer node that re-arms itself until the batch is drained.
+  EventQueue::Node tick{[&] {
+    if (!q.empty()) q.arm(tick, q.next_time());
+  }};
 
   // One full cycle: schedule a batch (closures capture a pointer + a
-  // value, like the engine's), cancel a third, drain the rest.
+  // value, like the engine's), arm and cancel a third of it as timers,
+  // arm and re-arm the ticking node, drain the rest.
   auto cycle = [&](Time base) {
-    handles.clear();
     for (int i = 0; i < kBatch; ++i) {
-      handles.push_back(q.schedule(base + Time::nanos((i * 37) % 1000),
-                                   [&sink, i] { sink += i; }));
+      const Time at = base + Time::nanos((i * 37) % 1000);
+      if (i % 3 == 0) {
+        q.arm(*cancelled[static_cast<std::size_t>(i / 3)], at);
+      } else {
+        q.schedule(at, [&sink, i] { sink += i; });
+      }
     }
-    for (int i = 0; i < kBatch; i += 3) {
-      q.cancel(handles[static_cast<std::size_t>(i)]);
-    }
+    for (auto& node : cancelled) q.disarm(*node);
+    q.arm(tick, base + Time::nanos(500));
+    q.arm(tick, base);
     Time last = Time::zero();
-    while (!q.empty()) {
-      auto f = q.pop();
-      last = f.at;
-      f.fn();
-    }
+    for (Time at = run_one(q); at != Time::max(); at = run_one(q)) last = at;
     return last;
   };
 
-  // Warm-up grows the slab, heap vector and free list to capacity.
+  // Warm-up grows the slab to capacity.
   cycle(Time::seconds(1.0));
   cycle(Time::seconds(2.0));
 
@@ -256,90 +315,74 @@ TEST(EventQueueStress, SteadyStateHotPathDoesNotAllocate) {
   EXPECT_GT(sink, 0u);
 }
 
-TEST(EventQueueStress, CancelReleasesCapturedResourcesEagerly) {
-  // Cancelling must destroy the stored closure immediately — captured
-  // shared_ptrs (e.g. a Transmission) would otherwise live until the stale
-  // heap entry happens to surface.
-  EventQueue q;
-  auto token = std::make_shared<int>(7);
-  EventHandle h = q.schedule(Time::seconds(1.0), [token] { (void)*token; });
-  EXPECT_EQ(token.use_count(), 2);
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_EQ(token.use_count(), 1);
-  // The stale heap entry must be skipped cleanly afterwards.
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), Time::max());
-}
-
-TEST(EventQueueStress, ClearResetsWatermarkAndStalesHandles) {
+TEST(EventQueueStress, ClearResetsWatermarkAndUnlinksTimers) {
   // Regression for clear(): a cleared queue must accept earlier times
-  // again (pop watermark reset — WSN_AUDIT would abort otherwise), old
-  // handles must be stale for both cancel() and pending(), and recycled
-  // slots must not leak or alias.
+  // again (dispatch watermark reset — WSN_AUDIT would abort otherwise),
+  // pending closures are destroyed, armed timer nodes come out unlinked,
+  // and recycled slots must not leak or alias.
   EventQueue q;
   auto token = std::make_shared<int>(1);
-  std::vector<EventHandle> old;
+  int timer_fired = 0;
+  EventQueue::Node timer{[&] { ++timer_fired; }};
   for (int i = 0; i < 16; ++i) {
-    old.push_back(
-        q.schedule(Time::seconds(100.0 + i), [token] { (void)*token; }));
+    q.schedule(Time::seconds(100.0 + i), [token] { (void)*token; });
   }
+  q.arm(timer, Time::seconds(200.0));
   // Advance the watermark past the times used after clear().
-  (void)q.pop();
+  (void)run_one(q);
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.next_time(), Time::max());
+  EXPECT_FALSE(timer.linked());
+  q.disarm(timer);  // a no-op on the unlinked node
   // clear() destroys stored closures, not just forgets them.
   EXPECT_EQ(token.use_count(), 1);
-  for (EventHandle h : old) {
-    EXPECT_FALSE(q.pending(h));
-    EXPECT_FALSE(q.cancel(h));
-  }
 
   // Reuse: earlier-than-watermark times are legal again, slots recycle
   // without cross-talk, and the fire order is correct.
   std::vector<int> order;
-  std::vector<EventHandle> fresh;
   for (int i = 0; i < 16; ++i) {
-    fresh.push_back(q.schedule(Time::seconds(16.0 - i),
-                               [i, &order] { order.push_back(i); }));
+    q.schedule(Time::seconds(16.0 - i), [i, &order] { order.push_back(i); });
   }
-  // Old handles are still inert even though their slots were recycled.
-  for (EventHandle h : old) {
-    EXPECT_FALSE(q.cancel(h));
-  }
-  EXPECT_EQ(q.size(), 16u);
-  while (!q.empty()) q.pop().fn();
+  q.arm(timer, Time::seconds(0.5));
+  EXPECT_EQ(q.size(), 17u);
+  drain(q);
   const std::vector<int> expected{15, 14, 13, 12, 11, 10, 9, 8,
                                   7,  6,  5,  4,  3,  2,  1, 0};
   EXPECT_EQ(order, expected);
+  EXPECT_EQ(timer_fired, 1);
 
-  // A second clear() on a popped-empty queue is a no-op that still stales
-  // outstanding handles.
+  // A second clear() on a drained queue is a no-op.
   q.clear();
-  for (EventHandle h : fresh) {
-    EXPECT_FALSE(q.pending(h));
-    EXPECT_FALSE(q.cancel(h));
-  }
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueStress, HandleGenerationsSurviveHeavySlotReuse) {
-  // Recycle one slot thousands of times; every stale handle must stay
-  // permanently inert.
+TEST(EventQueueStress, CallbackThatGrowsTheSlabRunsInPlace) {
+  // A one-shot runs in its slab slot. One that schedules enough events to
+  // add slab chunks must keep running from unmoved storage: it reads its
+  // captures after the growth (ASan reports a read of moved-from or freed
+  // storage), and its closure is destroyed only after it returns.
   EventQueue q;
-  std::vector<EventHandle> stale;
-  for (int i = 0; i < 4096; ++i) {
-    EventHandle h = q.schedule(Time::nanos(i), [] {});
-    q.pop().fn();
-    stale.push_back(h);
+  auto token = std::make_shared<int>(0);
+  std::vector<int> order;
+  q.schedule(Time::millis(1), [&q, &order, token] {
+    for (int i = 0; i < 1000; ++i) {
+      q.schedule(Time::millis(2) + Time::nanos(i),
+                 [&order, i] { order.push_back(i); });
+    }
+    ++*token;
+    order.push_back(-1);
+  });
+  EXPECT_EQ(token.use_count(), 2);
+  drain(q);
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+  ASSERT_EQ(order.size(), 1001u);
+  EXPECT_EQ(order.front(), -1);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i) + 1], i);
   }
-  EventHandle live = q.schedule(Time::nanos(1), [] {});
-  for (EventHandle h : stale) {
-    EXPECT_FALSE(q.pending(h));
-    EXPECT_FALSE(q.cancel(h));
-  }
-  EXPECT_TRUE(q.pending(live));
-  EXPECT_EQ(q.size(), 1u);
 }
 
 }  // namespace

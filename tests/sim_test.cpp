@@ -15,6 +15,17 @@
 namespace wsn::sim {
 namespace {
 
+/// Dispatches one event regardless of its time; false when empty.
+bool run_one(EventQueue& q) {
+  Time now;
+  return q.run_next(Time::max(), now);
+}
+
+void drain(EventQueue& q) {
+  while (run_one(q)) {
+  }
+}
+
 TEST(Time, ArithmeticAndConversions) {
   EXPECT_EQ(Time::seconds(1.5).as_nanos(), 1'500'000'000);
   EXPECT_EQ(Time::millis(2).as_nanos(), 2'000'000);
@@ -37,7 +48,7 @@ TEST(EventQueue, FiresInTimeOrder) {
   q.schedule(Time::millis(30), [&] { order.push_back(3); });
   q.schedule(Time::millis(10), [&] { order.push_back(1); });
   q.schedule(Time::millis(20), [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -47,76 +58,82 @@ TEST(EventQueue, TiesFireInInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(Time::millis(5), [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  drain(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueue, CancelPreventsFiring) {
   EventQueue q;
   bool fired = false;
-  auto h = q.schedule(Time::millis(1), [&] { fired = true; });
-  EXPECT_TRUE(q.pending(h));
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.pending(h));
+  EventQueue::Node timer{[&] { fired = true; }};
+  q.arm(timer, Time::millis(1));
+  EXPECT_TRUE(timer.linked());
+  q.disarm(timer);
+  EXPECT_FALSE(timer.linked());
   EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(run_one(q));
   EXPECT_FALSE(fired);
 }
 
 TEST(EventQueue, CancelIsIdempotentAndSafeOnFired) {
   EventQueue q;
-  auto h = q.schedule(Time::millis(1), [] {});
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.cancel(h));  // second cancel is a no-op
-  auto h2 = q.schedule(Time::millis(2), [] {});
-  q.pop().fn();
-  EXPECT_FALSE(q.cancel(h2));  // already fired
-  EXPECT_FALSE(q.cancel(EventHandle{}));
-}
-
-TEST(EventQueue, PendingOnDefaultHandleIsFalse) {
-  EventQueue q;
-  EXPECT_FALSE(q.pending(EventHandle{}));
-  q.schedule(Time::millis(1), [] {});
-  EXPECT_FALSE(q.pending(EventHandle{}));  // unrelated pending event
-  EXPECT_FALSE(q.cancel(EventHandle{}));
+  EventQueue::Node timer{[] {}};
+  EventQueue::Node never_armed;
+  q.disarm(never_armed);  // unlinked from the start: a no-op
+  q.arm(timer, Time::millis(1));
+  q.disarm(timer);
+  q.disarm(timer);  // second cancel is a no-op
+  EXPECT_TRUE(q.empty());
+  q.arm(timer, Time::millis(2));
+  q.schedule(Time::millis(3), [] {});
+  EXPECT_TRUE(run_one(q));
+  EXPECT_FALSE(timer.linked());  // a fired timer is unlinked
+  q.disarm(timer);               // already fired
+  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueue, CancelAfterFireIsSafeAcrossReuse) {
-  // A handle whose event already fired must stay dead: cancelling it is a
-  // no-op and must never affect later events (handles are never reused).
+  // A timer node whose expiry already fired stays unlinked: cancelling it
+  // is a no-op and never affects later events, and re-arming reuses it.
   EventQueue q;
   int fired = 0;
-  auto h1 = q.schedule(Time::millis(1), [&] { ++fired; });
-  q.pop().fn();
-  EXPECT_FALSE(q.pending(h1));
-  EXPECT_FALSE(q.cancel(h1));
-  EXPECT_FALSE(q.cancel(h1));  // double-cancel after fire
+  EventQueue::Node timer{[&] { ++fired; }};
+  q.arm(timer, Time::millis(1));
+  EXPECT_TRUE(run_one(q));
+  q.disarm(timer);
+  q.disarm(timer);  // double-cancel after fire
 
-  auto h2 = q.schedule(Time::millis(2), [&] { ++fired; });
-  EXPECT_FALSE(q.cancel(h1));  // stale handle cannot hit h2
-  EXPECT_TRUE(q.pending(h2));
-  q.pop().fn();
-  EXPECT_EQ(fired, 2);
+  q.schedule(Time::millis(2), [&] { ++fired; });
+  q.disarm(timer);  // cannot hit the pending one-shot
+  EXPECT_EQ(q.size(), 1u);
+  q.arm(timer, Time::millis(3));
+  EXPECT_TRUE(run_one(q));
+  EXPECT_TRUE(run_one(q));
+  EXPECT_EQ(fired, 3);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, DoubleCancelThenScheduleKeepsQueueConsistent) {
   EventQueue q;
-  auto h = q.schedule(Time::millis(3), [] {});
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.cancel(h));
-  auto h2 = q.schedule(Time::millis(1), [] {});
+  EventQueue::Node late{[] {}};
+  EventQueue::Node early{[] {}};
+  q.arm(late, Time::millis(3));
+  q.disarm(late);
+  q.disarm(late);
+  q.arm(early, Time::millis(1));
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.next_time(), Time::millis(1));
-  EXPECT_TRUE(q.cancel(h2));
+  q.disarm(early);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.next_time(), Time::max());
 }
 
 TEST(EventQueue, NextTimeSkipsCancelled) {
   EventQueue q;
-  auto h = q.schedule(Time::millis(1), [] {});
+  EventQueue::Node timer{[] {}};
+  q.arm(timer, Time::millis(1));
   q.schedule(Time::millis(5), [] {});
-  q.cancel(h);
+  q.disarm(timer);
   EXPECT_EQ(q.next_time(), Time::millis(5));
   EXPECT_EQ(q.size(), 1u);
 }
@@ -245,9 +262,9 @@ TEST(Timer, RearmFromCallbackWorks) {
 }
 
 TEST(Timer, DestroyedWhileArmedNeverFires) {
-  // The expiry closure holds only the Timer's `this`, so ~Timer's cancel
-  // is all that keeps a pending expiry from touching a dead Timer (ASan
-  // reports the use-after-free if it ever does).
+  // The queue links the Timer's own node, so ~Timer's unlink is all that
+  // keeps the queue from touching a dead Timer (ASan reports the
+  // use-after-free if it ever does), also when the node is the earliest.
   Simulator sim;
   int doomed_fired = 0;
   int survivor_fired = 0;
@@ -255,7 +272,11 @@ TEST(Timer, DestroyedWhileArmedNeverFires) {
   Timer survivor{sim, [&] { ++survivor_fired; }};
   doomed->arm(Time::millis(10));
   survivor.arm(Time::millis(20));
+  // A run that stops short looks at the earliest node but leaves it linked.
+  EXPECT_EQ(sim.run_until(Time::zero()), 0u);
+  EXPECT_EQ(sim.events_pending(), 2u);
   doomed.reset();
+  EXPECT_EQ(sim.events_pending(), 1u);
   sim.run();
   EXPECT_EQ(doomed_fired, 0);
   EXPECT_EQ(survivor_fired, 1);
@@ -383,22 +404,26 @@ class EventQueueProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(EventQueueProperty, RandomScheduleIsOrdered) {
   Rng rng{GetParam()};
   EventQueue q;
-  std::vector<EventHandle> handles;
+  // Every third event is a timer node, armed and then cancelled.
+  std::vector<std::unique_ptr<EventQueue::Node>> timers;
   for (int i = 0; i < 500; ++i) {
-    handles.push_back(
-        q.schedule(Time::nanos(rng.uniform_int(0, 1000)), [] {}));
+    const Time at = Time::nanos(rng.uniform_int(0, 1000));
+    if (i % 3 == 0) {
+      timers.push_back(std::make_unique<EventQueue::Node>([] {}));
+      q.arm(*timers.back(), at);
+    } else {
+      q.schedule(at, [] {});
+    }
   }
-  std::size_t cancelled = 0;
-  for (std::size_t i = 0; i < handles.size(); i += 3) {
-    cancelled += q.cancel(handles[i]) ? 1 : 0;
-  }
+  for (auto& timer : timers) q.disarm(*timer);
+  const std::size_t cancelled = timers.size();
   EXPECT_EQ(q.size(), 500 - cancelled);
   Time last = Time::zero();
   std::size_t popped = 0;
-  while (!q.empty()) {
-    auto f = q.pop();
-    EXPECT_GE(f.at, last);
-    last = f.at;
+  Time at;
+  while (q.run_next(Time::max(), at)) {
+    EXPECT_GE(at, last);
+    last = at;
     ++popped;
   }
   EXPECT_EQ(popped, 500 - cancelled);

@@ -48,6 +48,11 @@ Rules (beyond what clang-tidy covers):
                       protocol stack is built in one place,
                       scenario::Network; run_experiment, the protocol test
                       rig and the examples reach MACs and nodes through it.
+  R10 one-cancellable No EventHandle in src/. The event queue has no
+                      cancellation handle: whatever protocol code may cancel
+                      is a sim::Timer, whose queue node is unlinked in
+                      place; a held one-shot handle would bring back a
+                      second way to cancel.
 
 Exit status 0 when clean; 1 with one `path:line: [rule] message` per finding.
 """
@@ -84,6 +89,7 @@ TRACE_SINK_PATTERN = re.compile(
 STD_FUNCTION_PATTERN = re.compile(r"\bstd::function\b")
 DYNAMIC_CAST_PATTERN = re.compile(r"\bdynamic_cast\b")
 NODE_FACTORY_PATTERN = re.compile(r"\bmake_diffusion_node\s*\(")
+EVENT_HANDLE_PATTERN = re.compile(r"\bEventHandle\b")
 ONE_STACK_FILES = {"src/scenario/network.cpp", "src/core/algorithm.hpp",
                    "src/core/algorithm.cpp"}
 
@@ -192,6 +198,10 @@ class Linter:
                 self.report(path, idx, "one-stack",
                             "make_diffusion_node outside src/scenario/network.cpp; "
                             "build the stack with scenario::Network")
+            if in_sim and EVENT_HANDLE_PATTERN.search(clean):
+                self.report(path, idx, "one-cancellable",
+                            "EventHandle in sim code; make what you "
+                            "cancel a sim::Timer")
             if in_sim and WALL_CLOCK_PATTERN.search(clean):
                 self.report(path, idx, "wall-clock",
                             "wall-clock read in sim code; use "
