@@ -1,4 +1,5 @@
-// Microbenchmarks: discrete-event engine primitives and channel fan-out.
+// Microbenchmarks: discrete-event engine primitives, channel fan-out and
+// topology build.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -170,6 +171,29 @@ void BM_ChannelFanout(benchmark::State& state) {
       arrivals_per_run * static_cast<std::uint64_t>(state.iterations())));
 }
 BENCHMARK(BM_ChannelFanout)->Arg(2'500)->Unit(benchmark::kMillisecond);
+
+/// Builds the neighbour lists of a uniform field with the 88 m carrier-sense
+/// range: the fig-5 densest point (350 nodes in 200 m) and the same density
+/// at 10k nodes (1069 m). Items are nodes built per second.
+void BM_TopologyBuild(benchmark::State& state) {
+  wsn::net::FieldSpec spec;
+  spec.nodes = static_cast<std::size_t>(state.range(0));
+  spec.side_m = static_cast<double>(state.range(1));
+  Rng rng{5};
+  const std::vector<wsn::net::Vec2> pts =
+      wsn::net::generate_uniform_field(spec, rng);
+  for (auto _ : state) {
+    const wsn::net::Topology topo{pts, spec.radio_range_m,
+                                  spec.carrier_sense_range_m};
+    benchmark::DoNotOptimize(topo.average_degree());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(spec.nodes));
+}
+BENCHMARK(BM_TopologyBuild)
+    ->Args({350, 200})
+    ->Args({10'000, 1069})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_RngNext(benchmark::State& state) {
   Rng rng{3};

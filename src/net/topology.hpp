@@ -16,15 +16,24 @@ namespace wsn::net {
 /// (node failures) is tracked elsewhere, not here.
 class Topology {
  public:
-  /// Builds neighbour lists with a uniform grid (O(n) for uniform fields).
+  /// Builds the lists in two linear passes, with no hashing and no sort.
+  /// A counting sort bins the nodes into cells at least the carrier-sense
+  /// range wide (at most n cells, widened for sparse far-flung fields), so
+  /// a node's audible nodes lie in the 3×3 block around its cell. The count
+  /// pass visits every block pair with receivers in ascending id and counts
+  /// each node's decodable and audible entries; every list is then sized
+  /// exactly, and the fill pass repeats the visit and appends each receiver
+  /// to its peer's decodable or carrier-sense-only part, so both parts come
+  /// out sorted by id. O(n) for uniform fields.
   ///
   /// `carrier_sense_range` is the distance out to which a transmission is
   /// still *audible* — it occupies the channel, costs receive energy and
   /// can corrupt receptions — even though it is only decodable within
   /// `radio_range` (ns-2's CSThresh vs RXThresh distinction; the classic
   /// WaveLAN ratio is 550 m / 250 m = 2.2). Pass 0 to make them equal.
-  /// Throws std::invalid_argument unless `radio_range` is finite and > 0
-  /// and `carrier_sense_range` is 0 or at least `radio_range`.
+  /// Throws std::invalid_argument unless `radio_range` is finite and > 0,
+  /// `carrier_sense_range` is 0 or finite and at least `radio_range`, and
+  /// every position is finite.
   Topology(std::vector<Vec2> positions, double radio_range,
            double carrier_sense_range = 0.0);
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "net/field.hpp"
 #include "net/topology.hpp"
@@ -108,63 +109,92 @@ TEST(Topology, DefaultCarrierSenseEqualsRange) {
 
 TEST(Topology, RejectsBadRangesInEveryBuildType) {
   const std::vector<Vec2> pts{{0, 0}, {30, 0}};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW((Topology{pts, 0.0}), std::invalid_argument);
   EXPECT_THROW((Topology{pts, -40.0}), std::invalid_argument);
-  EXPECT_THROW((Topology{pts, std::numeric_limits<double>::quiet_NaN()}),
-               std::invalid_argument);
-  // Cells narrower than the radio range would hide decodable neighbours.
+  EXPECT_THROW((Topology{pts, kNaN}), std::invalid_argument);
+  EXPECT_THROW((Topology{pts, kInf}), std::invalid_argument);
+  // Cells narrower than the radio range would hide decodable neighbours,
+  // and the grid cannot bin a non-finite carrier-sense width.
   EXPECT_THROW((Topology{pts, 40.0, 20.0}), std::invalid_argument);
+  EXPECT_THROW((Topology{pts, 40.0, kInf}), std::invalid_argument);
+  EXPECT_THROW((Topology{pts, 40.0, kNaN}), std::invalid_argument);
+  EXPECT_THROW((Topology{pts, 40.0, -88.0}), std::invalid_argument);
   EXPECT_NO_THROW((Topology{pts, 40.0, 40.0}));
 }
 
-// Property: grid-accelerated neighbour lists match the O(n²) definition,
-// on the paper's 200 m field (3 cells wide) and on a 1000 m one (12 cells),
-// with the 88 m carrier-sense range and with CS 0 (= radio range), down to
-// empty and single-node fields. Every reverse slot points back: entry k of
+TEST(Topology, RejectsNonFinitePositionsInEveryBuildType) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const Vec2 bad : {Vec2{kNaN, 0}, Vec2{0, kNaN}, Vec2{kInf, 0},
+                         Vec2{0, -kInf}}) {
+    const std::vector<Vec2> pts{{0, 0}, bad, {30, 0}};
+    try {
+      const Topology t{pts, 40.0, 88.0};
+      ADD_FAILURE() << "accepted (" << bad.x << ", " << bad.y << ")";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("node 1"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Two nodes 1e12 m apart with a 1 m range would need 1e24 cells of the
+// range's width; the cell cap widens them instead. Coordinates near the
+// largest double still bin: their span overflows, their offsets do not.
+// So does a range too small to halve.
+TEST(Topology, FarApartNodesBuildWithoutAHugeGrid) {
+  const Topology far{{{0, 0}, {1e12, 0}, {1e12 + 0.5, 0}}, 1.0};
+  EXPECT_TRUE(far.neighbors(0).empty());
+  ASSERT_EQ(far.neighbors(1).size(), 1u);
+  EXPECT_EQ(far.neighbors(1)[0], 2u);
+  EXPECT_FALSE(far.connected());
+
+  constexpr double kBig = std::numeric_limits<double>::max();
+  const Topology edge{{{-kBig, -kBig}, {kBig, kBig}, {kBig, kBig}}, 1.0};
+  EXPECT_TRUE(edge.neighbors(0).empty());
+  ASSERT_EQ(edge.neighbors(2).size(), 1u);
+  EXPECT_EQ(edge.neighbors(2)[0], 1u);
+
+  // The smallest positive range: half of it rounds to 0, the cell width
+  // must not.
+  const Topology tiny{{{0, 0}, {1, 1}, {1, 1}},
+                      std::numeric_limits<double>::denorm_min()};
+  EXPECT_EQ(tiny.average_degree(), 0.0);
+}
+
+// The O(n²) definition, with the constructor's own predicates
+// (distance_sq < range², distance_sq < cs², i ≠ j). neighbors(i) is that
+// list in id order; audible(i) is it followed by the carrier-sense-only
+// nodes in id order. Every reverse slot points back: entry k of
 // reverse_slots(i) is where i sits in the list of its k-th neighbour.
-class TopologyProperty
-    : public ::testing::TestWithParam<
-          std::tuple<std::size_t, std::uint64_t, double, double>> {};
-
-TEST_P(TopologyProperty, MatchesBruteForce) {
-  const auto [n, seed, side, cs] = GetParam();
-  sim::Rng rng{seed};
-  net::FieldSpec spec;
-  spec.nodes = n;
-  spec.side_m = side;
-  spec.carrier_sense_range_m = cs;
-  const auto pts = generate_uniform_field(spec, rng);
-  const Topology t{pts, spec.radio_range_m, spec.carrier_sense_range_m};
-  const double audible_range = cs > 0.0 ? cs : spec.radio_range_m;
-
-  for (NodeId i = 0; i < n; ++i) {
+void expect_matches_brute_force(const std::vector<Vec2>& pts, double range,
+                                double cs) {
+  const Topology t{pts, range, cs};
+  const double range_sq = range * range;
+  const double audible_sq = cs > 0.0 ? cs * cs : range_sq;
+  ASSERT_EQ(t.node_count(), pts.size());
+  for (NodeId i = 0; i < pts.size(); ++i) {
     std::vector<NodeId> expected;
-    std::vector<NodeId> expected_audible;
-    for (NodeId j = 0; j < n; ++j) {
+    std::vector<NodeId> cs_only;
+    for (NodeId j = 0; j < pts.size(); ++j) {
       if (i == j) continue;
-      const double d = distance(pts[i], pts[j]);
-      if (d < spec.radio_range_m) expected.push_back(j);
-      if (d < audible_range) expected_audible.push_back(j);
+      const double d_sq = distance_sq(pts[i], pts[j]);
+      if (d_sq < range_sq) {
+        expected.push_back(j);
+      } else if (d_sq < audible_sq) {
+        cs_only.push_back(j);
+      }
     }
     const auto got = t.neighbors(i);
     ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), expected)
         << "node " << i;
-    // audible(i) is partitioned, not globally sorted: the decodable prefix
-    // is exactly neighbors(i), the carrier-sense-only tail is sorted by id,
-    // and the whole list as a set matches the brute-force definition.
+    ASSERT_EQ(t.decodable_prefix(i), expected.size()) << "node " << i;
+    expected.insert(expected.end(), cs_only.begin(), cs_only.end());
     const auto got_a = t.audible(i);
-    ASSERT_EQ(t.decodable_prefix(i), got.size()) << "node " << i;
-    ASSERT_EQ(std::vector<NodeId>(got_a.begin(),
-                                  got_a.begin() +
-                                      static_cast<std::ptrdiff_t>(got.size())),
-              expected)
+    ASSERT_EQ(std::vector<NodeId>(got_a.begin(), got_a.end()), expected)
         << "node " << i;
-    ASSERT_TRUE(std::is_sorted(
-        got_a.begin() + static_cast<std::ptrdiff_t>(got.size()), got_a.end()))
-        << "node " << i;
-    std::vector<NodeId> got_a_sorted(got_a.begin(), got_a.end());
-    std::sort(got_a_sorted.begin(), got_a_sorted.end());
-    ASSERT_EQ(got_a_sorted, expected_audible) << "node " << i;
 
     const auto back = t.reverse_slots(i);
     ASSERT_EQ(back.size(), t.decodable_prefix(i)) << "node " << i;
@@ -176,12 +206,123 @@ TEST_P(TopologyProperty, MatchesBruteForce) {
   }
 }
 
+// Random fields: the paper's 200 m field (3 cells wide) and a 1000 m one
+// (12 cells), with the 88 m carrier-sense range and with CS 0 (= radio
+// range), down to empty and single-node fields.
+class TopologyProperty
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::uint64_t, double, double>> {};
+
+TEST_P(TopologyProperty, MatchesBruteForce) {
+  const auto [n, seed, side, cs] = GetParam();
+  sim::Rng rng{seed};
+  net::FieldSpec spec;
+  spec.nodes = n;
+  spec.side_m = side;
+  spec.carrier_sense_range_m = cs;
+  expect_matches_brute_force(generate_uniform_field(spec, rng),
+                             spec.radio_range_m, cs);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sizes, TopologyProperty,
     ::testing::Combine(::testing::Values<std::size_t>(0, 1, 10, 50, 150),
                        ::testing::Values<std::uint64_t>(1, 2, 3),
                        ::testing::Values(200.0, 1000.0),
                        ::testing::Values(88.0, 0.0)));
+
+std::vector<Vec2> uniform_field(std::size_t n, double side, std::uint64_t seed) {
+  sim::Rng rng{seed};
+  net::FieldSpec spec;
+  spec.nodes = n;
+  spec.side_m = side;
+  return generate_uniform_field(spec, rng);
+}
+
+TEST(TopologyBruteForce, NegativeAndOffsetCoordinates) {
+  for (const Vec2 shift : {Vec2{-100.3, -100.7}, Vec2{-1e4 - 0.1, 3e5 + 0.3},
+                           Vec2{-7.5e6, -2.25e6}}) {
+    std::vector<Vec2> pts = uniform_field(150, 200.0, 4);
+    for (Vec2& p : pts) p = p + shift;
+    expect_matches_brute_force(pts, 40.0, 88.0);
+    expect_matches_brute_force(pts, 40.0, 0.0);
+  }
+}
+
+TEST(TopologyBruteForce, CoLocatedNodes) {
+  std::vector<Vec2> pts(6, Vec2{50, 50});
+  pts.insert(pts.end(), 4, Vec2{130, 50});
+  pts.push_back({90, 50});
+  const std::vector<Vec2> rest = uniform_field(40, 200.0, 5);
+  pts.insert(pts.end(), rest.begin(), rest.end());
+  pts.insert(pts.end(), 3, rest.front());
+  expect_matches_brute_force(pts, 40.0, 88.0);
+  expect_matches_brute_force(pts, 40.0, 0.0);
+}
+
+// Pairs exactly at the radio range and at the carrier-sense range, along
+// both axes and on 3-4-5 diagonals: both are outside (strict inequality).
+TEST(TopologyBruteForce, NodesExactlyAtRangeAndCarrierSense) {
+  std::vector<Vec2> pts;
+  for (const Vec2 base : {Vec2{0, 0}, Vec2{300, 0}, Vec2{0, 300}}) {
+    for (const Vec2 d : {Vec2{40, 0}, Vec2{0, 40}, Vec2{24, 32},
+                         Vec2{88, 0}, Vec2{0, -88}, Vec2{-52.8, 70.4},
+                         Vec2{std::nextafter(40.0, 0.0), 0},
+                         Vec2{std::nextafter(88.0, 0.0), 0}}) {
+      pts.push_back(base);
+      pts.push_back(base + d);
+    }
+  }
+  const Topology t{{{0, 0}, {40, 0}, {88, 0}}, 40.0, 88.0};
+  EXPECT_TRUE(t.neighbors(0).empty());
+  ASSERT_EQ(t.audible(0).size(), 1u);
+  EXPECT_EQ(t.audible(0)[0], 1u);
+  expect_matches_brute_force(pts, 40.0, 88.0);
+  expect_matches_brute_force(pts, 40.0, 0.0);
+}
+
+// A lattice at the cell width from the bounding box's corner, with the
+// nearest doubles on both sides of every lattice coordinate.
+TEST(TopologyBruteForce, NodesOnCellEdges) {
+  for (const double cs : {88.0, 40.0}) {
+    std::vector<Vec2> pts;
+    for (int gx = 0; gx <= 4; ++gx) {
+      for (int gy = 0; gy <= 4; ++gy) {
+        const double x = -150.0 + cs * gx;
+        const double y = 20.0 + cs * gy;
+        pts.push_back({x, y});
+        pts.push_back({std::nextafter(x, -1e9), y});
+        pts.push_back({x, std::nextafter(y, 1e9)});
+      }
+    }
+    expect_matches_brute_force(pts, 40.0, cs);
+  }
+}
+
+TEST(TopologyBruteForce, EveryNodeInOneCell) {
+  expect_matches_brute_force(uniform_field(60, 10.0, 6), 40.0, 88.0);
+  expect_matches_brute_force(uniform_field(60, 30.0, 7), 40.0, 0.0);
+}
+
+// Clusters scattered over a 1e6 m square: range-wide cells would number
+// 1e8, so the cell cap widens them.
+TEST(TopologyBruteForce, FarSpreadSparseFieldTriggersCellCap) {
+  sim::Rng rng{8};
+  std::vector<Vec2> pts;
+  for (int c = 0; c < 60; ++c) {
+    const Vec2 centre{rng.uniform(0.0, 1e6), rng.uniform(0.0, 1e6)};
+    for (int k = 0; k < 5; ++k) {
+      pts.push_back(centre + Vec2{rng.uniform(0.0, 100.0),
+                                  rng.uniform(0.0, 100.0)});
+    }
+  }
+  expect_matches_brute_force(pts, 40.0, 88.0);
+  expect_matches_brute_force(pts, 40.0, 0.0);
+}
+
+TEST(TopologyBruteForce, TwoThousandNodes) {
+  expect_matches_brute_force(uniform_field(2000, 600.0, 9), 40.0, 88.0);
+}
 
 TEST(Field, UniformFieldInsideSquare) {
   sim::Rng rng{21};
