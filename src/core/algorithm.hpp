@@ -27,6 +27,6 @@ enum class Algorithm {
 std::unique_ptr<diffusion::DiffusionNode> make_diffusion_node(
     Algorithm algorithm, sim::Simulator& sim, mac::MacBase& mac,
     net::Vec2 position, const diffusion::DiffusionParams& params,
-    sim::Rng rng, diffusion::MetricsHook* hook);
+    sim::Rng rng, stats::MetricsCollector* metrics);
 
 }  // namespace wsn::core

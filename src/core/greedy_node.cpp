@@ -61,14 +61,14 @@ std::span<agg::WeightedSet> GreedyNode::claim_family_prefix(std::size_t n) {
   return {family_scratch_.data(), n};
 }
 
-EnergyCost GreedyNode::flush_policy(const std::vector<DataItem>& outgoing,
+EnergyCost GreedyNode::flush_policy(std::span<const PendingItem> outgoing,
                                     std::span<const IncomingAgg> window) {
   // --- §4.2: price the outgoing aggregate via an event-level cover. ---
   EnergyCost outgoing_cost = 0;
   if (!outgoing.empty()) {
     item_index_.clear();
-    for (const DataItem& item : outgoing) {
-      item_index_.try_emplace(item.key.packed(),
+    for (const PendingItem& p : outgoing) {
+      item_index_.try_emplace(p.item.key.packed(),
                               static_cast<std::uint32_t>(item_index_.size()));
     }
     const std::span<agg::WeightedSet> family =

@@ -30,7 +30,7 @@ class GreedyNode final : public diffusion::DiffusionNode {
 
   /// §4.2 aggregate pricing + §4.3 source-level truncation cover.
   [[nodiscard]] diffusion::EnergyCost flush_policy(
-      const std::vector<diffusion::DataItem>& outgoing,
+      std::span<const PendingItem> outgoing,
       std::span<const IncomingAgg> window) override;
 
   /// §4.1: an on-tree source seeing another source's new exploratory event

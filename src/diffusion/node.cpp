@@ -26,13 +26,13 @@ std::uint32_t slot_of(std::span<const net::NodeId> nbrs, net::NodeId nb) {
 DiffusionNode::DiffusionNode(sim::Simulator& sim, mac::MacBase& mac,
                              net::Vec2 position,
                              const DiffusionParams& params, sim::Rng rng,
-                             MetricsHook* hook)
+                             stats::MetricsCollector* metrics)
     : sim_{&sim},
       mac_{&mac},
       position_{position},
       params_{params},
       rng_{rng},
-      hook_{hook},
+      metrics_{metrics},
       interest_timer_{sim, [this] { send_interest(); }},
       exploratory_timer_{sim, [this] { generate_exploratory_event(); }},
       datagen_timer_{sim, [this] { generate_data_event(); }},
@@ -122,15 +122,16 @@ void DiffusionNode::send_exploratory(MsgId id, const ExplRecord& rec,
 }
 
 void DiffusionNode::note_generated(DataItemKey key) {
-  if (hook_ != nullptr) hook_->on_event_generated(key, sim_->now());
+  if (metrics_ != nullptr) metrics_->on_event_generated();
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemGenerated, id(), trace::kNoPeer,
                  key.packed(), 0);
 }
 
 void DiffusionNode::note_delivered(DataItemKey key, std::int64_t gen_time_ns) {
   const sim::Time now = sim_->now();
-  if (hook_ != nullptr) {
-    hook_->on_event_delivered(id(), key, sim::Time::nanos(gen_time_ns), now);
+  if (metrics_ != nullptr) {
+    metrics_->on_event_delivered(id(), key.packed(),
+                                 sim::Time::nanos(gen_time_ns), now);
   }
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemDelivered, id(), trace::kNoPeer,
                  key.packed(), now.as_nanos() - gen_time_ns);
@@ -363,9 +364,7 @@ void DiffusionNode::generate_data_event() {
   note_generated(item.key);
 
   seen_items_[item.key.packed()] = sim_->now();
-  if (pending_keys_.insert(item.key.packed()).second) {
-    pending_.push_back(PendingItem{item, id()});
-  }
+  queue_pending(item, id());
   IncomingAgg& self = next_window_slot();
   self.from = id();
   self.items.push_back(item);
@@ -538,9 +537,7 @@ void DiffusionNode::handle_data(const DataMsg& msg, net::NodeId from) {
       last_source_item_[item.key.source] = now;
       note_delivered(item.key, item.gen_time_ns);
     }
-    if (pending_keys_.insert(item.key.packed()).second) {
-      pending_.push_back(PendingItem{item, from});
-    }
+    queue_pending(item, from);
   }
 
   if (!is_aggregation_point()) {
@@ -572,14 +569,22 @@ DiffusionNode::IncomingAgg& DiffusionNode::next_window_slot() {
   return slot;
 }
 
+void DiffusionNode::queue_pending(const DataItem& item, net::NodeId from) {
+  const bool queued = std::any_of(
+      pending_.begin(), pending_.end(),
+      [&](const PendingItem& p) { return p.item.key == item.key; });
+  if (!queued) pending_.push_back(PendingItem{item, from});
+}
+
 void DiffusionNode::maybe_early_flush() {
   if (expected_sources_.empty() || pending_.empty()) return;
   // Flush as soon as everything we forwarded last time is present again
   // (paper §4.2: enough data ⇒ no further delay).
-  have_scratch_.clear();
-  for (const PendingItem& p : pending_) have_scratch_.insert(p.item.key.source);
   for (SourceId s : expected_sources_) {
-    if (!have_scratch_.contains(s)) return;
+    const bool present = std::any_of(
+        pending_.begin(), pending_.end(),
+        [s](const PendingItem& p) { return p.item.key.source == s; });
+    if (!present) return;
   }
   flush();
 }
@@ -588,24 +593,19 @@ void DiffusionNode::flush() {
   flush_timer_.cancel();
   if (window_live_ == 0 && pending_.empty()) return;
 
-  // Everything below works out of capacity-retaining scratch buffers and
-  // the live window/pending prefixes, consumed on every exit path, so a
-  // warm flush performs no heap allocation.
+  // Everything below works out of the live window/pending prefixes,
+  // consumed on every exit path, so a warm flush performs no heap
+  // allocation.
   const std::span<const IncomingAgg> window{window_aggs_.data(), window_live_};
-  union_scratch_.clear();
-  union_scratch_.reserve(pending_.size());
-  for (const PendingItem& p : pending_) union_scratch_.push_back(p.item);
-
-  const EnergyCost outgoing_cost = flush_policy(union_scratch_, window);
+  const EnergyCost outgoing_cost = flush_policy(pending_, window);
   const sim::Time now = sim_->now();
 
   const auto consume = [this] {
     window_live_ = 0;
     pending_.clear();
-    pending_keys_.clear();
   };
 
-  if (union_scratch_.empty()) {
+  if (pending_.empty()) {
     consume();
     return;
   }
@@ -617,8 +617,8 @@ void DiffusionNode::flush() {
   bool sent_any = false;
   if (has_data_gradient_out()) {
     expected_sources_.clear();
-    for (const DataItem& item : union_scratch_) {
-      expected_sources_.insert(item.key.source);
+    for (const PendingItem& p : pending_) {
+      expected_sources_.insert(p.item.key.source);
     }
     // Split horizon: each downstream neighbour gets every pending item
     // except the ones it delivered to us itself — this keeps items (and
@@ -660,12 +660,12 @@ void DiffusionNode::flush() {
     // No downstream at all, or every gradient points back at the items'
     // own provider (a split-horizon black hole). Either way this node is
     // not delivering: shed the demand and, if we are a source, re-advertise.
-    stats_.items_dropped_no_gradient += union_scratch_.size();
+    stats_.items_dropped_no_gradient += pending_.size();
     // lint:trace-ok — batch guard: skip the per-item loop when tracing off
     if (sim_->tracer() != nullptr) {
-      for (const DataItem& item : union_scratch_) {
+      for (const PendingItem& p : pending_) {
         WSN_TRACE_EMIT(sim_, trace::RecordKind::kItemDropped, id(),
-                       trace::kNoPeer, item.key.packed(), 0);
+                       trace::kNoPeer, p.item.key.packed(), 0);
       }
     }
     cascade_negative_upstream();
@@ -874,7 +874,7 @@ net::NodeId OpportunisticNode::choose_upstream(MsgId id) const {
 }
 
 EnergyCost OpportunisticNode::flush_policy(
-    const std::vector<DataItem>& /*outgoing*/,
+    std::span<const PendingItem> /*outgoing*/,
     std::span<const IncomingAgg> window) {
   // No energy-cost accounting; a neighbour was useful if it delivered at
   // least one previously-unseen item this window.

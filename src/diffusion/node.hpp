@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "diffusion/messages.hpp"
-#include "diffusion/metrics_hook.hpp"
 #include "diffusion/types.hpp"
 #include "mac/mac_base.hpp"
 #include "net/types.hpp"
@@ -31,6 +30,7 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "stats/metrics.hpp"
 #include "trace/records.hpp"
 
 namespace wsn::diffusion {
@@ -52,7 +52,7 @@ class DiffusionNode : public mac::MacUser {
  public:
   DiffusionNode(sim::Simulator& sim, mac::MacBase& mac, net::Vec2 position,
                 const DiffusionParams& params, sim::Rng rng,
-                MetricsHook* hook);
+                stats::MetricsCollector* metrics);
   ~DiffusionNode() override = default;
 
   DiffusionNode(const DiffusionNode&) = delete;
@@ -74,7 +74,6 @@ class DiffusionNode : public mac::MacUser {
 
   // --- inspection (tests, tree extraction, examples) ---
   [[nodiscard]] net::NodeId id() const { return mac_->id(); }
-  [[nodiscard]] bool is_sink() const { return is_sink_; }
   [[nodiscard]] bool is_active_source() const { return source_active_; }
   [[nodiscard]] const ProtocolStats& stats() const { return stats_; }
   /// Neighbours we currently hold a live *data* gradient toward (our
@@ -137,6 +136,15 @@ class DiffusionNode : public mac::MacUser {
     bool had_new_items = false;
   };
 
+  /// One item awaiting the next flush; `from` is the neighbour that
+  /// delivered it (== id() for self-generated) so flushes are
+  /// split-horizon: an item is never sent back to the neighbour it came
+  /// from.
+  struct PendingItem {
+    DataItem item;
+    net::NodeId from;
+  };
+
   // --- policy points ---
   virtual void sink_on_new_exploratory(MsgId id) = 0;
   /// Local reinforcement rule: pick the upstream neighbour for `id`,
@@ -144,10 +152,11 @@ class DiffusionNode : public mac::MacUser {
   [[nodiscard]] virtual net::NodeId choose_upstream(MsgId id) const = 0;
   /// Returns the cost attribute of the outgoing aggregate and calls
   /// mark_useful for every neighbour that was useful this round (for §4.3
-  /// truncation). `window` spans the live prefix of a reused slot buffer,
-  /// valid only for the duration of the call.
+  /// truncation). `outgoing` (the pending items, distinct keys) and
+  /// `window` span the live prefixes of reused buffers, valid only for the
+  /// duration of the call.
   [[nodiscard]] virtual EnergyCost flush_policy(
-      const std::vector<DataItem>& outgoing,
+      std::span<const PendingItem> outgoing,
       std::span<const IncomingAgg> window) = 0;
   virtual void on_new_exploratory(const ExplRecord& rec, MsgId id) {
     (void)rec;
@@ -200,7 +209,7 @@ class DiffusionNode : public mac::MacUser {
   net::Vec2 position_;
   DiffusionParams params_;
   sim::Rng rng_;
-  MetricsHook* hook_;
+  stats::MetricsCollector* metrics_;
   ProtocolStats stats_;
 
  private:
@@ -217,7 +226,7 @@ class DiffusionNode : public mac::MacUser {
   void broadcast_interest(std::shared_ptr<const InterestMsg> msg);
   void send_exploratory(MsgId id, const ExplRecord& rec, EnergyCost cost);
   void send_negative(net::NodeId to, trace::NegativeReason reason);
-  // item notes: the metrics hook (if any) and the trace record together
+  // item notes: the metrics collector (if any) and the trace record together
   void note_generated(DataItemKey key);
   void note_delivered(DataItemKey key, std::int64_t gen_time_ns);
 
@@ -245,6 +254,9 @@ class DiffusionNode : public mac::MacUser {
   EdgeGradient& gradient_at(std::uint32_t slot);
   void refresh_gradient(std::uint32_t slot);
   void degrade_gradient(std::uint32_t slot);
+  /// Appends `item` to pending_ unless an item with its key is already
+  /// there (one linear scan; the buffer holds one T_a window of items).
+  void queue_pending(const DataItem& item, net::NodeId from);
   void maybe_early_flush();
   [[nodiscard]] bool is_aggregation_point() const;
   /// Claims the next reusable aggregation-window slot (fields reset, item
@@ -279,15 +291,9 @@ class DiffusionNode : public mac::MacUser {
   sim::FlatMap<std::uint64_t, sim::Time> seen_items_;  // packed key
   sim::FlatMap<MsgId, sim::Time> seen_data_msgs_;
 
-  // aggregation buffer; `from` tracks which neighbour delivered the item
-  // (== id() for self-generated) so flushes are split-horizon: an item is
-  // never sent back to the neighbour it came from.
-  struct PendingItem {
-    DataItem item;
-    net::NodeId from;
-  };
+  // aggregation buffer, the flush path's only item store: one entry per
+  // distinct key, in arrival order (see queue_pending)
   std::vector<PendingItem> pending_;
-  sim::FlatSet<std::uint64_t> pending_keys_;
   // Window slots are recycled: the live prefix [0, window_live_) is this
   // round's aggregates; flush resets the count but keeps each slot's item
   // capacity, so the receive path stops allocating once warm.
@@ -309,11 +315,8 @@ class DiffusionNode : public mac::MacUser {
   // per-source path repair.
   sim::FlatMap<SourceId, sim::Time> last_source_item_;
 
-  // flush-path scratch, reused across rounds (capacity-retaining) so a
-  // steady-state flush is allocation-free once warm
-  std::vector<DataItem> union_scratch_;
+  // data_gradient_neighbors' result, reused across calls (capacity kept)
   std::vector<net::NodeId> gradient_scratch_;
-  sim::FlatSet<SourceId> have_scratch_;
 
   // Audit-mode watermark backing the TTL cache-bound invariant: cache
   // inserts assert the purge cadence is alive, and housekeeping asserts no
@@ -354,7 +357,7 @@ class OpportunisticNode final : public DiffusionNode {
   void sink_on_new_exploratory(MsgId id) override;
   [[nodiscard]] net::NodeId choose_upstream(MsgId id) const override;
   [[nodiscard]] EnergyCost flush_policy(
-      const std::vector<DataItem>& outgoing,
+      std::span<const PendingItem> outgoing,
       std::span<const IncomingAgg> window) override;
 };
 

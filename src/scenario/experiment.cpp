@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "net/topology.hpp"
 #include "scenario/failure.hpp"
@@ -274,8 +275,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
   for (net::NodeId id = 0; id < network.size(); ++id) {
     macs.push_back(&network.mac(id));
   }
-  FailureProcess failures{sim, macs, protected_nodes, config.failures,
-                          failure_rng};
+  FailureProcess failures{sim, std::move(macs), std::move(protected_nodes),
+                          config.failures, failure_rng};
 
   // --- run ---
   sim.run_until(config.duration);
@@ -291,19 +292,19 @@ RunResult run_experiment(const ExperimentConfig& config) {
   double total_active = 0.0;
   stats::Accumulator per_node_energy;
   result.node_positions = topo.positions();
-  for (const mac::MacBase* m : macs) {
-    const double j = m->energy_joules(sim.now());
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    const mac::MacBase& m = network.mac(id);
+    const double j = m.energy_joules(sim.now());
     result.node_energy_joules.push_back(j);
     per_node_energy.add(j);
     total_energy += j;
-    total_active += m->active_energy_joules(sim.now());
+    total_active += m.active_energy_joules(sim.now());
     for (std::size_t s = 0; s < mac::kRadioStateCount; ++s) {
       const auto state = static_cast<mac::RadioState>(s);
-      WSN_TRACE_EMIT(&sim, trace::RecordKind::kEnergyTotal, m->id(),
-                     trace::kNoPeer, s,
-                     m->residence_ns(state, sim.now()));
+      WSN_TRACE_EMIT(&sim, trace::RecordKind::kEnergyTotal, id, trace::kNoPeer,
+                     s, m.residence_ns(state, sim.now()));
     }
-    const auto& st = m->stats();
+    const auto& st = m.stats();
     result.frames_sent += st.frames_sent + st.acks_sent;
     result.bytes_sent += st.bytes_sent;
     result.arrivals_corrupted += st.arrivals_corrupted;

@@ -10,7 +10,7 @@ namespace wsn::scenario {
 
 Network::Network(sim::Simulator& sim, const net::Topology& topology,
                  const ExperimentConfig& config, const sim::Rng& master,
-                 diffusion::MetricsHook* hook)
+                 stats::MetricsCollector* metrics)
     : channel_{sim, topology, config.phy.propagation} {
   const std::size_t n = topology.node_count();
   macs_.reserve(n);
@@ -29,7 +29,7 @@ Network::Network(sim::Simulator& sim, const net::Topology& topology,
   for (net::NodeId id = 0; id < n; ++id) {
     nodes_.push_back(core::make_diffusion_node(
         config.algorithm, sim, *macs_[id], topology.position(id),
-        config.diffusion, master.fork(2000 + id), hook));
+        config.diffusion, master.fork(2000 + id), metrics));
   }
 }
 

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "diffusion/metrics_hook.hpp"
 #include "diffusion/node.hpp"
 #include "mac/channel.hpp"
 #include "mac/mac_base.hpp"
@@ -14,6 +13,7 @@
 #include "scenario/experiment.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "stats/metrics.hpp"
 
 namespace wsn::scenario {
 
@@ -26,13 +26,14 @@ namespace wsn::scenario {
 /// TDMA MAC arms its first slot), so the construction order moves no
 /// result. Callers give nodes their roles, then call start().
 ///
-/// `sim`, `topology` and `hook` must outlive the network; the config and
-/// the master stream are not kept.
+/// Every node notes its items to `metrics` (none when null). `sim`,
+/// `topology` and `metrics` must outlive the network; the config and the
+/// master stream are not kept.
 class Network {
  public:
   Network(sim::Simulator& sim, const net::Topology& topology,
           const ExperimentConfig& config, const sim::Rng& master,
-          diffusion::MetricsHook* hook);
+          stats::MetricsCollector* metrics);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;

@@ -1,7 +1,6 @@
 #include "sim/random.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace wsn::sim {
 namespace {
@@ -56,15 +55,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
     r = next();
   } while (r < limit);
   return lo + static_cast<std::int64_t>(r % range);
-}
-
-double Rng::exponential(double mean) {
-  assert(mean > 0.0);
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
 }
 
 Time Rng::jitter(Time bound) {

@@ -36,8 +36,6 @@ class Rng {
   double uniform(double lo, double hi);
   /// Uniform integer in [lo, hi] (inclusive). Precondition: lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean);
   /// Bernoulli trial.
   bool chance(double p) { return uniform() < p; }
   /// Uniform Time in [Time::zero(), bound).

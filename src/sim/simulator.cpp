@@ -3,9 +3,8 @@
 namespace wsn::sim {
 
 std::uint64_t Simulator::run_until(Time until) {
-  stopped_ = false;
   std::uint64_t dispatched_this_run = 0;
-  while (!stopped_ && queue_.run_next(until, now_)) {
+  while (queue_.run_next(until, now_)) {
     ++dispatched_;
     ++dispatched_this_run;
   }

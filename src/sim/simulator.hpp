@@ -51,9 +51,6 @@ class Simulator {
   /// Runs until the queue drains.
   std::uint64_t run() { return run_until(Time::max()); }
 
-  /// Requests that the run loop stop after the current event returns.
-  void stop() { stopped_ = true; }
-
   [[nodiscard]] std::uint64_t events_dispatched() const {
     return dispatched_;
   }
@@ -82,7 +79,6 @@ class Simulator {
   EventQueue queue_;
   Time now_ = Time::zero();
   std::uint64_t dispatched_ = 0;
-  bool stopped_ = false;
   trace::Tracer* tracer_ = nullptr;
 };
 

@@ -5,7 +5,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "diffusion/metrics_hook.hpp"
+#include "net/types.hpp"
+#include "sim/time.hpp"
 #include "stats/accumulator.hpp"
 
 namespace wsn::stats {
@@ -32,28 +33,24 @@ struct RunMetrics {
 };
 
 /// Collects generation/delivery observations during a run and computes the
-/// paper's metrics afterwards. Distinct-event filtering happens here: an
-/// event delivered twice to the same sink is counted (and its delay
-/// measured) only on first arrival.
-class MetricsCollector final : public diffusion::MetricsHook {
+/// paper's metrics afterwards. The protocol calls the two notes as events
+/// are generated at sources and delivered at sinks; items are named by their
+/// packed key (`diffusion::DataItemKey::packed()`). Every generated key is
+/// fresh, so generations are counted; deliveries are filtered here: an event
+/// delivered twice to the same sink is counted (and its delay measured) only
+/// on first arrival.
+class MetricsCollector {
  public:
-  void on_event_generated(diffusion::DataItemKey key,
-                          sim::Time gen_time) override {
-    (void)gen_time;
-    generated_.insert(key.packed());
-  }
+  void on_event_generated() { ++generated_; }
 
-  void on_event_delivered(net::NodeId sink, diffusion::DataItemKey key,
-                          sim::Time gen_time,
-                          sim::Time delivery_time) override {
+  void on_event_delivered(net::NodeId sink, std::uint64_t packed_key,
+                          sim::Time gen_time, sim::Time delivery_time) {
     auto& seen = per_sink_[sink];
-    if (!seen.insert(key.packed()).second) return;  // duplicate at this sink
+    if (!seen.insert(packed_key).second) return;  // duplicate at this sink
     delay_.add((delivery_time - gen_time).as_seconds());
   }
 
-  [[nodiscard]] std::uint64_t distinct_generated() const {
-    return generated_.size();
-  }
+  [[nodiscard]] std::uint64_t distinct_generated() const { return generated_; }
   [[nodiscard]] std::uint64_t distinct_received() const {
     std::uint64_t total = 0;
     // lint:unordered-ok — integer sum, order-insensitive
@@ -71,7 +68,7 @@ class MetricsCollector final : public diffusion::MetricsHook {
                                     std::size_t sink_count) const;
 
  private:
-  std::unordered_set<std::uint64_t> generated_;
+  std::uint64_t generated_ = 0;
   std::unordered_map<net::NodeId, std::unordered_set<std::uint64_t>> per_sink_;
   Accumulator delay_;
 };

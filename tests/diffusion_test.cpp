@@ -213,6 +213,43 @@ TEST(Diffusion, DuplicateSuppressionCachesExpireByTtl) {
   EXPECT_EQ(rig.node(1).stats().aggregates_received, 2u);
 }
 
+TEST(Diffusion, PendingItemIsQueuedOnce) {
+  // The aggregation buffer holds each key once, even when an item comes
+  // back after housekeeping purged it from the seen-items cache. With no
+  // sink there are no gradients, so every flushed item counts as dropped.
+  DiffusionParams params;
+  params.t_a = sim::Time::seconds(30.0);
+  params.t_n = sim::Time::seconds(60.0);
+  params.cache_ttl = sim::Time::seconds(1.0);
+  ProtocolRig rig{chain4(), Algorithm::kOpportunistic, params};
+  rig.start_all();
+
+  auto inject_data = [&rig](net::NodeId from, MsgId msg_id,
+                            DataItemKey key) {
+    auto msg = std::make_shared<DataMsg>();
+    msg->msg_id = msg_id;
+    msg->items.push_back(DataItem{key, 0});
+    net::Frame f;
+    f.src = from;
+    f.dst = 1;
+    f.bytes = 64;
+    f.payload = std::move(msg);
+    rig.node(1).mac_receive(f, rig.slot(1, from));
+  };
+
+  const DataItemKey a{3, 1};
+  const DataItemKey b{0, 1};
+  inject_data(2, 8001, a);  // one feeder: flushed (and dropped) at once
+  EXPECT_EQ(rig.node(1).stats().items_dropped_no_gradient, 1u);
+  rig.run_for(0.1);
+  inject_data(0, 8002, b);  // second feeder: node 1 aggregates, b waits T_a
+  EXPECT_EQ(rig.node(1).stats().items_dropped_no_gradient, 1u);
+  rig.run_for(12.0);        // housekeeping purged b from the seen-items cache
+  inject_data(0, 8003, b);  // b again, fresh msg id: new to the cache
+  rig.run_for(35.0);        // past the T_a flush
+  EXPECT_EQ(rig.node(1).stats().items_dropped_no_gradient, 2u);
+}
+
 TEST(Diffusion, PurgedExploratoryIdRefloodsCorrectly) {
   // An exploratory record outlives two advertisement periods, then is
   // purged; if the same msg id ever reappears it must be treated as new —
@@ -254,7 +291,7 @@ TEST(Diffusion, PurgedExploratoryIdRefloodsCorrectly) {
 
 TEST(Diffusion, TraceDoesNotDependOnTheMetricsHook) {
   // The sink notes every delivery (exploratory events included) in its
-  // cache and in the trace whether or not a metrics observer is attached.
+  // cache and in the trace whether or not a metrics collector is attached.
   const auto counters = [](bool with_metrics) {
     // Declared before the rig so it outlives every emission.
     trace::Tracer tracer{

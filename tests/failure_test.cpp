@@ -1,6 +1,6 @@
 // Rotation semantics of the §5.3 failure process (scenario/failure.*):
 // revive-before-draw, deterministic victim choice, and the guarantee that
-// metrics hooks never fire for powered-down nodes.
+// powered-down nodes note no items to the metrics collector.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,8 +133,8 @@ TEST(FailureProcess, RejectsAnEnabledModelItCannotRun) {
 }
 
 TEST(FailureProcess, MetricsHooksSilentWhileNodeIsDown) {
-  // A live source generates (hook fires); a powered-down one must not. The
-  // generation path early-outs on a dead MAC before touching the hook.
+  // A live source generates (the collector counts it); a powered-down one
+  // must not. The generation path early-outs on a dead MAC before noting.
   ProtocolRig rig{grid(4), core::Algorithm::kOpportunistic};
   rig.node(0).make_sink(rig.whole_field());
   rig.node(3).set_detecting(true);
@@ -146,7 +146,7 @@ TEST(FailureProcess, MetricsHooksSilentWhileNodeIsDown) {
   rig.mac(3).set_alive(false);
   rig.run_for(40.0);
   EXPECT_EQ(rig.collector().distinct_generated(), generated_live)
-      << "hook fired for a down node";
+      << "a down node noted a generation";
 
   rig.mac(3).set_alive(true);
   rig.run_for(80.0);

@@ -19,9 +19,10 @@ namespace wsn::testing {
 
 class ProtocolRig {
  public:
-  // `with_metrics = false` builds the stack without the MetricsCollector
-  // hook — used by the allocation-freeness test, where the per-packet
-  // bookkeeping of the collector itself would count against the protocol.
+  // `with_metrics = false` builds the stack with no MetricsCollector (a
+  // null pointer) — used by the allocation-freeness test, where the
+  // per-packet bookkeeping of the collector itself would count against
+  // the protocol.
   ProtocolRig(std::vector<net::Vec2> positions, core::Algorithm alg,
               diffusion::DiffusionParams params = {}, double range = 40.0,
               std::uint64_t seed = 1, bool with_metrics = true)

@@ -180,20 +180,6 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_EQ(sim.now(), Time::millis(5));
 }
 
-TEST(Simulator, StopHaltsTheLoop) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_in(Time::millis(1), [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule_in(Time::millis(2), [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  sim.run();  // resumes after stop
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, PastSchedulesClampToNow) {
   Simulator sim;
   sim.schedule_in(Time::seconds(1.0), [] {});
@@ -328,14 +314,6 @@ TEST(Rng, UniformIntCoversRange) {
     EXPECT_GT(c, 9000);
     EXPECT_LT(c, 11000);
   }
-}
-
-TEST(Rng, ExponentialHasRoughlyRightMean) {
-  Rng r{5};
-  double sum = 0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) sum += r.exponential(2.0);
-  EXPECT_NEAR(sum / kN, 2.0, 0.05);
 }
 
 TEST(Rng, JitterWithinBound) {

@@ -1,11 +1,17 @@
 // Unit tests for accumulators and the paper's metrics.
 #include <gtest/gtest.h>
 
+#include "diffusion/types.hpp"
 #include "stats/accumulator.hpp"
 #include "stats/metrics.hpp"
 
 namespace wsn::stats {
 namespace {
+
+/// The packed key the protocol hands the collector for item (source, seq).
+std::uint64_t key(std::uint32_t source, std::uint32_t seq) {
+  return diffusion::DataItemKey{source, seq}.packed();
+}
 
 TEST(Accumulator, MeanVarianceMinMax) {
   Accumulator a;
@@ -48,17 +54,14 @@ TEST(Accumulator, TwoValuesHaveFiniteSpread) {
 
 TEST(MetricsCollector, CountsDistinctPerSink) {
   MetricsCollector c;
-  using diffusion::DataItemKey;
   const auto t0 = sim::Time::seconds(1.0);
-  c.on_event_generated(DataItemKey{7, 0}, t0);
-  c.on_event_generated(DataItemKey{7, 1}, t0);
-  c.on_event_generated(DataItemKey{8, 0}, t0);
+  for (int i = 0; i < 3; ++i) c.on_event_generated();
 
   // Sink 100 receives item (7,0) twice: only the first counts.
-  c.on_event_delivered(100, DataItemKey{7, 0}, t0, sim::Time::seconds(1.5));
-  c.on_event_delivered(100, DataItemKey{7, 0}, t0, sim::Time::seconds(2.5));
+  c.on_event_delivered(100, key(7, 0), t0, sim::Time::seconds(1.5));
+  c.on_event_delivered(100, key(7, 0), t0, sim::Time::seconds(2.5));
   // A second sink receiving the same item counts separately.
-  c.on_event_delivered(101, DataItemKey{7, 0}, t0, sim::Time::seconds(2.0));
+  c.on_event_delivered(101, key(7, 0), t0, sim::Time::seconds(2.0));
 
   EXPECT_EQ(c.distinct_generated(), 3u);
   EXPECT_EQ(c.distinct_received(), 2u);
@@ -70,13 +73,10 @@ TEST(MetricsCollector, CountsDistinctPerSink) {
 
 TEST(MetricsCollector, FinalizeComputesPaperMetrics) {
   MetricsCollector c;
-  using diffusion::DataItemKey;
   const auto t0 = sim::Time::zero();
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    c.on_event_generated(DataItemKey{1, i}, t0);
-  }
+  for (int i = 0; i < 10; ++i) c.on_event_generated();
   for (std::uint32_t i = 0; i < 8; ++i) {
-    c.on_event_delivered(50, DataItemKey{1, i}, t0, sim::Time::seconds(0.2));
+    c.on_event_delivered(50, key(1, i), t0, sim::Time::seconds(0.2));
   }
   // 20 J total, 5 J active, 4 nodes, 1 sink.
   const RunMetrics m = c.finalize(20.0, 5.0, 4, 1);
@@ -91,15 +91,12 @@ TEST(MetricsCollector, FinalizeComputesPaperMetrics) {
 
 TEST(MetricsCollector, MultiSinkNormalisation) {
   MetricsCollector c;
-  using diffusion::DataItemKey;
   const auto t0 = sim::Time::zero();
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    c.on_event_generated(DataItemKey{1, i}, t0);
-  }
+  for (int i = 0; i < 4; ++i) c.on_event_generated();
   // Two sinks, each receives all 4 events.
   for (net::NodeId sink : {10u, 11u}) {
     for (std::uint32_t i = 0; i < 4; ++i) {
-      c.on_event_delivered(sink, DataItemKey{1, i}, t0, sim::Time::seconds(0.1));
+      c.on_event_delivered(sink, key(1, i), t0, sim::Time::seconds(0.1));
     }
   }
   const RunMetrics m = c.finalize(1.0, 1.0, 2, 2);
@@ -109,7 +106,7 @@ TEST(MetricsCollector, MultiSinkNormalisation) {
 
 TEST(MetricsCollector, ZeroReceivedIsSafe) {
   MetricsCollector c;
-  c.on_event_generated(diffusion::DataItemKey{1, 0}, sim::Time::zero());
+  c.on_event_generated();
   const RunMetrics m = c.finalize(10.0, 1.0, 4, 1);
   EXPECT_DOUBLE_EQ(m.avg_dissipated_energy, 0.0);
   EXPECT_DOUBLE_EQ(m.delivery_ratio, 0.0);

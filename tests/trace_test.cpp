@@ -433,6 +433,13 @@ TEST(Trace, CountersMatchLayerStats) {
         EXPECT_EQ(p.reinforcements_sent, c.of(RecordKind::kReinforceSend));
         EXPECT_EQ(p.negatives_sent, c.of(RecordKind::kNegativeSend));
         EXPECT_EQ(p.items_dropped_no_gradient, c.of(RecordKind::kItemDropped));
+        // Item notes reach the collector and the trace together: every
+        // generation is counted once, and a sink's duplicate arrivals are
+        // traced but not counted again.
+        EXPECT_EQ(res.metrics.distinct_generated,
+                  c.of(RecordKind::kItemGenerated));
+        EXPECT_LE(res.metrics.distinct_received,
+                  c.of(RecordKind::kItemDelivered));
         dropped_items += p.items_dropped_no_gradient;
       }
     }

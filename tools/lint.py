@@ -53,6 +53,13 @@ Rules (beyond what clang-tidy covers):
                       is a sim::Timer, whose queue node is unlinked in
                       place; a held one-shot handle would bring back a
                       second way to cancel.
+  R11 one-observer    No call to on_event_generated( or on_event_delivered(
+                      in src/, bench/ or examples/ outside
+                      src/diffusion/node.cpp and the collector itself
+                      (src/stats/metrics.*). The protocol notes each item
+                      to the run's MetricsCollector in the same function
+                      that traces it, so every counted note has its trace
+                      record.
 
 Exit status 0 when clean; 1 with one `path:line: [rule] message` per finding.
 """
@@ -90,6 +97,9 @@ STD_FUNCTION_PATTERN = re.compile(r"\bstd::function\b")
 DYNAMIC_CAST_PATTERN = re.compile(r"\bdynamic_cast\b")
 NODE_FACTORY_PATTERN = re.compile(r"\bmake_diffusion_node\s*\(")
 EVENT_HANDLE_PATTERN = re.compile(r"\bEventHandle\b")
+ITEM_NOTE_PATTERN = re.compile(r"\bon_event_(?:generated|delivered)\s*\(")
+ONE_OBSERVER_FILES = {"src/diffusion/node.cpp", "src/stats/metrics.hpp",
+                      "src/stats/metrics.cpp"}
 ONE_STACK_FILES = {"src/scenario/network.cpp", "src/core/algorithm.hpp",
                    "src/core/algorithm.cpp"}
 
@@ -159,6 +169,8 @@ class Linter:
         code = [strip_comments_and_strings(l) for l in lines]
 
         in_sim = rel.startswith("src/")
+        notes_checked = (rel.split("/", 1)[0] in {"src", "bench", "examples"}
+                         and rel not in ONE_OBSERVER_FILES)
         rng_exempt = rel.startswith("src/sim/random.")
         trace_exempt = rel.startswith("src/trace/")
 
@@ -202,6 +214,11 @@ class Linter:
                 self.report(path, idx, "one-cancellable",
                             "EventHandle in sim code; make what you "
                             "cancel a sim::Timer")
+            if notes_checked and ITEM_NOTE_PATTERN.search(clean):
+                self.report(path, idx, "one-observer",
+                            "item note outside DiffusionNode::note_*; the "
+                            "protocol notes items to the collector next to "
+                            "their trace records")
             if in_sim and WALL_CLOCK_PATTERN.search(clean):
                 self.report(path, idx, "wall-clock",
                             "wall-clock read in sim code; use "
