@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <tuple>
 #include <vector>
 
@@ -18,9 +18,11 @@ class MacBase;
 /// Frame classes on the air.
 enum class FrameKind : std::uint8_t { kData, kAck };
 
-/// One transmission in flight. Shared between the channel and every
-/// receiver so a late abort (transmitter dies mid-frame) corrupts all
-/// pending receptions.
+/// One transmission in flight, in a slot the channel owns. The transmitter
+/// keeps a plain pointer to its data frame so a late abort (transmitter dies
+/// mid-frame) corrupts every pending reception, and drops it when its frame
+/// ends or it powers down. The end sweep releases the payload and frees the
+/// slot for the next transmission.
 struct Transmission {
   net::Frame frame;
   FrameKind kind = FrameKind::kData;
@@ -31,16 +33,18 @@ struct Transmission {
   net::NodeId src = 0;  ///< transmitter; keys the arrival sweeps
 };
 
-using TransmissionPtr = std::shared_ptr<Transmission>;
-
 /// Everything the channel sweeps read and write for one radio, packed so a
-/// sweep walks one array instead of the MAC objects. `MacBase` keeps a
-/// pointer to its own record; these are the only copies of its flags.
+/// sweep walks one 48-byte array entry instead of the MAC objects. `MacBase`
+/// keeps a pointer to its own record; these are the only copies of its
+/// flags.
 struct RadioRecord {
-  /// Busy key (end, tx id) of the latest-ending arrival taken in since the
-  /// radio last powered up. The medium is busy while its end sweep is
-  /// pending (`Channel::end_pending`).
-  sim::Time busy_end;
+  /// Busy key (`rx.until`, busy_id): the latest-ending arrival taken in
+  /// since the radio last powered up, the newer id winning a tie on end.
+  /// The medium is busy while its end sweep is pending
+  /// (`Channel::end_pending`). The key's end is the receive charge's
+  /// `until`, kept once: both start at zero, a start sweep raises both to
+  /// max(old, end), our own transmission touches neither, and power-down
+  /// sets both back to zero.
   std::uint64_t busy_id = 0;
   /// The one arrival that can still be delivered, or null. Its id is the
   /// busy key's. Never dangles: cleared at its own end sweep, by any
@@ -53,6 +57,7 @@ struct RadioRecord {
   /// contending radio hears `medium_became_busy`/`medium_became_idle`.
   bool contending = false;
 };
+static_assert(sizeof(RadioRecord) <= 48, "one radio's sweep state grew");
 
 /// Broadcast medium over a unit-disk topology.
 ///
@@ -93,9 +98,10 @@ class Channel {
   /// topology's partitioned audible-list order (decodable neighbours
   /// first, then carrier-sense-only, both by ascending id). Dead or
   /// detached radios are skipped. Returns the in-flight record so the
-  /// transmitter can abort it (node failure mid-frame).
-  TransmissionPtr begin_transmission(net::NodeId src, net::Frame frame,
-                                     FrameKind kind, sim::Time airtime);
+  /// transmitter can abort it (node failure mid-frame); it stays valid until
+  /// the end sweep, after which the channel reuses the slot.
+  Transmission* begin_transmission(net::NodeId src, net::Frame frame,
+                                   FrameKind kind, sim::Time airtime);
 
   [[nodiscard]] const net::Topology& topology() const { return *topo_; }
 
@@ -105,8 +111,8 @@ class Channel {
   }
 
  private:
-  void sweep_arrival_starts(const TransmissionPtr& tx);
-  void sweep_arrival_ends(const TransmissionPtr& tx);
+  void sweep_arrival_starts(const Transmission& tx);
+  void sweep_arrival_ends(Transmission& tx);
   // The start sweep's rare paths, kept out of its loop body.
   [[gnu::noinline]] static void count_collision(MacBase* mac,
                                                 const Transmission& tx);
@@ -117,6 +123,10 @@ class Channel {
   sim::Time propagation_;
   std::vector<MacBase*> macs_;
   std::vector<RadioRecord> radios_;  ///< by node id; never resized
+  /// Every transmission slot ever used (a deque never moves its elements)
+  /// and the ones free for reuse; in-flight ones die with the channel.
+  std::deque<Transmission> tx_slots_;
+  std::vector<Transmission*> free_tx_;
   std::uint64_t next_tx_id_ = 1;
   /// Key (end, tx id) of the last end sweep that ran.
   sim::Time last_end_;

@@ -31,8 +31,12 @@ struct RxCharge {
 
   /// An arrival over [now, end) starts.
   void arrive(sim::Time now, sim::Time end) {
-    ns += std::max<std::int64_t>(
-        0, (end - std::max({now, until, tx_until})).as_nanos());
+    // Plain integers: maxima of `Time` references compile to address
+    // selects through the stack on the start sweep's hot path.
+    const std::int64_t covered =
+        std::max(until.as_nanos(), tx_until.as_nanos());
+    const std::int64_t from = std::max(now.as_nanos(), covered);
+    ns += std::max<std::int64_t>(0, end.as_nanos() - from);
     until = std::max(until, end);
   }
   /// Our own transmission over [now, end) starts: the receive time charged
@@ -42,10 +46,13 @@ struct RxCharge {
     tx_until = end;
   }
   /// Power-down: returns the charge ahead of `now` and forgets the
-  /// arrivals (an aborted transmission ends now too).
+  /// arrivals (an aborted transmission ends now too). `until` goes back to
+  /// zero, as at construction, so it stays equal to the busy key's end
+  /// (`RadioRecord`); every later read of it sits under a max or min with
+  /// a time no earlier than `now`, where zero and `now` agree.
   void power_down(sim::Time now) {
     ns -= ahead(now);
-    until = now;
+    until = sim::Time::zero();
     tx_until = now;
   }
   /// Receive time up to `now`.

@@ -12,8 +12,8 @@ void MacBase::set_alive(bool alive) {
     // Power down: abort any in-flight frame, stop drawing power, and reset
     // the record but for the receive time charged up to now. Arrivals are
     // taken in again only from the next start sweep after power-up.
-    if (outgoing_tx_) outgoing_tx_->aborted = true;
-    outgoing_tx_.reset();
+    if (outgoing_tx_ != nullptr) outgoing_tx_->aborted = true;
+    outgoing_tx_ = nullptr;
     audit_completed_ += queue_.size();  // power-down flush drops the queue
     queue_.clear();
     const RxCharge rx = r.rx;
@@ -50,10 +50,10 @@ void MacBase::begin_tx(const net::Frame& frame, FrameKind kind,
   radio_->clean = nullptr;
   radio_->rx.begin_tx(sim_->now(), sim_->now() + airtime);
   meter_.set_state(sim_->now(), RadioState::kTx);
-  TransmissionPtr tx = channel_->begin_transmission(id_, frame, kind, airtime);
+  Transmission* tx = channel_->begin_transmission(id_, frame, kind, airtime);
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxStart, id_, frame.dst, tx->id,
                  frame.bytes);
-  if (kind == FrameKind::kData) outgoing_tx_ = std::move(tx);
+  if (kind == FrameKind::kData) outgoing_tx_ = tx;
   tx_end_timer_.arm(airtime);
 }
 
@@ -78,10 +78,13 @@ void MacBase::end_tx() {
   radio_->transmitting = false;
   // Only data frames are kept in outgoing_tx_, so its absence means the
   // frame that just ended was an ACK (traced with tx id 0).
-  const FrameKind sent = outgoing_tx_ ? FrameKind::kData : FrameKind::kAck;
+  const FrameKind sent =
+      outgoing_tx_ != nullptr ? FrameKind::kData : FrameKind::kAck;
+  WSN_AUDIT_CHECK(outgoing_tx_ == nullptr || outgoing_tx_->src == id_,
+                  "outgoing frame's channel slot reused before its end");
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacTxEnd, id_, trace::kNoPeer,
-                 outgoing_tx_ ? outgoing_tx_->id : 0, 0);
-  outgoing_tx_.reset();
+                 outgoing_tx_ != nullptr ? outgoing_tx_->id : 0, 0);
+  outgoing_tx_ = nullptr;
   meter_.set_state(sim_->now(), RadioState::kIdle);
   on_tx_end(sent);
 }

@@ -105,7 +105,7 @@ class MacBase {
   /// Whether the radio is transmitting or receiving any arrival.
   [[nodiscard]] bool medium_busy() const {
     return radio_->transmitting ||
-           channel_->end_pending(radio_->busy_end, radio_->busy_id);
+           channel_->end_pending(radio_->rx.until, radio_->busy_id);
   }
 
   /// Energy consumed up to `now`.
@@ -193,7 +193,12 @@ class MacBase {
   }
 
   RadioRecord* radio_;  ///< this node's entry in the channel's array
-  TransmissionPtr outgoing_tx_;  ///< in-flight data frame (for abort)
+  /// In-flight data frame (for abort), in a channel slot that its end sweep
+  /// frees. Cleared at `end_tx` or power-down, before the slot can be
+  /// reused: the end sweep runs a propagation delay after `end_tx`, or at
+  /// zero delay just before it (the tx-end timer is armed right after the
+  /// sweep is scheduled), and nothing between the two transmits.
+  Transmission* outgoing_tx_ = nullptr;
   sim::Timer tx_end_timer_;  ///< armed for the airtime of our own frame
 
   // Frame-conservation ledger (audit builds check it; counters are cheap

@@ -5,8 +5,8 @@
 // on an intrusive per-size free list (the freed block's own memory stores
 // the next pointer), so after warm-up an acquire/release cycle never
 // touches the global heap. `ArenaAllocator<T>` adapts it to the standard
-// allocator interface so `std::allocate_shared` places a message (or
-// transmission) *and* its shared_ptr control block in one recycled slot:
+// allocator interface so `std::allocate_shared` places a message *and* its
+// shared_ptr control block in one recycled slot:
 // `MessagePtr` semantics — const sharing across broadcast receivers,
 // lifetime extension by MAC queues — are completely unchanged.
 //

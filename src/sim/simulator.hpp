@@ -57,9 +57,10 @@ class Simulator {
   /// Pending one-shot events plus armed timers.
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
-  /// The run's message/transmission pool. Everything with this simulator's
-  /// lifetime (messages, transmissions, their payload buffers) allocates
-  /// here so a steady-state protocol cycle never touches the global heap.
+  /// The run's message pool. Everything with this simulator's lifetime
+  /// (messages and their payload buffers) allocates here so a steady-state
+  /// protocol cycle never touches the global heap. Transmissions live in
+  /// the channel's own slots.
   [[nodiscard]] RecyclingArena& arena() { return arena_; }
 
   /// Structured event tracer, or nullptr (the default: tracing off). The

@@ -22,7 +22,7 @@ TEST(Diffusion, EndToEndDeliveryOnChain) {
   rig.node(0).make_sink(rig.whole_field());
   rig.node(3).set_detecting(true);
   rig.start_all();
-  rig.run_for(30.0);
+  rig.run_until(30.0);
 
   EXPECT_TRUE(rig.node(3).is_active_source());
   EXPECT_GT(rig.collector().distinct_generated(), 40u);  // ~2/s for ~25 s
@@ -36,7 +36,7 @@ TEST(Diffusion, GradientsFormTowardTheSink) {
   rig.node(0).make_sink(rig.whole_field());
   rig.node(3).set_detecting(true);
   rig.start_all();
-  rig.run_for(20.0);
+  rig.run_until(20.0);
 
   // Relays hold a data gradient toward the sink side.
   auto g1 = rig.node(1).data_gradient_neighbors();
@@ -56,7 +56,7 @@ TEST(Diffusion, NoDetectionMeansNoSource) {
   ProtocolRig rig{chain4(), Algorithm::kOpportunistic};
   rig.node(0).make_sink(rig.whole_field());
   rig.start_all();
-  rig.run_for(15.0);
+  rig.run_until(15.0);
   EXPECT_FALSE(rig.node(3).is_active_source());
   EXPECT_EQ(rig.collector().distinct_generated(), 0u);
 }
@@ -69,7 +69,7 @@ TEST(Diffusion, RegionMatchingGatesActivation) {
   rig.node(1).set_detecting(true);
   rig.node(3).set_detecting(true);
   rig.start_all();
-  rig.run_for(15.0);
+  rig.run_until(15.0);
   EXPECT_TRUE(rig.node(1).is_active_source());
   EXPECT_FALSE(rig.node(3).is_active_source());
 }
@@ -78,7 +78,7 @@ TEST(Diffusion, InterestFloodsReachEveryNode) {
   ProtocolRig rig{chain4(), Algorithm::kOpportunistic};
   rig.node(0).make_sink(rig.whole_field());
   rig.start_all();
-  rig.run_for(10.0);
+  rig.run_until(10.0);
   // Node 3 (three hops out) heard interests: it holds a gradient toward 2.
   const auto view = rig.node(3).gradient_view();
   ASSERT_FALSE(view.empty());
@@ -90,7 +90,7 @@ TEST(Diffusion, DeliveryDelayIncludesAggregationDelay) {
   rig.node(0).make_sink(rig.whole_field());
   rig.node(3).set_detecting(true);
   rig.start_all();
-  rig.run_for(30.0);
+  rig.run_until(30.0);
   // Delay must be positive and below a second on a 3-hop chain.
   EXPECT_GT(rig.collector().delay().mean(), 0.0);
   EXPECT_LT(rig.collector().delay().mean(), 1.0);
@@ -113,7 +113,7 @@ TEST(Diffusion, DiamondConvergesToSinglePath) {
   rig.node(0).make_sink(rig.whole_field());
   rig.node(3).set_detecting(true);
   rig.start_all();
-  rig.run_for(40.0);
+  rig.run_until(40.0);
 
   std::uint64_t data_sent = 0;
   for (net::NodeId i = 0; i < 4; ++i) data_sent += rig.node(i).stats().data_sent;
@@ -135,7 +135,7 @@ TEST(Diffusion, SurvivesRelayFailureViaRepair) {
   rig.node(0).make_sink(rig.whole_field());
   rig.node(3).set_detecting(true);
   rig.start_all();
-  rig.run_for(15.0);
+  rig.run_until(15.0);
   const auto before = rig.collector().distinct_received();
   EXPECT_GT(before, 0u);
 
@@ -143,7 +143,7 @@ TEST(Diffusion, SurvivesRelayFailureViaRepair) {
   const auto path = rig.node(3).data_gradient_neighbors();
   ASSERT_FALSE(path.empty());
   rig.mac(path[0]).set_alive(false);
-  rig.run_for(60.0);
+  rig.run_until(60.0);
 
   const auto after = rig.collector().distinct_received();
   // Data kept flowing after the failure (repair + re-advertisement).
@@ -172,7 +172,7 @@ TEST(Diffusion, TwoSourcesBothDelivered) {
   rig.node(3).set_detecting(true);
   rig.node(4).set_detecting(true);
   rig.start_all();
-  rig.run_for(30.0);
+  rig.run_until(30.0);
 
   EXPECT_GT(rig.collector().distinct_generated(), 80u);
   EXPECT_GT(rig.collector().distinct_received(),
@@ -189,7 +189,7 @@ TEST(Diffusion, DuplicateSuppressionCachesExpireByTtl) {
   ProtocolRig rig{chain4(), Algorithm::kOpportunistic};
   rig.node(0).make_sink(rig.whole_field());
   rig.start_all();
-  rig.run_for(10.0);  // let interests establish gradients
+  rig.run_until(10.0);  // let interests establish gradients
 
   auto inject_data = [&rig](MsgId msg_id, EventSeq seq) {
     auto msg = std::make_shared<DataMsg>();
@@ -205,10 +205,10 @@ TEST(Diffusion, DuplicateSuppressionCachesExpireByTtl) {
 
   inject_data(7001, 1);
   EXPECT_EQ(rig.node(1).stats().aggregates_received, 1u);
-  rig.run_for(12.0);
+  rig.run_until(12.0);
   inject_data(7001, 1);  // inside cache_ttl (10 s): suppressed
   EXPECT_EQ(rig.node(1).stats().aggregates_received, 1u);
-  rig.run_for(40.0);     // past ttl + housekeeping sweep
+  rig.run_until(40.0);     // past ttl + housekeeping sweep
   inject_data(7001, 2);  // same msg id, purged: accepted as fresh
   EXPECT_EQ(rig.node(1).stats().aggregates_received, 2u);
 }
@@ -241,12 +241,12 @@ TEST(Diffusion, PendingItemIsQueuedOnce) {
   const DataItemKey b{0, 1};
   inject_data(2, 8001, a);  // one feeder: flushed (and dropped) at once
   EXPECT_EQ(rig.node(1).stats().items_dropped_no_gradient, 1u);
-  rig.run_for(0.1);
+  rig.run_until(0.1);
   inject_data(0, 8002, b);  // second feeder: node 1 aggregates, b waits T_a
   EXPECT_EQ(rig.node(1).stats().items_dropped_no_gradient, 1u);
-  rig.run_for(12.0);        // housekeeping purged b from the seen-items cache
+  rig.run_until(12.0);        // housekeeping purged b from the seen-items cache
   inject_data(0, 8003, b);  // b again, fresh msg id: new to the cache
-  rig.run_for(35.0);        // past the T_a flush
+  rig.run_until(35.0);        // past the T_a flush
   EXPECT_EQ(rig.node(1).stats().items_dropped_no_gradient, 2u);
 }
 
@@ -257,7 +257,7 @@ TEST(Diffusion, PurgedExploratoryIdRefloodsCorrectly) {
   ProtocolRig rig{chain4(), Algorithm::kOpportunistic};
   rig.node(0).make_sink(rig.whole_field());
   rig.start_all();
-  rig.run_for(10.0);  // gradients exist, so node 1 forwards exploratories
+  rig.run_until(10.0);  // gradients exist, so node 1 forwards exploratories
 
   auto inject_expl = [&rig](MsgId msg_id) {
     auto msg = std::make_shared<ExploratoryMsg>();
@@ -275,21 +275,21 @@ TEST(Diffusion, PurgedExploratoryIdRefloodsCorrectly) {
   };
 
   inject_expl(9001);
-  rig.run_for(13.0);  // jittered re-flood fires
+  rig.run_until(13.0);  // jittered re-flood fires
   EXPECT_EQ(rig.node(1).stats().exploratory_sent, 1u);
   inject_expl(9001);  // duplicate while cached: no second flood
-  rig.run_for(16.0);
+  rig.run_until(16.0);
   EXPECT_EQ(rig.node(1).stats().exploratory_sent, 1u);
 
   // expl ttl = 2 × exploratory_period (50 s) + one sweep period; run well
   // past it so housekeeping has swept the record.
-  rig.run_for(140.0);
+  rig.run_until(140.0);
   inject_expl(9001);
-  rig.run_for(143.0);
+  rig.run_until(143.0);
   EXPECT_EQ(rig.node(1).stats().exploratory_sent, 2u);
 }
 
-TEST(Diffusion, TraceDoesNotDependOnTheMetricsHook) {
+TEST(Diffusion, TraceDoesNotDependOnTheMetricsCollector) {
   // The sink notes every delivery (exploratory events included) in its
   // cache and in the trace whether or not a metrics collector is attached.
   const auto counters = [](bool with_metrics) {
@@ -302,7 +302,7 @@ TEST(Diffusion, TraceDoesNotDependOnTheMetricsHook) {
     rig.node(0).make_sink(rig.whole_field());
     rig.node(3).set_detecting(true);
     rig.start_all();
-    rig.run_for(60.0);
+    rig.run_until(60.0);
     return tracer.counters();
   };
   const trace::CounterTable with = counters(true);
@@ -321,7 +321,7 @@ TEST(Diffusion, StatsCountersMove) {
   rig.node(0).make_sink(rig.whole_field());
   rig.node(3).set_detecting(true);
   rig.start_all();
-  rig.run_for(20.0);
+  rig.run_until(20.0);
   const auto& sink_stats = rig.node(0).stats();
   EXPECT_GT(sink_stats.interests_sent, 2u);
   EXPECT_GT(sink_stats.reinforcements_sent, 0u);

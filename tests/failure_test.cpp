@@ -67,7 +67,7 @@ TEST(FailureProcess, VictimsAreRevivedBeforeNewOnesAreDrawn) {
   // across rotations instead of staying at exactly the victim count.
   FailureRig f{12, model_with(0.2), std::vector<char>(12, 0), 7};
   for (int round = 1; round <= 8; ++round) {
-    f.rig.run_for(10.0 * round + 1.0);
+    f.rig.run_until(10.0 * round + 1.0);
     EXPECT_EQ(f.process->rotations(), static_cast<std::uint64_t>(round));
     EXPECT_EQ(f.process->down_nodes().size(), 2u) << "round " << round;
     EXPECT_EQ(f.alive_count(), 10u) << "round " << round;
@@ -83,7 +83,7 @@ TEST(FailureProcess, FullFractionKillsEveryEligibleEveryRound) {
   prot[11] = 1;
   FailureRig f{12, model_with(1.0), prot, 3};
   for (int round = 1; round <= 4; ++round) {
-    f.rig.run_for(10.0 * round + 1.0);
+    f.rig.run_until(10.0 * round + 1.0);
     EXPECT_EQ(f.process->down_nodes().size(), 10u) << "round " << round;
     EXPECT_TRUE(f.rig.mac(0).alive());
     EXPECT_TRUE(f.rig.mac(11).alive());
@@ -97,8 +97,8 @@ TEST(FailureProcess, VictimChoiceIsDeterministicAcrossInstances) {
   FailureRig a{16, model_with(0.25), std::vector<char>(16, 0), 99};
   FailureRig b{16, model_with(0.25), std::vector<char>(16, 0), 99};
   for (int round = 1; round <= 6; ++round) {
-    a.rig.run_for(10.0 * round + 1.0);
-    b.rig.run_for(10.0 * round + 1.0);
+    a.rig.run_until(10.0 * round + 1.0);
+    b.rig.run_until(10.0 * round + 1.0);
     EXPECT_EQ(a.process->down_nodes(), b.process->down_nodes())
         << "round " << round;
   }
@@ -106,8 +106,8 @@ TEST(FailureProcess, VictimChoiceIsDeterministicAcrossInstances) {
   FailureRig c{16, model_with(0.25), std::vector<char>(16, 0), 100};
   bool any_diff = false;
   for (int round = 1; round <= 6; ++round) {
-    c.rig.run_for(10.0 * round + 1.0);
-    a.rig.run_for(10.0 * round + 1.0);  // idempotent: already past this time
+    c.rig.run_until(10.0 * round + 1.0);
+    a.rig.run_until(10.0 * round + 1.0);  // idempotent: already past this time
     if (c.process->down_nodes() != a.process->down_nodes()) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
@@ -128,28 +128,28 @@ TEST(FailureProcess, RejectsAnEnabledModelItCannotRun) {
   off.enabled = false;
   EXPECT_NO_THROW(validate(off));
   FailureRig f{12, off, std::vector<char>(12, 0), 1};
-  f.rig.run_for(5.0);
+  f.rig.run_until(5.0);
   EXPECT_EQ(f.process->rotations(), 0u);
 }
 
-TEST(FailureProcess, MetricsHooksSilentWhileNodeIsDown) {
+TEST(FailureProcess, NoGenerationNotedWhileNodeIsDown) {
   // A live source generates (the collector counts it); a powered-down one
   // must not. The generation path early-outs on a dead MAC before noting.
   ProtocolRig rig{grid(4), core::Algorithm::kOpportunistic};
   rig.node(0).make_sink(rig.whole_field());
   rig.node(3).set_detecting(true);
   rig.start_all();
-  rig.run_for(20.0);
+  rig.run_until(20.0);
   const std::uint64_t generated_live = rig.collector().distinct_generated();
   ASSERT_GT(generated_live, 0u);
 
   rig.mac(3).set_alive(false);
-  rig.run_for(40.0);
+  rig.run_until(40.0);
   EXPECT_EQ(rig.collector().distinct_generated(), generated_live)
       << "a down node noted a generation";
 
   rig.mac(3).set_alive(true);
-  rig.run_for(80.0);
+  rig.run_until(80.0);
   EXPECT_GT(rig.collector().distinct_generated(), generated_live)
       << "revived node never resumed generating";
 }

@@ -298,20 +298,21 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// Puts a broadcast data frame from `src` on the air through the channel
-/// alone, bypassing the sender's access policy.
-TransmissionPtr inject(MacRig& rig, net::NodeId src, sim::Time airtime) {
+/// alone, bypassing the sender's access policy. The channel reuses the
+/// returned slot after the frame's end sweep.
+Transmission* inject(MacRig& rig, net::NodeId src, sim::Time airtime) {
   net::Frame f = MacRig::frame(net::kBroadcast);
   f.src = src;
   return rig.channel().begin_transmission(src, std::move(f), FrameKind::kData,
                                           airtime);
 }
 
-/// `inject` at absolute time `at`; the transmission lands in `*out`.
+/// `inject` at absolute time `at`; the transmission's id lands in `*id`.
 void inject_at(MacRig& rig, sim::Time at, net::NodeId src, sim::Time airtime,
-               TransmissionPtr* out = nullptr) {
-  rig.sim().schedule_at(at, [&rig, src, airtime, out] {
-    auto tx = inject(rig, src, airtime);
-    if (out != nullptr) *out = std::move(tx);
+               std::uint64_t* id = nullptr) {
+  rig.sim().schedule_at(at, [&rig, src, airtime, id] {
+    const Transmission* tx = inject(rig, src, airtime);
+    if (id != nullptr) *id = tx->id;
   });
 }
 
@@ -320,12 +321,20 @@ void inject_at(MacRig& rig, sim::Time at, net::NodeId src, sim::Time airtime,
 /// TDMA transmits in its slot without carrier sense, so node 1's own frame
 /// goes out at a known time over arrivals injected from nodes 0 and 2
 /// (hidden from each other). Node 1's slot starts at one TDMA slot and its
-/// 64-byte frame is on the air for `frame_airtime(64)`.
-class RxChargeCase : public ::testing::Test {
+/// 64-byte frame is on the air for `frame_airtime(64)`. With the parameter
+/// false node 1 decodes nodes 0 and 2 (30 m away); with it true they sit
+/// 60 m away under an 88 m carrier-sense range, so node 1 only
+/// carrier-senses them and the start sweep charges it past the decodable
+/// prefix. The residences are the same.
+class RxChargeCase : public ::testing::TestWithParam<bool> {
  protected:
   static constexpr sim::Time us(std::int64_t n) { return sim::Time::micros(n); }
 
-  MacRig rig_{{{-30, 0}, {0, 0}, {30, 0}}, 40.0, 0.0, MacKind::kTdma};
+  const double spacing_ = GetParam() ? 60.0 : 30.0;
+  MacRig rig_{{{-spacing_, 0}, {0, 0}, {spacing_, 0}},
+              40.0,
+              GetParam() ? 88.0 : 0.0,
+              MacKind::kTdma};
   const sim::Time slot_ = rig_.tdma().slot(rig_.phy());
   const sim::Time air_ = rig_.phy().frame_airtime(64);
 
@@ -354,13 +363,14 @@ class RxChargeCase : public ::testing::Test {
   }
 };
 
-TEST_F(RxChargeCase, OverlappingArrivalsChargeTheirUnion) {
+TEST_P(RxChargeCase, OverlappingArrivalsChargeTheirUnion) {
+  ASSERT_EQ(rig_.mac(1).neighbors().size(), GetParam() ? 0u : 2u);
   raw(0, us(100), us(500));  // [101, 601)
   raw(2, us(300), us(500));  // [301, 801)
   EXPECT_EQ(at(us(1000)), want(us(0), us(300), us(700), us(0)));
 }
 
-TEST_F(RxChargeCase, ArrivalSpanningOurOwnTxStart) {
+TEST_P(RxChargeCase, ArrivalSpanningOurOwnTxStart) {
   rig_.mac(1).send(MacRig::frame(net::kBroadcast));
   const sim::Time arrive = slot_ - us(200);
   raw(0, arrive - us(1), us(500));  // ends inside our frame
@@ -368,7 +378,7 @@ TEST_F(RxChargeCase, ArrivalSpanningOurOwnTxStart) {
   EXPECT_EQ(at(end), want(us(0), end - us(200) - air_, us(200), air_));
 }
 
-TEST_F(RxChargeCase, ArrivalStartingDuringOurTx) {
+TEST_P(RxChargeCase, ArrivalStartingDuringOurTx) {
   rig_.mac(1).send(MacRig::frame(net::kBroadcast));
   const sim::Time arrive = slot_ + us(100);
   raw(0, arrive - us(1), us(800));  // outlasts our frame
@@ -377,13 +387,13 @@ TEST_F(RxChargeCase, ArrivalStartingDuringOurTx) {
   EXPECT_EQ(at(end), want(us(0), end - rx - air_, rx, air_));
 }
 
-TEST_F(RxChargeCase, PowerDownMidArrival) {
+TEST_P(RxChargeCase, PowerDownMidArrival) {
   raw(0, us(100), us(500));  // [101, 601)
   power_at(us(300), false);
   EXPECT_EQ(at(us(1000)), want(us(700), us(101), us(199), us(0)));
 }
 
-TEST_F(RxChargeCase, PowerDownMidTxWithAnArrivalInFlight) {
+TEST_P(RxChargeCase, PowerDownMidTxWithAnArrivalInFlight) {
   rig_.mac(1).send(MacRig::frame(net::kBroadcast));
   raw(0, slot_ + us(99), us(800));  // reaches us 100 us into our frame
   const sim::Time down = slot_ + us(300);
@@ -392,7 +402,7 @@ TEST_F(RxChargeCase, PowerDownMidTxWithAnArrivalInFlight) {
   EXPECT_EQ(at(end), want(end - down, slot_, us(0), us(300)));
 }
 
-TEST_F(RxChargeCase, DownUpCycleIgnoresArrivalsFromBeforePowerUp) {
+TEST_P(RxChargeCase, DownUpCycleIgnoresArrivalsFromBeforePowerUp) {
   raw(0, us(100), us(500));  // [101, 601): cut at 200, ignored after 300
   power_at(us(200), false);
   power_at(us(300), true);
@@ -400,11 +410,15 @@ TEST_F(RxChargeCase, DownUpCycleIgnoresArrivalsFromBeforePowerUp) {
   EXPECT_EQ(at(us(1000)), want(us(100), us(301), us(599), us(0)));
 }
 
-TEST_F(RxChargeCase, HarvestMidArrivalCountsOnlyTheElapsedPart) {
+TEST_P(RxChargeCase, HarvestMidArrivalCountsOnlyTheElapsedPart) {
   raw(0, us(100), us(500));  // [101, 601)
   EXPECT_EQ(at(us(400)), want(us(0), us(101), us(299), us(0)));
   EXPECT_EQ(at(us(1000)), want(us(0), us(500), us(500), us(0)));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, RxChargeCase, ::testing::Bool(),
+    [](const auto& info) { return info.param ? "cs_only" : "decodable"; });
 
 /// The receive path is shared, so both MACs must count collisions alike:
 /// one per decodable frame an overlap corrupts, the victim first.
@@ -424,7 +438,8 @@ TEST_P(MacOverlap, TwoDecodableFramesBothCountAsCollisions) {
       trace::Tracer::Options{.path = "", .ring_capacity = 1024}};
   MacRig rig{{{-30, 0}, {0, 0}, {30, 0}}, 40.0, 0.0, GetParam()};
   rig.sim().set_tracer(&tracer);
-  TransmissionPtr a, b;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
   inject_at(rig, sim::Time::zero(), 0, sim::Time::micros(500), &a);
   inject_at(rig, sim::Time::micros(100), 2, sim::Time::micros(500), &b);
   rig.sim().run_until(sim::Time::millis(2));
@@ -434,9 +449,9 @@ TEST_P(MacOverlap, TwoDecodableFramesBothCountAsCollisions) {
   const auto recs = collisions(tracer);
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].node, 1u);  // the victim first ...
-  EXPECT_EQ(recs[0].a, a->id);
+  EXPECT_EQ(recs[0].a, a);
   EXPECT_EQ(recs[1].node, 1u);  // ... then the newcomer
-  EXPECT_EQ(recs[1].a, b->id);
+  EXPECT_EQ(recs[1].a, b);
 }
 
 TEST_P(MacOverlap, CarrierSenseOnlyNewcomerCountsOnlyTheVictim) {
@@ -445,7 +460,7 @@ TEST_P(MacOverlap, CarrierSenseOnlyNewcomerCountsOnlyTheVictim) {
       trace::Tracer::Options{.path = "", .ring_capacity = 1024}};
   MacRig rig{{{-30, 0}, {0, 0}, {60, 0}}, 40.0, 88.0, GetParam()};
   rig.sim().set_tracer(&tracer);
-  TransmissionPtr a;
+  std::uint64_t a = 0;
   inject_at(rig, sim::Time::zero(), 0, sim::Time::micros(500), &a);
   inject_at(rig, sim::Time::micros(100), 2, sim::Time::micros(500));
   rig.sim().run_until(sim::Time::millis(2));
@@ -456,7 +471,7 @@ TEST_P(MacOverlap, CarrierSenseOnlyNewcomerCountsOnlyTheVictim) {
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].node, 1u);
   EXPECT_EQ(recs[0].peer, 0u);
-  EXPECT_EQ(recs[0].a, a->id);
+  EXPECT_EQ(recs[0].a, a);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -990,14 +1005,16 @@ class RecorderMac final : public MacBase {
 
 /// Runs the three-frame script of the tests below: node 0 broadcasts once
 /// with node 2 dead, then again after reviving node 2, with node 3 dying
-/// between that frame's sweeps, then sends a unicast to node 1. Returns
-/// the log of each frame.
+/// between that frame's sweeps, then sends a unicast to node 1. The
+/// carrier-sense-only node 6 stays dead throughout. Returns the log of each
+/// frame.
 std::array<SweepLog, 3> sweep_script(bool contends) {
-  // Node 0 transmits. Nodes 1–3 are decodable (within 40 m), nodes 4–5
-  // only carrier-sense the frame (within 80 m).
+  // Node 0 transmits. Nodes 1–3 are decodable (within 40 m), nodes 4–6
+  // only carrier-sense the frame (within 80 m); node 6 stays dead.
   sim::Simulator sim;
   const net::Topology topo{
-      {{0, 0}, {10, 0}, {20, 0}, {30, 0}, {50, 0}, {70, 0}}, 40.0, 80.0};
+      {{0, 0}, {10, 0}, {20, 0}, {30, 0}, {50, 0}, {70, 0}, {60, 0}}, 40.0,
+      80.0};
   Channel channel{sim, topo, PhyParams{}.propagation};
   EnergyParams energy;
   SweepLog log;
@@ -1007,6 +1024,7 @@ std::array<SweepLog, 3> sweep_script(bool contends) {
         std::make_unique<RecorderMac>(sim, channel, i, energy, log, contends));
   }
   macs[2]->set_alive(false);
+  macs[6]->set_alive(false);
   const auto send_to = [&channel](net::NodeId dst) {
     net::Frame f;
     f.src = 0;
@@ -1035,6 +1053,9 @@ std::array<SweepLog, 3> sweep_script(bool contends) {
   log = SweepLog{};
   send_to(1);
   sim.run();
+  // The dead carrier-sense-only radio was charged no receive time (and the
+  // logs below show it heard no hook).
+  EXPECT_EQ(macs[6]->residence_ns(RadioState::kRx, sim.now()), 0);
   return {first, second, log};
 }
 

@@ -144,11 +144,11 @@ TEST(ProtocolPool, EstablishedDataPathIsAllocationFreeAtSteadyState) {
     // Warm past several exploratory periods (50 s) and housekeeping sweeps
     // so every cache, scratch buffer, pool bucket, and MAC ring has seen
     // its working-set high-water mark.
-    rig.run_for(230.0);
+    rig.run_until(230.0);
     const auto sent_before = rig.node(0).stats().data_sent;
 
     const auto before = g_allocs.load(std::memory_order_relaxed);
-    rig.run_for(280.0);
+    rig.run_until(280.0);
     const auto after = g_allocs.load(std::memory_order_relaxed);
 
     // The path carried real traffic during the measured window.

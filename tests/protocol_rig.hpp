@@ -45,7 +45,10 @@ class ProtocolRig {
         std::find(nbrs.begin(), nbrs.end(), nb) - nbrs.begin());
   }
 
-  void run_for(double seconds) { sim_.run_until(sim::Time::seconds(seconds)); }
+  /// Runs to the absolute time `seconds`.
+  void run_until(double seconds) {
+    sim_.run_until(sim::Time::seconds(seconds));
+  }
 
   /// Everything-field rect for make_sink (covers negative coordinates too).
   [[nodiscard]] net::Rect whole_field() const {

@@ -18,12 +18,15 @@ Rules (beyond what clang-tidy covers):
   R4  header-shape    Every .hpp starts with a `//` purpose comment on line 1
                       and its first non-comment, non-blank line is
                       `#pragma once`.
-  R5  hot-path-heap   No bare std::make_shared of protocol messages or MAC
-                      transmissions in src/ — message-shaped objects recycle
-                      through the simulator's pool (sim.arena().make<T>());
-                      a bare make_shared silently reintroduces per-send heap
-                      traffic. Setup-time or test-rig sites may annotate
-                      with `lint:pool-ok` on the line or the line above.
+  R5  hot-path-heap   No bare std::make_shared of protocol messages in
+                      src/ — messages recycle through the simulator's pool
+                      (sim.arena().make<T>()); a bare make_shared silently
+                      reintroduces per-send heap traffic. Setup-time or
+                      test-rig sites may annotate with `lint:pool-ok` on the
+                      line or the line above. MAC transmissions are owned by
+                      the Channel, which reuses their slots, so any
+                      shared_ptr<Transmission> or TransmissionPtr in src/ is
+                      a finding too: a transmission keeps one owner.
   R6  trace-emit      Trace emission in src/ (outside src/trace/) must go
                       through WSN_TRACE_EMIT — no direct Tracer::emit calls
                       or tracer() reads. The macro carries the traced-off
@@ -91,6 +94,9 @@ UNORDERED_DECL_PATTERN = re.compile(
 RANGE_FOR_PATTERN = re.compile(r"\bfor\s*\(([^;]*?):([^)]*)\)")
 POOL_BYPASS_PATTERN = re.compile(
     r"\bstd::make_shared\s*<\s*[\w:]*?(?:Msg|Transmission)\s*>")
+SHARED_TX_PATTERN = re.compile(
+    r"\bshared_ptr\s*<\s*(?:const\s+)?[\w:]*\bTransmission\s*>|"
+    r"\bTransmissionPtr\b")
 TRACE_SINK_PATTERN = re.compile(
     r"\btracer\s*\(\s*\)|(?:->|\.)\s*emit\s*\(")
 STD_FUNCTION_PATTERN = re.compile(r"\bstd::function\b")
@@ -187,6 +193,10 @@ class Linter:
                                 "bare std::make_shared of a pooled type; use "
                                 f"sim.arena().make<T>() or annotate with "
                                 f"{POOL_MARK} for setup-time sites")
+            if in_sim and SHARED_TX_PATTERN.search(clean):
+                self.report(path, idx, "hot-path-heap",
+                            "shared transmission pointer; the Channel owns "
+                            "every Transmission (hold a plain pointer)")
             if in_sim and not trace_exempt and TRACE_SINK_PATTERN.search(clean):
                 here = raw
                 above = lines[idx - 2] if idx >= 2 else ""
