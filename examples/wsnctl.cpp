@@ -1,7 +1,8 @@
 // wsnctl — command-line front end for the experiment runner.
 //
-// Runs one experiment per invocation and prints the paper's metrics (and
-// optionally a CSV row), exposing every knob the library offers:
+// Runs one experiment per invocation and prints the paper's metrics with
+// the run's MAC and protocol counters (or one CSV row), exposing every knob
+// the library offers:
 //
 //   $ ./wsnctl --nodes 250 --alg greedy --sources 8 --sinks 2
 //               --duration 300 --seed 7 --placement corner --mac csma
@@ -161,6 +162,26 @@ int main(int argc, char** argv) {
     std::printf("frames     : %llu   hottest node: %.2f J\n",
                 static_cast<unsigned long long>(res.frames_sent),
                 res.energy_max_node_joules);
+    std::printf("mac        : %llu arrivals corrupted, %llu drops\n",
+                static_cast<unsigned long long>(res.arrivals_corrupted),
+                static_cast<unsigned long long>(res.drops));
+    const auto& p = res.protocol;
+    std::printf("sent       : %llu interests, %llu exploratory, %llu data, "
+                "%llu icm,\n"
+                "             %llu reinforcements, %llu negatives, "
+                "%llu repairs attempted\n",
+                static_cast<unsigned long long>(p.interests_sent),
+                static_cast<unsigned long long>(p.exploratory_sent),
+                static_cast<unsigned long long>(p.data_sent),
+                static_cast<unsigned long long>(p.icm_sent),
+                static_cast<unsigned long long>(p.reinforcements_sent),
+                static_cast<unsigned long long>(p.negatives_sent),
+                static_cast<unsigned long long>(p.repairs_attempted));
+    std::printf("items      : %llu dropped (no gradient), %llu aggregates "
+                "received\n",
+                static_cast<unsigned long long>(p.items_dropped_no_gradient),
+                static_cast<unsigned long long>(p.aggregates_received));
+    std::printf("tree       : %zu edges at end\n", res.tree_edges.size());
   }
   if (print_tree) {
     for (const auto& [from, to] : res.tree_edges) {

@@ -15,17 +15,20 @@ std::vector<Vertex> nodes_in_rect(const net::Topology& topo, net::Rect rect) {
   return inside;
 }
 
-/// Picks `k` distinct entries from `pool`, in random order. When the pool
-/// is smaller than k, tops up with the nodes nearest to the rect centre.
+/// Picks `k` distinct entries from `pool` less `exclude`, in random order.
+/// When those are fewer than k, tops up with the nodes nearest to the rect
+/// centre, again skipping `exclude`.
 std::vector<Vertex> pick_k(std::vector<Vertex> pool, std::size_t k,
                            const net::Topology& topo, net::Vec2 center,
-                           sim::Rng& rng) {
+                           const std::vector<Vertex>& exclude, sim::Rng& rng) {
+  std::vector<char> skip(topo.node_count(), 0);
+  for (Vertex v : exclude) skip[v] = 1;
+  std::erase_if(pool, [&](Vertex v) { return skip[v] != 0; });
   if (pool.size() < k) {
+    for (Vertex v : pool) skip[v] = 1;
     std::vector<Vertex> rest;
-    std::vector<char> in_pool(topo.node_count(), 0);
-    for (Vertex v : pool) in_pool[v] = 1;
     for (net::NodeId i = 0; i < topo.node_count(); ++i) {
-      if (!in_pool[i]) rest.push_back(i);
+      if (!skip[i]) rest.push_back(i);
     }
     std::sort(rest.begin(), rest.end(), [&](Vertex a, Vertex b) {
       return distance_sq(topo.position(a), center) <
@@ -100,14 +103,11 @@ AbstractInstance make_corner_instance(const net::Topology& topo,
                              (source_rect.y0 + source_rect.y1) / 2};
   const net::Vec2 sink_center{(sink_rect.x0 + sink_rect.x1) / 2,
                               (sink_rect.y0 + sink_rect.y1) / 2};
-  inst.sources = pick_k(nodes_in_rect(topo, source_rect), k, topo, src_center, rng);
-  auto sink_pool = nodes_in_rect(topo, sink_rect);
-  // The sink must not be one of the sources.
-  std::erase_if(sink_pool, [&](Vertex v) {
-    return std::find(inst.sources.begin(), inst.sources.end(), v) !=
-           inst.sources.end();
-  });
-  auto sink_pick = pick_k(std::move(sink_pool), 1, topo, sink_center, rng);
+  inst.sources =
+      pick_k(nodes_in_rect(topo, source_rect), k, topo, src_center, {}, rng);
+  // The sink must not be one of the sources, in the rect or in the top-up.
+  const auto sink_pick = pick_k(nodes_in_rect(topo, sink_rect), 1, topo,
+                                sink_center, inst.sources, rng);
   inst.sink = sink_pick.empty() ? Vertex{0} : sink_pick.front();
   return inst;
 }

@@ -34,7 +34,8 @@ AbstractInstance make_random_sources_instance(const net::Topology& topo,
 /// The paper's §5.1 placement: `k` sources from nodes inside `source_rect`
 /// (80×80 m bottom-left corner) and a sink inside `sink_rect` (36×36 m
 /// top-right corner). Falls back to the nearest nodes when a rect holds too
-/// few nodes.
+/// few nodes; the sink is never one of the sources while another node is
+/// left.
 AbstractInstance make_corner_instance(const net::Topology& topo,
                                       std::size_t k, net::Rect source_rect,
                                       net::Rect sink_rect, sim::Rng& rng);

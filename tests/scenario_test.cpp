@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -35,6 +36,27 @@ TEST(Experiment, CornerPlacementRespectsRects) {
   EXPECT_EQ(res.sinks.size(), cfg.num_sinks);
   for (net::NodeId s : res.sources) {
     EXPECT_NE(s, res.sinks[0]);
+  }
+}
+
+TEST(Experiment, CornerSinkIsNeverASource) {
+  // Three nodes, sources drawn from the whole field and a sink rect that
+  // often holds only a source: the sink falls back to the one node left.
+  ExperimentConfig cfg;
+  cfg.field.nodes = 3;
+  cfg.field.side_m = 60.0;
+  cfg.num_sources = 2;
+  cfg.source_rect = {0.0, 0.0, 60.0, 60.0};
+  cfg.sink_rect = {50.0, 50.0, 60.0, 60.0};
+  cfg.duration = sim::Time::seconds(1.0);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    cfg.seed = seed;
+    const RunResult res = run_experiment(cfg);
+    ASSERT_EQ(res.sources.size(), 2u);
+    ASSERT_EQ(res.sinks.size(), 1u);
+    for (net::NodeId s : res.sources) {
+      EXPECT_NE(s, res.sinks[0]) << "seed " << seed;
+    }
   }
 }
 

@@ -1,7 +1,9 @@
 // Unit + property tests for the aggregation-tree algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "net/field.hpp"
 #include "net/topology.hpp"
@@ -293,6 +295,22 @@ TEST(Models, CornerInstanceFallsBackWhenRectSparse) {
                                          {180, 180, 200, 200}, rng);
   EXPECT_EQ(inst.sources.size(), 2u);
   EXPECT_LT(inst.sink, topo.node_count());
+}
+
+TEST(Models, CornerInstanceSinkFallbackSkipsSources) {
+  // The sink rect holds only node 0. Whenever node 0 is drawn as a source
+  // the sink pool is empty, and the nearest-node top-up must pass over the
+  // sources to the one node left.
+  const net::Topology topo{{{190, 190}, {10, 10}, {20, 20}}, 40.0};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Rng rng{seed};
+    const auto inst = make_corner_instance(topo, 2, {0, 0, 200, 200},
+                                           {164, 164, 200, 200}, rng);
+    ASSERT_EQ(inst.sources.size(), 2u);
+    EXPECT_EQ(std::count(inst.sources.begin(), inst.sources.end(), inst.sink),
+              0)
+        << "seed " << seed;
+  }
 }
 
 TEST(GraphFromTopology, UnitWeightsAndSymmetry) {
