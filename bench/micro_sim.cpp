@@ -180,8 +180,9 @@ BENCHMARK(BM_ChannelFanout)
     ->Unit(benchmark::kMillisecond);
 
 /// Builds the neighbour lists of a uniform field with the 88 m carrier-sense
-/// range: the fig-5 densest point (350 nodes in 200 m) and the same density
-/// at 10k nodes (1069 m). Items are nodes built per second.
+/// range: sweep_failures' field (200 nodes in 200 m), the fig-5 densest
+/// point (350 nodes in 200 m) and the same density at 10k nodes (1069 m).
+/// Items are nodes built per second.
 void BM_TopologyBuild(benchmark::State& state) {
   wsn::net::FieldSpec spec;
   spec.nodes = static_cast<std::size_t>(state.range(0));
@@ -198,6 +199,7 @@ void BM_TopologyBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(spec.nodes));
 }
 BENCHMARK(BM_TopologyBuild)
+    ->Args({200, 200})
     ->Args({350, 200})
     ->Args({10'000, 1069})
     ->Unit(benchmark::kMicrosecond);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -15,8 +16,7 @@ namespace {
 /// Nodes binned by a counting sort into a row-major grid of square cells,
 /// anchored at the positions' bounding box. Cells are at least `width`
 /// wide, so every node within `width` of a node lies in the 3×3 block
-/// around its cell; each row of that block is one contiguous run of
-/// members, stored as ids (ascending within a cell) and positions.
+/// around its cell. Each cell keeps that block's members in ascending id.
 class CellGrid {
  public:
   CellGrid(const std::vector<Vec2>& positions, double width) {
@@ -49,54 +49,69 @@ class CellGrid {
     ny_ = static_cast<std::size_t>(cells(span.y));
     const std::size_t cell_count = nx_ * ny_;
 
+    // Counting sort: cell c's members would sit at [start[c], start[c+1]).
     cell_of_.resize(n);
-    start_.assign(cell_count + 1, 0);
+    std::vector<std::uint32_t> start(cell_count + 1, 0);
     for (NodeId i = 0; i < n; ++i) {
       const Vec2 o = offset(positions[i]);
       cell_of_[i] = static_cast<std::uint32_t>(
           static_cast<std::size_t>(o.y / half_width) * nx_ +
           static_cast<std::size_t>(o.x / half_width));
-      ++start_[cell_of_[i]];
+      ++start[cell_of_[i] + 1];
     }
-    // start_[c] becomes the end of cell c; placing ids in descending order
-    // walks it back to the cell's start and leaves each cell ascending.
-    for (std::size_t c = 1; c < cell_count; ++c) start_[c] += start_[c - 1];
-    start_[cell_count] = static_cast<std::uint32_t>(n);
-    ids_.resize(n);
-    pos_.resize(n);
-    for (NodeId i = static_cast<NodeId>(n); i-- > 0;) {
-      const std::uint32_t k = --start_[cell_of_[i]];
-      ids_[k] = i;
-      pos_[k] = positions[i];
-    }
-  }
+    for (std::size_t c = 0; c < cell_count; ++c) start[c + 1] += start[c];
 
-  /// Calls fn(i, ids, positions) for every node i in ascending id and every
-  /// row of the 3×3 block around i's cell (i itself is among the members).
-  template <class Fn>
-  void visit(Fn&& fn) const {
-    for (NodeId i = 0; i < cell_of_.size(); ++i) {
-      const std::size_t cx = cell_of_[i] % nx_;
-      const std::size_t cy = cell_of_[i] / nx_;
-      const std::size_t x0 = cx > 0 ? cx - 1 : 0;
-      const std::size_t x1 = std::min(cx + 1, nx_ - 1);
-      const std::size_t y1 = std::min(cy + 1, ny_ - 1);
-      for (std::size_t y = cy > 0 ? cy - 1 : 0; y <= y1; ++y) {
-        const std::uint32_t first = start_[y * nx_ + x0];
-        const std::uint32_t count = start_[y * nx_ + x1 + 1] - first;
-        fn(i, std::span{ids_}.subspan(first, count),
-           std::span{pos_}.subspan(first, count));
+    // Each block row is a contiguous run of cells, so its member count is
+    // a difference of two offsets. A node lies in the block of exactly the
+    // cells in its own block, so appending every id, ascending, to those
+    // (at most 9) lists leaves each one sorted.
+    block_start_.assign(cell_count + 1, 0);
+    for (std::size_t c = 0; c < cell_count; ++c) {
+      const Block b = block(c);
+      std::uint32_t size = 0;
+      for (std::size_t y = b.y0; y <= b.y1; ++y) {
+        size += start[y * nx_ + b.x1 + 1] - start[y * nx_ + b.x0];
+      }
+      block_start_[c + 1] = block_start_[c] + size;
+    }
+    std::vector cursor(block_start_.begin(), block_start_.end() - 1);
+    block_ids_.resize(block_start_[cell_count]);
+    for (NodeId i = 0; i < n; ++i) {
+      const Block b = block(cell_of_[i]);
+      for (std::size_t y = b.y0; y <= b.y1; ++y) {
+        for (std::size_t x = b.x0; x <= b.x1; ++x) {
+          block_ids_[cursor[y * nx_ + x]++] = i;
+        }
       }
     }
   }
 
+  /// The members of the 3×3 block around node i's cell, i among them, in
+  /// ascending id.
+  [[nodiscard]] std::span<const NodeId> block_of(NodeId i) const {
+    const std::uint32_t first = block_start_[cell_of_[i]];
+    return std::span{block_ids_}.subspan(
+        first, block_start_[cell_of_[i] + 1] - first);
+  }
+
  private:
+  /// Cell c's 3×3 block, clipped: columns [x0, x1], rows [y0, y1].
+  struct Block {
+    std::size_t x0, x1, y0, y1;
+  };
+  [[nodiscard]] Block block(std::size_t c) const {
+    const std::size_t cx = c % nx_;
+    const std::size_t cy = c / nx_;
+    return {cx > 0 ? cx - 1 : 0, std::min(cx + 1, nx_ - 1),
+            cy > 0 ? cy - 1 : 0, std::min(cy + 1, ny_ - 1)};
+  }
+
   std::size_t nx_ = 1;                  ///< cells per row
   std::size_t ny_ = 1;                  ///< rows
   std::vector<std::uint32_t> cell_of_;  ///< per node, row-major cell index
-  std::vector<std::uint32_t> start_;    ///< cell c is [start_[c], start_[c+1])
-  std::vector<NodeId> ids_;             ///< members, cell by cell
-  std::vector<Vec2> pos_;               ///< their positions
+  /// Cell c's block: block_ids_ from block_start_[c] to block_start_[c+1].
+  std::vector<std::uint32_t> block_start_;
+  std::vector<NodeId> block_ids_;
 };
 
 /// Hop counts from `from` by breadth-first search over a flat frontier (-1
@@ -152,67 +167,51 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
   const double range_sq = range_ * range_;
   const double cs_sq = cs_range_ * cs_range_;
 
-  // Count pass: each node counts its own decodable and audible entries.
-  struct Counts {
-    std::uint32_t decodable = 0;
-    std::uint32_t audible = 0;
-  };
-  std::vector<Counts> counts(n);
-  grid.visit([&](NodeId i, std::span<const NodeId> ids,
-                 std::span<const Vec2> pos) {
-    const Vec2 p = positions_[i];
-    std::uint32_t decodable = 0;
-    std::uint32_t audible = 0;
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      const double d_sq = distance_sq(p, pos[k]);
-      const bool other = ids[k] != i;
-      decodable += static_cast<std::uint32_t>(other & (d_sq < range_sq));
-      audible += static_cast<std::uint32_t>(other & (d_sq < cs_sq));
-    }
-    counts[i].decodable += decodable;
-    counts[i].audible += audible;
-  });
-
-  // Size every list exactly; the counts become fill cursors, the decodable
-  // one from the list's start and the carrier-sense-only one after it.
+  // Each node scans its block in ascending id and writes every member,
+  // without a branch, to the next slot of its decodable or its
+  // carrier-sense-only run; only a member that qualifies advances a run,
+  // so both come out sorted, and the list is their concatenation at exact
+  // size.
+  std::vector<NodeId> near(n);
+  std::vector<NodeId> far(n);
   for (NodeId i = 0; i < n; ++i) {
-    slot_offsets_[i + 1] = slot_offsets_[i] + counts[i].decodable;
-    audible_lists_[i].resize(counts[i].audible);
-    counts[i].audible = counts[i].decodable;
-    counts[i].decodable = 0;
+    const Vec2 p = positions_[i];
+    std::size_t decodable = 0;
+    std::size_t cs_only = 0;
+    for (const NodeId j : grid.block_of(i)) {
+      const double d_sq = distance_sq(p, positions_[j]);
+      const bool other = j != i;
+      const bool in_range = d_sq < range_sq;
+      near[decodable] = j;
+      far[cs_only] = j;
+      decodable += static_cast<std::size_t>(other & in_range);
+      cs_only += static_cast<std::size_t>(other & !in_range & (d_sq < cs_sq));
+    }
+    slot_offsets_[i + 1] = slot_offsets_[i] + decodable;
+    std::vector<NodeId>& list = audible_lists_[i];
+    list.reserve(decodable + cs_only);
+    list.assign(near.begin(), near.begin() + decodable);
+    list.insert(list.end(), far.begin(), far.begin() + cs_only);
   }
-
-  // Fill pass: the same visit appends i to j's part. Distance is exactly
-  // symmetric, so j gets the entries it counted, and i ascends, so both
-  // parts of every list come out sorted by id. Each block row is first
-  // compacted to its audible members without a branch, then appended.
-  struct Heard {
-    NodeId id = 0;
-    bool decodable = false;
-  };
-  std::vector<Heard> heard(n);
-  grid.visit([&](NodeId i, std::span<const NodeId> ids,
-                 std::span<const Vec2> pos) {
-    const Vec2 p = positions_[i];
-    std::size_t m = 0;
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      const double d_sq = distance_sq(p, pos[k]);
-      heard[m] = {ids[k], d_sq < range_sq};
-      m += static_cast<std::size_t>((ids[k] != i) & (d_sq < cs_sq));
-    }
-    for (const auto [j, decodable] : std::span{heard}.first(m)) {
-      std::uint32_t& at = decodable ? counts[j].decodable : counts[j].audible;
-      WSN_AUDIT_CHECK(
-          at < (decodable ? decodable_prefix(j) : audible_lists_[j].size()),
-                      "fill pass overran the count pass");
-      audible_lists_[j][at++] = i;
-    }
-  });
 #if WSN_AUDIT_ENABLED
+  // Both parts strictly ascending, and every entry mirrored in the same
+  // part of its peer's list (audibility is symmetric).
+  const auto part = [this](NodeId i, bool decodable) {
+    const auto all = audible(i);
+    return decodable ? all.first(decodable_prefix(i))
+                     : all.subspan(decodable_prefix(i));
+  };
   for (NodeId i = 0; i < n; ++i) {
-    WSN_AUDIT_CHECK(counts[i].decodable == decodable_prefix(i) &&
-                        counts[i].audible == audible_lists_[i].size(),
-                    "fill pass did not meet the count pass");
+    for (const bool decodable : {true, false}) {
+      const auto mine = part(i, decodable);
+      WSN_AUDIT_CHECK(
+          std::ranges::adjacent_find(mine, std::greater_equal{}) == mine.end(),
+          "an audible list part is not strictly ascending");
+      for (const NodeId j : mine) {
+        WSN_AUDIT_CHECK(std::ranges::binary_search(part(j, decodable), i),
+                        "audibility is not symmetric");
+      }
+    }
   }
 #endif
 

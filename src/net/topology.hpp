@@ -16,15 +16,15 @@ namespace wsn::net {
 /// (node failures) is tracked elsewhere, not here.
 class Topology {
  public:
-  /// Builds the lists in two linear passes, with no hashing and no sort.
+  /// Builds the lists in one pass per node, with no hashing and no sort.
   /// A counting sort bins the nodes into cells at least the carrier-sense
   /// range wide (at most n cells, widened for sparse far-flung fields), so
-  /// a node's audible nodes lie in the 3×3 block around its cell. The count
-  /// pass visits every block pair with receivers in ascending id and counts
-  /// each node's decodable and audible entries; every list is then sized
-  /// exactly, and the fill pass repeats the visit and appends each receiver
-  /// to its peer's decodable or carrier-sense-only part, so both parts come
-  /// out sorted by id. O(n) for uniform fields.
+  /// a node's audible nodes lie in the 3×3 block around its cell. Each cell
+  /// keeps its block's members in ascending id (every id is appended to the
+  /// at most 9 cells whose block holds it). Each node scans its own cell's
+  /// block once and writes its decodable and carrier-sense-only parts
+  /// straight into its exactly sized list, both sorted by id. O(n) for
+  /// uniform fields.
   ///
   /// `carrier_sense_range` is the distance out to which a transmission is
   /// still *audible* — it occupies the channel, costs receive energy and

@@ -238,7 +238,9 @@ RunResult run_experiment(const ExperimentConfig& config) {
     auto inst = trees::make_random_sources_instance(topo, config.num_sources,
                                                     placement_rng);
     result.sources.assign(inst.sources.begin(), inst.sources.end());
-    // Even with random sources the first sink uses the paper's corner rect.
+    // The first sink is drawn from the paper's corner rect; if that pick
+    // is one of the random sources, it is redrawn uniformly over the whole
+    // field (until it is not a source), so the sink can leave the corner.
     auto sink_inst = trees::make_corner_instance(
         topo, 0, config.source_rect, config.sink_rect, placement_rng);
     net::NodeId sink = sink_inst.sink;

@@ -208,7 +208,8 @@ void expect_matches_brute_force(const std::vector<Vec2>& pts, double range,
 
 // Random fields: the paper's 200 m field (3 cells wide) and a 1000 m one
 // (12 cells), with the 88 m carrier-sense range and with CS 0 (= radio
-// range), down to empty and single-node fields.
+// range), from empty and single-node fields up to the benchmark's 200 and
+// 350 nodes.
 class TopologyProperty
     : public ::testing::TestWithParam<
           std::tuple<std::size_t, std::uint64_t, double, double>> {};
@@ -226,7 +227,8 @@ TEST_P(TopologyProperty, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, TopologyProperty,
-    ::testing::Combine(::testing::Values<std::size_t>(0, 1, 10, 50, 150),
+    ::testing::Combine(::testing::Values<std::size_t>(0, 1, 10, 50, 150, 200,
+                                                     350),
                        ::testing::Values<std::uint64_t>(1, 2, 3),
                        ::testing::Values(200.0, 1000.0),
                        ::testing::Values(88.0, 0.0)));
@@ -318,6 +320,21 @@ TEST(TopologyBruteForce, FarSpreadSparseFieldTriggersCellCap) {
   }
   expect_matches_brute_force(pts, 40.0, 88.0);
   expect_matches_brute_force(pts, 40.0, 0.0);
+}
+
+// Rectangular fields whose 3×3 blocks are clipped at every edge: at the
+// 88 m carrier-sense range, one row of cells, two rows, and three columns
+// of many rows.
+TEST(TopologyBruteForce, StripAndClippedBlocks) {
+  for (const Vec2 size : {Vec2{3000, 60}, Vec2{3000, 150}, Vec2{200, 3000}}) {
+    sim::Rng rng{10};
+    std::vector<Vec2> pts(400);
+    for (Vec2& p : pts) {
+      p = {rng.uniform(0.0, size.x), rng.uniform(0.0, size.y)};
+    }
+    expect_matches_brute_force(pts, 40.0, 88.0);
+    expect_matches_brute_force(pts, 40.0, 0.0);
+  }
 }
 
 TEST(TopologyBruteForce, TwoThousandNodes) {
