@@ -1,6 +1,7 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "net/chunk_masks.hpp"
 #include "sim/audit.hpp"
 
 namespace wsn::net {
@@ -64,42 +66,52 @@ class CellGrid {
     // Each block row is a contiguous run of cells, so its member count is
     // a difference of two offsets. A node lies in the block of exactly the
     // cells in its own block, so appending every id, ascending, to those
-    // (at most 9) lists leaves each one sorted.
+    // (at most 9) lists leaves each one sorted. Each block is padded up to
+    // whole mask chunks with +inf coordinates, which set no mask bit.
     block_start_.assign(cell_count + 1, 0);
     for (std::size_t c = 0; c < cell_count; ++c) {
-      const Block b = block(c);
-      std::uint32_t size = 0;
+      const Bounds b = bounds(c);
+      std::uint32_t size = kChunk - 1;  // rounds up below
       for (std::size_t y = b.y0; y <= b.y1; ++y) {
         size += start[y * nx_ + b.x1 + 1] - start[y * nx_ + b.x0];
       }
-      block_start_[c + 1] = block_start_[c] + size;
+      block_start_[c + 1] = block_start_[c] + size / kChunk * kChunk;
     }
     std::vector cursor(block_start_.begin(), block_start_.end() - 1);
     block_ids_.resize(block_start_[cell_count]);
+    xs_.assign(block_ids_.size(), std::numeric_limits<double>::infinity());
+    ys_.assign(block_ids_.size(), std::numeric_limits<double>::infinity());
     for (NodeId i = 0; i < n; ++i) {
-      const Block b = block(cell_of_[i]);
+      const Bounds b = bounds(cell_of_[i]);
       for (std::size_t y = b.y0; y <= b.y1; ++y) {
         for (std::size_t x = b.x0; x <= b.x1; ++x) {
-          block_ids_[cursor[y * nx_ + x]++] = i;
+          const std::uint32_t e = cursor[y * nx_ + x]++;
+          block_ids_[e] = i;
+          xs_[e] = positions[i].x;
+          ys_[e] = positions[i].y;
         }
       }
     }
   }
 
-  /// The members of the 3×3 block around node i's cell, i among them, in
-  /// ascending id.
-  [[nodiscard]] std::span<const NodeId> block_of(NodeId i) const {
+  /// Node i's padded 3×3 block, i among them: ids, and coordinates alike.
+  struct Block {
+    std::span<const NodeId> ids;
+    const double *xs, *ys;
+  };
+  [[nodiscard]] Block block_of(NodeId i) const {
     const std::uint32_t first = block_start_[cell_of_[i]];
-    return std::span{block_ids_}.subspan(
-        first, block_start_[cell_of_[i] + 1] - first);
+    return {std::span{block_ids_}.subspan(
+                first, block_start_[cell_of_[i] + 1] - first),
+            xs_.data() + first, ys_.data() + first};
   }
 
  private:
   /// Cell c's 3×3 block, clipped: columns [x0, x1], rows [y0, y1].
-  struct Block {
+  struct Bounds {
     std::size_t x0, x1, y0, y1;
   };
-  [[nodiscard]] Block block(std::size_t c) const {
+  [[nodiscard]] Bounds bounds(std::size_t c) const {
     const std::size_t cx = c % nx_;
     const std::size_t cy = c / nx_;
     return {cx > 0 ? cx - 1 : 0, std::min(cx + 1, nx_ - 1),
@@ -109,9 +121,11 @@ class CellGrid {
   std::size_t nx_ = 1;                  ///< cells per row
   std::size_t ny_ = 1;                  ///< rows
   std::vector<std::uint32_t> cell_of_;  ///< per node, row-major cell index
-  /// Cell c's block: block_ids_ from block_start_[c] to block_start_[c+1].
+  /// Cell c's block: entries block_start_[c] to block_start_[c+1].
   std::vector<std::uint32_t> block_start_;
   std::vector<NodeId> block_ids_;
+  std::vector<double> xs_;
+  std::vector<double> ys_;
 };
 
 /// Hop counts from `from` by breadth-first search over a flat frontier (-1
@@ -167,31 +181,36 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
   const double range_sq = range_ * range_;
   const double cs_sq = cs_range_ * cs_range_;
 
-  // Each node scans its block in ascending id and writes every member,
-  // without a branch, to the next slot of its decodable or its
-  // carrier-sense-only run; only a member that qualifies advances a run,
-  // so both come out sorted, and the list is their concatenation at exact
-  // size.
-  std::vector<NodeId> near(n);
-  std::vector<NodeId> far(n);
+  // Each node masks its block chunk by chunk. Its own bit (distance 0) is
+  // set where 0 < range² and where 0 < cs², so the popcounts less those size
+  // its list; walking the decodable bits, then the carrier-sense-only ones,
+  // and skipping i writes both parts in ascending id.
+  std::vector<ChunkMasks> masks;
   for (NodeId i = 0; i < n; ++i) {
-    const Vec2 p = positions_[i];
+    const CellGrid::Block b = grid.block_of(i);
+    masks.resize(b.ids.size() / kChunk);
     std::size_t decodable = 0;
-    std::size_t cs_only = 0;
-    for (const NodeId j : grid.block_of(i)) {
-      const double d_sq = distance_sq(p, positions_[j]);
-      const bool other = j != i;
-      const bool in_range = d_sq < range_sq;
-      near[decodable] = j;
-      far[cs_only] = j;
-      decodable += static_cast<std::size_t>(other & in_range);
-      cs_only += static_cast<std::size_t>(other & !in_range & (d_sq < cs_sq));
+    std::size_t audible = 0;
+    for (std::size_t w = 0; w < masks.size(); ++w) {
+      masks[w] = chunk_masks(positions_[i], b.xs + w * kChunk,
+                             b.ys + w * kChunk, range_sq, cs_sq);
+      decodable += static_cast<std::size_t>(std::popcount(masks[w].decodable));
+      audible += static_cast<std::size_t>(std::popcount(masks[w].audible));
     }
-    slot_offsets_[i + 1] = slot_offsets_[i] + decodable;
+    slot_offsets_[i + 1] = slot_offsets_[i] + decodable - (range_sq > 0.0);
     std::vector<NodeId>& list = audible_lists_[i];
-    list.reserve(decodable + cs_only);
-    list.assign(near.begin(), near.begin() + decodable);
-    list.insert(list.end(), far.begin(), far.begin() + cs_only);
+    list.resize(audible - (cs_sq > 0.0));
+    NodeId* out = list.data();
+    for (const bool cs_only : {false, true}) {
+      for (std::size_t w = 0; w < masks.size(); ++w) {
+        std::uint64_t bits = cs_only ? masks[w].audible & ~masks[w].decodable
+                                     : masks[w].decodable;
+        for (; bits != 0; bits &= bits - 1) {
+          const NodeId j = b.ids[w * kChunk + std::countr_zero(bits)];
+          if (j != i) *out++ = j;
+        }
+      }
+    }
   }
 #if WSN_AUDIT_ENABLED
   // Both parts strictly ascending, and every entry mirrored in the same

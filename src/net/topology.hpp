@@ -19,12 +19,12 @@ class Topology {
   /// Builds the lists in one pass per node, with no hashing and no sort.
   /// A counting sort bins the nodes into cells at least the carrier-sense
   /// range wide (at most n cells, widened for sparse far-flung fields), so
-  /// a node's audible nodes lie in the 3×3 block around its cell. Each cell
-  /// keeps its block's members in ascending id (every id is appended to the
-  /// at most 9 cells whose block holds it). Each node scans its own cell's
-  /// block once and writes its decodable and carrier-sense-only parts
-  /// straight into its exactly sized list, both sorted by id. O(n) for
-  /// uniform fields.
+  /// a node's audible nodes lie in the 3×3 block around its cell, whose
+  /// members each cell keeps in ascending id with their coordinates. Each
+  /// node masks its block, two members per SSE2 step: one decodable and one
+  /// audible bit per member. The popcounts size its list exactly; walking
+  /// the decodable bits, then the carrier-sense-only ones, writes both
+  /// parts sorted by id. O(n) for uniform fields.
   ///
   /// `carrier_sense_range` is the distance out to which a transmission is
   /// still *audible* — it occupies the channel, costs receive energy and

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "net/chunk_masks.hpp"
 #include "net/field.hpp"
 #include "net/topology.hpp"
 #include "net/vec2.hpp"
@@ -337,8 +340,113 @@ TEST(TopologyBruteForce, StripAndClippedBlocks) {
   }
 }
 
+// k nodes in a 4 m square, so in one cell: alone, the cell's block is
+// exactly k members, which fill its last mask chunk by one member, exactly,
+// or all but one. Then with a ring around the square whose ids interleave
+// with its nodes': at 30, 60, 85 and 150 m from its centre, so decodable,
+// carrier-sense-only, at the edge and out of range.
+TEST(TopologyBruteForce, BlocksAtChunkBoundaries) {
+  for (const std::size_t k : {1, 2, 63, 64, 65, 127, 128, 129}) {
+    sim::Rng rng{12 + k};
+    const Vec2 centre{500.3, -20.7};
+    std::vector<Vec2> cell;
+    std::vector<Vec2> ringed;
+    for (std::size_t c = 0; c < k; ++c) {
+      cell.push_back(centre + Vec2{rng.uniform(-2.0, 2.0),
+                                   rng.uniform(-2.0, 2.0)});
+      ringed.push_back(cell.back());
+      if (c % 4 == 0 || c + 1 == k) {
+        for (const double r : {30.0, 60.0, 85.0, 150.0}) {
+          const double angle = rng.uniform(0.0, 6.283);
+          ringed.push_back(centre + Vec2{std::cos(angle), std::sin(angle)} * r);
+        }
+      }
+    }
+    for (const double cs : {88.0, 0.0}) {
+      expect_matches_brute_force(cell, 40.0, cs);
+      expect_matches_brute_force(ringed, 40.0, cs);
+    }
+  }
+}
+
 TEST(TopologyBruteForce, TwoThousandNodes) {
   expect_matches_brute_force(uniform_field(2000, 600.0, 9), 40.0, 88.0);
+}
+
+// The SSE2 body (chunk_masks on x86-64; the portable body elsewhere)
+// against the portable one, bit for bit, on random chunks drawn from the
+// hard cases: members exactly at the radio range and at the carrier-sense
+// range with the nearest doubles on both sides, at zero distance, at
+// ±DBL_MAX (differences overflow to inf) and in +inf padding lanes, with
+// a denorm_min range (range² rounds to 0) and an overflowing one.
+TEST(ChunkMasks, ScalarBodyMatchesSse2Body) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  std::vector<Vec2> offsets{{0, 0}, {24, 32}, {-52.8, 70.4}, {kTiny, 0}};
+  for (const double r : {40.0, 88.0}) {
+    for (const double d : {std::nextafter(r, 0.0), r, std::nextafter(r, kInf)}) {
+      offsets.insert(offsets.end(), {{d, 0}, {0, -d}, {-d, 0}, {0, d}});
+    }
+  }
+  struct Case {
+    Vec2 p;
+    double range_sq, cs_sq;
+  };
+  const Case cases[] = {{{0, 0}, 1600, 7744},
+                        {{0, 0}, 1600, 1600},
+                        {{300, -300}, 1600, 7744},
+                        {{kMax, -kMax}, 1600, 7744},
+                        {{0, 0}, kTiny * kTiny, kTiny * kTiny},
+                        {{0, 0}, kTiny, 1600},
+                        {{-kMax, 0}, kMax * kMax, kMax * kMax}};
+  sim::Rng rng{11};
+  std::array<double, kChunk> xs{};
+  std::array<double, kChunk> ys{};
+  for (const Case& c : cases) {
+    for (int trial = 0; trial < 300; ++trial) {
+      for (std::size_t k = 0; k < kChunk; ++k) {
+        const auto pick = rng.uniform_int(0, 3);
+        Vec2 q = c.p + Vec2{rng.uniform(-100.0, 100.0),
+                            rng.uniform(-100.0, 100.0)};
+        if (pick == 0) {
+          q = c.p + offsets[static_cast<std::size_t>(rng.uniform_int(
+                        0, static_cast<std::int64_t>(offsets.size()) - 1))];
+        } else if (pick == 1) {
+          q = {rng.chance(0.5) ? kMax : -kMax, rng.chance(0.5) ? kMax : -kMax};
+        } else if (pick == 2) {
+          q = {kInf, kInf};
+        }
+        xs[k] = q.x;
+        ys[k] = q.y;
+      }
+      const ChunkMasks want = chunk_masks_scalar(c.p, xs.data(), ys.data(),
+                                                 c.range_sq, c.cs_sq);
+      const ChunkMasks got =
+          chunk_masks(c.p, xs.data(), ys.data(), c.range_sq, c.cs_sq);
+      ASSERT_EQ(got.decodable, want.decodable) << "trial " << trial;
+      ASSERT_EQ(got.audible, want.audible) << "trial " << trial;
+    }
+  }
+
+  // The bits mean what they say: zero distance is in range, exactly at a
+  // range is out, the next double in is in, and padding is never in.
+  xs.fill(kInf);
+  ys.fill(kInf);
+  for (const auto& [k, x] :
+       {std::pair<std::size_t, double>{0, 0.0}, {1, 40.0},
+        {2, std::nextafter(40.0, 0.0)}, {3, 88.0},
+        {63, std::nextafter(88.0, 0.0)}}) {
+    xs[k] = x;
+    ys[k] = 0.0;
+  }
+  for (const bool sse2 : {false, true}) {
+    const ChunkMasks m =
+        sse2 ? chunk_masks({0, 0}, xs.data(), ys.data(), 1600, 7744)
+             : chunk_masks_scalar({0, 0}, xs.data(), ys.data(), 1600, 7744);
+    EXPECT_EQ(m.decodable, 0b101u);
+    EXPECT_EQ(m.audible, 0b111u | (std::uint64_t{1} << 63));
+  }
 }
 
 TEST(Field, UniformFieldInsideSquare) {

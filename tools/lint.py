@@ -63,6 +63,13 @@ Rules (beyond what clang-tidy covers):
                       to the run's MetricsCollector in the same function
                       that traces it, so every counted note has its trace
                       record.
+  R12 one-simd-site   No <emmintrin.h>/<immintrin.h> include and no _mm_
+                      identifier in src/, tests/, bench/ or examples/
+                      outside src/net/chunk_masks.hpp. The neighbour scan's
+                      kernel is the one place that uses intrinsics, next to
+                      the portable body it must match bit for bit (tests
+                      compare the two); a second site would have no such
+                      twin.
 
 Exit status 0 when clean; 1 with one `path:line: [rule] message` per finding.
 """
@@ -106,6 +113,8 @@ EVENT_HANDLE_PATTERN = re.compile(r"\bEventHandle\b")
 ITEM_NOTE_PATTERN = re.compile(r"\bon_event_(?:generated|delivered)\s*\(")
 ONE_OBSERVER_FILES = {"src/diffusion/node.cpp", "src/stats/metrics.hpp",
                       "src/stats/metrics.cpp"}
+SIMD_PATTERN = re.compile(r"<(?:emm|imm)intrin\.h>|\b_mm_\w*")
+SIMD_FILE = "src/net/chunk_masks.hpp"
 ONE_STACK_FILES = {"src/scenario/network.cpp", "src/core/algorithm.hpp",
                    "src/core/algorithm.cpp"}
 
@@ -229,6 +238,11 @@ class Linter:
                             "item note outside DiffusionNode::note_*; the "
                             "protocol notes items to the collector next to "
                             "their trace records")
+            if rel != SIMD_FILE and SIMD_PATTERN.search(clean):
+                self.report(path, idx, "one-simd-site",
+                            "SIMD intrinsics outside src/net/chunk_masks.hpp; "
+                            "keep vector code in the one kernel with its "
+                            "portable twin")
             if in_sim and WALL_CLOCK_PATTERN.search(clean):
                 self.report(path, idx, "wall-clock",
                             "wall-clock read in sim code; use "
