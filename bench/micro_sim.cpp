@@ -1,6 +1,7 @@
-// Microbenchmarks: discrete-event engine primitives, channel fan-out and
-// topology build.
+// Microbenchmarks: discrete-event engine primitives, channel fan-out,
+// topology build and whole set-ups.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <functional>
@@ -12,6 +13,7 @@
 #include "mac/params.hpp"
 #include "net/field.hpp"
 #include "net/topology.hpp"
+#include "scenario/experiment.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -203,6 +205,39 @@ BENCHMARK(BM_TopologyBuild)
     ->Args({350, 200})
     ->Args({10'000, 1069})
     ->Unit(benchmark::kMicrosecond);
+
+/// Zero-duration set-ups of the densest fig. 5 point (350 nodes in 200 m,
+/// greedy, CSMA) back to back, rotating over 24 seeds as perfbench's
+/// dense_fig5 set-up samples do: field, topology, stack, roles and
+/// teardown. One round primes the heap first. Time is per set-up, and
+/// `minflt` counts the minor page faults per set-up (getrusage), which a
+/// heap trimmed at teardown and faulted back in at the next set-up shows.
+void BM_DenseSetup(benchmark::State& state) {
+  constexpr std::uint64_t kSeeds = 24;
+  wsn::scenario::ExperimentConfig config;
+  config.field.nodes = 350;
+  config.algorithm = wsn::core::Algorithm::kGreedy;
+  config.mac_type = wsn::scenario::MacType::kCsma;
+  config.duration = Time::zero();
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    config.seed = seed;
+    benchmark::DoNotOptimize(wsn::scenario::run_experiment(config));
+  }
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_minflt);
+  };
+  const double faults_before = minor_faults();
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    config.seed = 1 + k++ % kSeeds;
+    benchmark::DoNotOptimize(wsn::scenario::run_experiment(config));
+  }
+  state.counters["minflt"] = benchmark::Counter(
+      minor_faults() - faults_before, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DenseSetup)->Unit(benchmark::kMicrosecond);
 
 void BM_RngNext(benchmark::State& state) {
   Rng rng{3};

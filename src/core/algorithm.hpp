@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "core/greedy_node.hpp"
 #include "diffusion/node.hpp"
@@ -21,6 +23,19 @@ enum class Algorithm {
     case Algorithm::kGreedy: return "greedy";
   }
   return "?";
+}
+
+/// Calls `f(std::type_identity<T>{})` with the node class `algorithm`
+/// runs, so every builder maps algorithms to classes here.
+template <typename F>
+decltype(auto) with_node_type(Algorithm algorithm, F&& f) {
+  switch (algorithm) {
+    case Algorithm::kGreedy:
+      return std::forward<F>(f)(std::type_identity<GreedyNode>{});
+    case Algorithm::kOpportunistic:
+      break;
+  }
+  return std::forward<F>(f)(std::type_identity<diffusion::OpportunisticNode>{});
 }
 
 /// Creates a protocol node of the requested kind.

@@ -8,6 +8,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "net/chunk_masks.hpp"
 #include "sim/audit.hpp"
@@ -21,6 +22,9 @@ namespace {
 /// around its cell. Each cell keeps that block's members in ascending id.
 class CellGrid {
  public:
+  /// Every id once, by cell in row-major order, ascending within a cell.
+  std::vector<NodeId> order;
+
   CellGrid(const std::vector<Vec2>& positions, double width) {
     const std::size_t n = positions.size();
     Vec2 lo = positions[0];
@@ -92,6 +96,10 @@ class CellGrid {
         }
       }
     }
+    // The counting sort's placement pass, which leaves start[c] at cell
+    // c's end.
+    order.resize(n);
+    for (NodeId i = 0; i < n; ++i) order[start[cell_of_[i]]++] = i;
   }
 
   /// Node i's padded 3×3 block, i among them: ids, and coordinates alike.
@@ -177,7 +185,8 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
   slot_offsets_.assign(n + 1, 0);
   if (n == 0) return;
 
-  const CellGrid grid{positions_, cs_range_};
+  CellGrid grid{positions_, cs_range_};
+  cell_order_ = std::move(grid.order);
   const double range_sq = range_ * range_;
   const double cs_sq = cs_range_ * cs_range_;
 

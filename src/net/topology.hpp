@@ -74,6 +74,14 @@ class Topology {
     return {reverse_slots_.data() + slot_offsets_[id], decodable_prefix(id)};
   }
 
+  /// Every id once, by cell of the neighbour grid (cells at least the
+  /// carrier-sense range wide, row-major), ascending id within a cell: ids
+  /// close here are close in the field. The stack builds its MACs and nodes
+  /// in this order.
+  [[nodiscard]] std::span<const NodeId> cell_order() const {
+    return cell_order_;
+  }
+
   [[nodiscard]] bool in_range(NodeId a, NodeId b) const;
 
   /// Mean neighbour count — the paper's "radio density".
@@ -93,6 +101,7 @@ class Topology {
   /// Node i's neighbours are edges [slot_offsets_[i], slot_offsets_[i+1]).
   std::vector<std::size_t> slot_offsets_;
   std::vector<std::uint32_t> reverse_slots_;  ///< one per edge
+  std::vector<NodeId> cell_order_;
 };
 
 }  // namespace wsn::net

@@ -273,12 +273,10 @@ RunResult run_experiment(const ExperimentConfig& config) {
   std::vector<char> protected_nodes(topo.node_count(), 0);
   for (net::NodeId s : result.sources) protected_nodes[s] = 1;
   for (net::NodeId k : result.sinks) protected_nodes[k] = 1;
-  std::vector<mac::MacBase*> macs;
-  for (net::NodeId id = 0; id < network.size(); ++id) {
-    macs.push_back(&network.mac(id));
-  }
-  FailureProcess failures{sim, std::move(macs), std::move(protected_nodes),
-                          config.failures, failure_rng};
+  FailureProcess failures{
+      sim, std::vector<mac::MacBase*>(network.macs().begin(),
+                                      network.macs().end()),
+      std::move(protected_nodes), config.failures, failure_rng};
 
   // --- run ---
   sim.run_until(config.duration);

@@ -3,7 +3,7 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "diffusion/node.hpp"
@@ -18,13 +18,17 @@
 namespace wsn::scenario {
 
 /// Builds and owns the stack over `topology`: the channel, then every MAC
-/// in id order (`config.mac_type`; TDMA gets one slot per node), then every
-/// diffusion node in id order (`config.algorithm`). MAC `id` draws from
-/// `master.fork(1000 + id)` and node `id` from `master.fork(2000 + id)`.
+/// (`config.mac_type`; TDMA gets one slot per node), then every diffusion
+/// node (`config.algorithm`). MAC `id` draws from `master.fork(1000 + id)`
+/// and node `id` from `master.fork(2000 + id)`.
 ///
-/// Building the stack draws nothing and, for CSMA, schedules nothing (a
-/// TDMA MAC arms its first slot), so the construction order moves no
-/// result. Callers give nodes their roles, then call start().
+/// The MACs share one allocation and the nodes a second, built in the
+/// topology's cell order, so objects of nearby nodes sit together; every
+/// id-indexed view (`mac`, `node`, `macs`, the channel's, `start`) keeps id
+/// order. Building the stack draws nothing and, for CSMA, schedules
+/// nothing (a TDMA MAC arms its first slot, at a time of its own), so the
+/// construction order moves no result. Callers give nodes their roles, then
+/// call start().
 ///
 /// Every node notes its items to `metrics` (none when null). `sim`,
 /// `topology` and `metrics` must outlive the network; the config and the
@@ -43,14 +47,51 @@ class Network {
   [[nodiscard]] diffusion::DiffusionNode& node(net::NodeId id) {
     return *nodes_[id];
   }
+  /// Every MAC, by id.
+  [[nodiscard]] std::span<mac::MacBase* const> macs() { return macs_; }
 
-  /// Starts every node's periodic maintenance.
+  /// Starts every node's periodic maintenance, in id order.
   void start();
 
  private:
+  /// Objects of one class, one slot each, in allocations of at most 1 MiB
+  /// (one allocation on the paper's fields), built in slot order and
+  /// destroyed in reverse.
+  /// Under AddressSanitizer a poisoned gap follows every slot, so an
+  /// overrun into the next object is still reported.
+  class Block {
+   public:
+    Block() = default;
+    Block(const Block&) = delete;
+    Block& operator=(const Block&) = delete;
+    ~Block();
+
+    /// Builds `make(id)` for each id of `order` in the next slot and
+    /// points `by_id[id]` at it. A throwing `make` leaves the objects built
+    /// so far to the destructor.
+    template <typename T, typename Base, typename Make>
+    void build(std::span<const net::NodeId> order, std::vector<Base*>& by_id,
+               Make make);
+
+   private:
+    [[nodiscard]] std::byte* slot_at(std::size_t k) const {
+      return chunks_[k / per_chunk_] + k % per_chunk_ * stride_;
+    }
+
+    std::vector<std::byte*> chunks_;
+    std::size_t stride_ = 0;
+    std::size_t per_chunk_ = 0;  ///< slots per chunk
+    std::size_t size_ = 0;       ///< slots built
+    void (*destroy_)(std::byte* slot) = nullptr;
+  };
+
   mac::Channel channel_;
-  std::vector<std::unique_ptr<mac::MacBase>> macs_;
-  std::vector<std::unique_ptr<diffusion::DiffusionNode>> nodes_;
+  std::vector<mac::MacBase*> macs_;  ///< by id
+  std::vector<diffusion::DiffusionNode*> nodes_;  ///< by id
+  // Declared last, nodes after MACs: the nodes are destroyed first, then
+  // the MACs they use.
+  Block mac_block_;
+  Block node_block_;
 };
 
 }  // namespace wsn::scenario

@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "net/chunk_masks.hpp"
 #include "net/field.hpp"
@@ -165,6 +166,46 @@ TEST(Topology, FarApartNodesBuildWithoutAHugeGrid) {
   const Topology tiny{{{0, 0}, {1, 1}, {1, 1}},
                       std::numeric_limits<double>::denorm_min()};
   EXPECT_EQ(tiny.average_degree(), 0.0);
+}
+
+// Cells 10 m wide (the range, no separate carrier-sense range) anchored at
+// the bounding box's corner (0, 0): three columns and two rows, row-major.
+// Each cell's members form one run, in ascending id.
+TEST(Topology, CellOrderGroupsCellsInRowMajorOrder) {
+  const Topology t{{{25, 15},
+                    {1, 1},
+                    {12, 14},
+                    {0, 0},
+                    {21, 3},
+                    {13, 2},
+                    {2, 12},
+                    {11, 11},
+                    {24, 5}},
+                   10.0};
+  const std::vector<NodeId> expected{1, 3,   // cell (0, 0)
+                                     5,      // cell (1, 0)
+                                     4, 8,   // cell (2, 0)
+                                     6,      // cell (0, 1)
+                                     2, 7,   // cell (1, 1)
+                                     0};     // cell (2, 1)
+  EXPECT_TRUE(std::ranges::equal(t.cell_order(), expected));
+}
+
+// On a paper-density field the order is a permutation of the ids that is
+// not the id order, and the same positions give the same order.
+TEST(Topology, CellOrderIsADeterministicPermutation) {
+  sim::Rng rng{11};
+  FieldSpec spec;
+  spec.nodes = 350;
+  const std::vector<Vec2> pts = generate_uniform_field(spec, rng);
+  const Topology a{pts, spec.radio_range_m, spec.carrier_sense_range_m};
+  const Topology b{pts, spec.radio_range_m, spec.carrier_sense_range_m};
+  EXPECT_TRUE(std::ranges::equal(a.cell_order(), b.cell_order()));
+
+  std::vector<NodeId> ids(a.cell_order().begin(), a.cell_order().end());
+  EXPECT_FALSE(std::ranges::is_sorted(ids));
+  std::ranges::sort(ids);
+  for (NodeId i = 0; i < spec.nodes; ++i) ASSERT_EQ(ids[i], i);
 }
 
 // The O(n²) definition, with the constructor's own predicates

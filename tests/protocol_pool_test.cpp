@@ -11,9 +11,14 @@
 #include <vector>
 
 #include "diffusion/messages.hpp"
+#include "net/field.hpp"
+#include "net/topology.hpp"
 #include "protocol_rig.hpp"
 #include "scenario/experiment.hpp"
+#include "scenario/network.hpp"
 #include "sim/arena.hpp"
+#include "sim/random.hpp"
+#include "sim/simulator.hpp"
 
 // ---------------------------------------------------------------- counting
 // Global allocation counter, same pattern as event_queue_stress_test: a
@@ -38,10 +43,21 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_frees{0};  ///< non-null deletes
+/// The value of g_allocs whose allocation throws std::bad_alloc; 0: none.
+std::atomic<std::uint64_t> g_fail_at{0};
+
+void count_free(void* p) {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (g_allocs.fetch_add(1, std::memory_order_relaxed) + 1 ==
+      g_fail_at.load(std::memory_order_relaxed)) {
+    throw std::bad_alloc{};
+  }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc{};
 }
@@ -51,10 +67,10 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { count_free(p); }
+void operator delete(void* p, std::size_t) noexcept { count_free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  count_free(p);
 }
 
 namespace wsn {
@@ -216,6 +232,73 @@ TEST(ProtocolPool, Fig5RunStaysUnderAllocsPerFrameCeiling) {
     (void)after;
 #endif
   }
+}
+
+// On the paper's fields the stack keeps its MACs in one allocation and its
+// nodes in another, so building (and tearing down) a Network over a
+// prebuilt topology takes the same number of heap allocations at 50 nodes
+// as at 350, for either MAC and either algorithm: no object takes a block
+// of its own.
+TEST(ProtocolPool, NetworkBuildTakesAConstantNumberOfAllocations) {
+  for (const scenario::MacType type :
+       {scenario::MacType::kCsma, scenario::MacType::kTdma}) {
+    for (const core::Algorithm alg :
+         {core::Algorithm::kOpportunistic, core::Algorithm::kGreedy}) {
+      scenario::ExperimentConfig config;
+      config.mac_type = type;
+      config.algorithm = alg;
+      std::vector<std::uint64_t> counts;
+      for (const std::size_t nodes : {50, 350}) {
+        config.field.nodes = nodes;
+        sim::Rng rng{3};
+        const net::Topology topo{
+            net::generate_uniform_field(config.field, rng),
+            config.field.radio_range_m, config.field.carrier_sense_range_m};
+        sim::Simulator sim;
+        const auto before = g_allocs.load(std::memory_order_relaxed);
+        {
+          const scenario::Network network{sim, topo, config, sim::Rng{1},
+                                          nullptr};
+          EXPECT_EQ(network.size(), nodes);
+        }
+        counts.push_back(g_allocs.load(std::memory_order_relaxed) - before);
+      }
+#if !WSN_TEST_UNDER_SANITIZER
+      EXPECT_EQ(counts[0], counts[1])
+          << core::to_string(alg) << ", "
+          << (type == scenario::MacType::kCsma ? "csma" : "tdma");
+#endif
+    }
+  }
+}
+
+// A build that fails part way leaves nothing behind. The node block is the
+// constructor's last allocation; when it throws, the TDMA MACs already
+// built in the MAC block are destroyed (their first slots leave the queue)
+// and every allocation made is freed.
+TEST(ProtocolPool, NetworkBuildThatThrowsDestroysWhatItBuilt) {
+  scenario::ExperimentConfig config;
+  config.mac_type = scenario::MacType::kTdma;
+  sim::Rng rng{3};
+  const net::Topology topo{net::generate_uniform_field(config.field, rng),
+                           config.field.radio_range_m,
+                           config.field.carrier_sense_range_m};
+  sim::Simulator sim;
+  auto allocs = g_allocs.load();
+  { const scenario::Network network{sim, topo, config, sim::Rng{1}, nullptr}; }
+  const std::uint64_t per_build = g_allocs.load() - allocs;
+  if (per_build == 0) GTEST_SKIP() << "operator new is not counted here";
+
+  allocs = g_allocs.load();
+  const auto frees = g_frees.load();
+  g_fail_at = allocs + per_build;
+  EXPECT_THROW(
+      (scenario::Network{sim, topo, config, sim::Rng{1}, nullptr}),
+      std::bad_alloc);
+  g_fail_at = 0;
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_EQ(g_allocs.load() - allocs, per_build);
+  EXPECT_EQ(g_frees.load() - frees, per_build - 1);  // all but the failed one
 }
 
 }  // namespace

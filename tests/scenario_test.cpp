@@ -1,13 +1,20 @@
 // Tests for the experiment runner, placement and failure machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "core/algorithm.hpp"
+#include "mac/csma_mac.hpp"
+#include "mac/tdma_mac.hpp"
+#include "net/field.hpp"
 #include "net/topology.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/network.hpp"
@@ -431,21 +438,67 @@ TEST(Experiment, TreeEdgesAreValidNodePairs) {
 TEST(Network, BuildsEveryLayerByIdAndSchedulesOnlyTdmaSlots) {
   // Building the stack schedules nothing for CSMA and one first-slot event
   // per TDMA MAC, and wires MAC and node `id` to radio `id`. So the order
-  // the stack is built in cannot move a result.
+  // the stack is built in cannot move a result. The objects sit in the
+  // topology's cell order, which here is not the id order: 40 m cells put
+  // ids 0, 1, 3, 4 in the first and 2, 5 in the second.
   const net::Topology topo{
       {{0, 0}, {30, 0}, {60, 0}, {0, 30}, {30, 30}, {60, 30}}, 40.0};
-  for (const MacType type : {MacType::kCsma, MacType::kTdma}) {
-    ExperimentConfig config;
-    config.mac_type = type;
-    sim::Simulator sim;
-    Network network{sim, topo, config, sim::Rng{1}, nullptr};
-    ASSERT_EQ(network.size(), topo.node_count());
-    EXPECT_EQ(sim.events_pending(),
-              type == MacType::kCsma ? 0u : topo.node_count());
-    for (net::NodeId id = 0; id < network.size(); ++id) {
-      EXPECT_EQ(network.mac(id).id(), id);
-      EXPECT_EQ(network.node(id).id(), id);
+  const std::vector<net::NodeId> cell_order{0, 1, 3, 4, 2, 5};
+  ASSERT_TRUE(std::ranges::equal(topo.cell_order(), cell_order));
+  for (const core::Algorithm alg :
+       {core::Algorithm::kOpportunistic, core::Algorithm::kGreedy}) {
+    for (const MacType type : {MacType::kCsma, MacType::kTdma}) {
+      SCOPED_TRACE(::testing::Message()
+                   << core::to_string(alg) << ", "
+                   << (type == MacType::kCsma ? "csma" : "tdma"));
+      ExperimentConfig config;
+      config.algorithm = alg;
+      config.mac_type = type;
+      sim::Simulator sim;
+      Network network{sim, topo, config, sim::Rng{1}, nullptr};
+      ASSERT_EQ(network.size(), topo.node_count());
+      EXPECT_EQ(sim.events_pending(),
+                type == MacType::kCsma ? 0u : topo.node_count());
+      for (net::NodeId id = 0; id < network.size(); ++id) {
+        EXPECT_EQ(network.mac(id).id(), id);
+        EXPECT_EQ(network.macs()[id], &network.mac(id));
+        EXPECT_EQ(network.node(id).id(), id);
+        EXPECT_EQ(typeid(network.mac(id)), type == MacType::kCsma
+                                               ? typeid(mac::CsmaMac)
+                                               : typeid(mac::TdmaMac));
+        EXPECT_EQ(typeid(network.node(id)),
+                  alg == core::Algorithm::kGreedy
+                      ? typeid(core::GreedyNode)
+                      : typeid(diffusion::OpportunisticNode));
+      }
+      // Storage follows the cell order: each slot after the last.
+      for (std::size_t k = 1; k < cell_order.size(); ++k) {
+        EXPECT_TRUE(std::less<>{}(&network.mac(cell_order[k - 1]),
+                                  &network.mac(cell_order[k])));
+        EXPECT_TRUE(std::less<>{}(&network.node(cell_order[k - 1]),
+                                  &network.node(cell_order[k])));
+      }
     }
+  }
+}
+
+// 1500 greedy nodes (2.8 MB) and their CSMA MACs fill more than one 1 MiB
+// allocation each; every id still reaches its own MAC and node.
+TEST(Network, BlocksSpanningSeveralAllocationsKeepEveryId) {
+  net::FieldSpec spec;
+  spec.nodes = 1500;
+  spec.side_m = 400.0;
+  sim::Rng rng{5};
+  const net::Topology topo{net::generate_uniform_field(spec, rng),
+                           spec.radio_range_m, spec.carrier_sense_range_m};
+  ExperimentConfig config;
+  config.algorithm = core::Algorithm::kGreedy;
+  sim::Simulator sim;
+  Network network{sim, topo, config, sim::Rng{1}, nullptr};
+  ASSERT_EQ(network.size(), spec.nodes);
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    ASSERT_EQ(network.mac(id).id(), id);
+    ASSERT_EQ(network.node(id).id(), id);
   }
 }
 

@@ -46,11 +46,12 @@ Rules (beyond what clang-tidy covers):
                       per call. An audit-only check of such a cast may
                       annotate its line with `lint:rtti-ok`.
   R9  one-stack       No call to make_diffusion_node( in src/, tests/,
-                      bench/ or examples/ outside src/scenario/network.cpp
-                      and the factory itself (src/core/algorithm.*). The
-                      protocol stack is built in one place,
-                      scenario::Network; run_experiment, the protocol test
-                      rig and the examples reach MACs and nodes through it.
+                      bench/, examples/ or tools/ outside the factory itself
+                      (src/core/algorithm.*). The protocol stack is built in
+                      one place, scenario::Network, which places its nodes
+                      in one block per run without the factory;
+                      run_experiment, the protocol test rig and the
+                      examples reach MACs and nodes through it.
   R10 one-cancellable No EventHandle in src/. The event queue has no
                       cancellation handle: whatever protocol code may cancel
                       is a sim::Timer, whose queue node is unlinked in
@@ -64,12 +65,12 @@ Rules (beyond what clang-tidy covers):
                       that traces it, so every counted note has its trace
                       record.
   R12 one-simd-site   No <emmintrin.h>/<immintrin.h> include and no _mm_
-                      identifier in src/, tests/, bench/ or examples/
-                      outside src/net/chunk_masks.hpp. The neighbour scan's
-                      kernel is the one place that uses intrinsics, next to
-                      the portable body it must match bit for bit (tests
-                      compare the two); a second site would have no such
-                      twin.
+                      identifier in src/, tests/, bench/, examples/ or
+                      tools/ outside src/net/chunk_masks.hpp. The neighbour
+                      scan's kernel is the one place that uses intrinsics,
+                      next to the portable body it must match bit for bit
+                      (tests compare the two); a second site would have no
+                      such twin.
 
 Exit status 0 when clean; 1 with one `path:line: [rule] message` per finding.
 """
@@ -81,7 +82,7 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SOURCE_DIRS = ["src", "tests", "bench", "examples"]
+SOURCE_DIRS = ["src", "tests", "bench", "examples", "tools"]
 CPP_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
 ALLOW_MARK = "lint:unordered-ok"
@@ -115,8 +116,7 @@ ONE_OBSERVER_FILES = {"src/diffusion/node.cpp", "src/stats/metrics.hpp",
                       "src/stats/metrics.cpp"}
 SIMD_PATTERN = re.compile(r"<(?:emm|imm)intrin\.h>|\b_mm_\w*")
 SIMD_FILE = "src/net/chunk_masks.hpp"
-ONE_STACK_FILES = {"src/scenario/network.cpp", "src/core/algorithm.hpp",
-                   "src/core/algorithm.cpp"}
+ONE_STACK_FILES = {"src/core/algorithm.hpp", "src/core/algorithm.cpp"}
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -227,7 +227,7 @@ class Linter:
             if (rel not in ONE_STACK_FILES
                     and NODE_FACTORY_PATTERN.search(clean)):
                 self.report(path, idx, "one-stack",
-                            "make_diffusion_node outside src/scenario/network.cpp; "
+                            "make_diffusion_node outside its definition; "
                             "build the stack with scenario::Network")
             if in_sim and EVENT_HANDLE_PATTERN.search(clean):
                 self.report(path, idx, "one-cancellable",
