@@ -1,19 +1,21 @@
 // Microbenchmarks: discrete-event engine primitives, channel fan-out,
-// topology build and whole set-ups.
+// topology build, whole set-ups and the weighted set-cover solvers.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "agg/set_cover.hpp"
 #include "mac/channel.hpp"
 #include "mac/mac_base.hpp"
 #include "mac/params.hpp"
 #include "net/field.hpp"
 #include "net/topology.hpp"
 #include "scenario/experiment.hpp"
+#include "set_cover_instance.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -87,14 +89,21 @@ void BM_TimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerRearm);
 
+/// An event that reschedules a copy of itself until `remaining` runs out.
+/// Its 16 B fit the queue node's inline buffer, so no event allocates.
+struct SelfScheduling {
+  Simulator* sim;
+  int* remaining;
+  void operator()() const {
+    if (--*remaining > 0) sim->schedule_in(Time::micros(10), *this);
+  }
+};
+
 void BM_SimulatorSelfScheduling(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;
     int remaining = 100'000;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) sim.schedule_in(Time::micros(10), tick);
-    };
-    sim.schedule_in(Time::micros(10), tick);
+    sim.schedule_in(Time::micros(10), SelfScheduling{&sim, &remaining});
     sim.run();
     benchmark::DoNotOptimize(sim.now());
   }
@@ -238,6 +247,52 @@ void BM_DenseSetup(benchmark::State& state) {
       minor_faults() - faults_before, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_DenseSetup)->Unit(benchmark::kMicrosecond);
+
+void BM_GreedyCover(benchmark::State& state) {
+  const auto universe = static_cast<std::uint32_t>(state.range(0));
+  const auto sets = static_cast<std::size_t>(state.range(1));
+  const auto family =
+      wsn::bench::random_set_cover_instance(universe, sets, 0.4, 42);
+  wsn::agg::GreedyCoverWorkspace ws;
+  for (auto _ : state) {
+    const auto& r = wsn::agg::greedy_weighted_set_cover(ws, family, universe);
+    benchmark::DoNotOptimize(&r);
+  }
+}
+BENCHMARK(BM_GreedyCover)
+    ->Args({8, 4})
+    ->Args({16, 8})
+    ->Args({32, 16})
+    ->Args({64, 32})
+    ->Args({14, 14});  // the paper's max fan-in (14 sources)
+
+void BM_ExactCover(benchmark::State& state) {
+  const auto universe = static_cast<std::uint32_t>(state.range(0));
+  const auto family =
+      wsn::bench::random_set_cover_instance(universe, 10, 0.4, 42);
+  for (auto _ : state) {
+    auto r = wsn::agg::exact_weighted_set_cover(family, universe);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_ExactCover)->Arg(8)->Arg(12)->Arg(16)->Arg(20);
+
+void BM_SourceTransform(benchmark::State& state) {
+  const auto universe = static_cast<std::uint32_t>(state.range(0));
+  const auto family =
+      wsn::bench::random_set_cover_instance(universe, 16, 0.4, 42);
+  std::vector<std::vector<std::uint32_t>> sources;
+  for (const auto& s : family) {
+    std::vector<std::uint32_t> src;
+    for (auto e : s.elements) src.push_back(e % 5);
+    sources.push_back(std::move(src));
+  }
+  for (auto _ : state) {
+    auto t = wsn::agg::transform_to_sources(family, sources);
+    benchmark::DoNotOptimize(t);
+  }
+}
+BENCHMARK(BM_SourceTransform)->Arg(16)->Arg(64);
 
 void BM_RngNext(benchmark::State& state) {
   Rng rng{3};

@@ -1,8 +1,9 @@
 # Smoke test for bench/sweeps: runs every sweep at one field and 2 simulated
-# seconds on the calling thread, then checks the exit status, each figure's
-# CSV (header plus one row per point) and that an unknown sweep name exits 2.
+# seconds on the calling thread, then checks the exit status, every row's CSV
+# against its recorded one under results/ and that an unknown name exits 2.
 #
-#   cmake -DSWEEPS=<path to sweeps> -DOUT_DIR=<scratch dir> -P sweeps_smoke.cmake
+#   cmake -DSWEEPS=<path to sweeps> -DOUT_DIR=<scratch dir>
+#         -DRESULTS_DIR=<repo>/results -P sweeps_smoke.cmake
 
 # The CSVs are appended to, so start from an empty directory.
 file(REMOVE_RECURSE "${OUT_DIR}")
@@ -18,24 +19,23 @@ if(NOT status EQUAL 0)
   message(FATAL_ERROR "sweeps exited with ${status}")
 endif()
 
-foreach(figure_points fig5_density:7 fig6_failures:7 fig7_random_sources:7
-                      fig8_sinks:5 fig9_sources:5 fig10_linear:5)
-  string(REPLACE ":" ";" pair "${figure_points}")
-  list(GET pair 0 figure)
-  list(GET pair 1 points)
-  set(csv "${OUT_DIR}/${figure}.csv")
-  if(NOT EXISTS "${csv}")
-    message(FATAL_ERROR "${figure}: no CSV written")
-  endif()
-  file(STRINGS "${csv}" lines)
+# Every recorded CSV, and no other, is written, with its recorded header and
+# line count (one line per point; the point lists do not depend on the scale).
+file(GLOB written RELATIVE "${OUT_DIR}" "${OUT_DIR}/*.csv")
+file(GLOB recorded RELATIVE "${RESULTS_DIR}" "${RESULTS_DIR}/*.csv")
+if(NOT written STREQUAL recorded)
+  message(FATAL_ERROR "CSVs written: ${written}\nCSVs recorded: ${recorded}")
+endif()
+foreach(csv ${recorded})
+  file(STRINGS "${OUT_DIR}/${csv}" lines)
+  file(STRINGS "${RESULTS_DIR}/${csv}" want)
   list(LENGTH lines count)
-  math(EXPR expected "${points} + 1")
-  if(NOT count EQUAL expected)
-    message(FATAL_ERROR "${figure}.csv has ${count} lines, want ${expected}")
-  endif()
+  list(LENGTH want expected)
   list(GET lines 0 header)
-  if(NOT header MATCHES "^x,energy_opp,energy_greedy,")
-    message(FATAL_ERROR "${figure}.csv header: ${header}")
+  list(GET want 0 want_header)
+  if(NOT count EQUAL expected OR NOT header STREQUAL want_header)
+    message(FATAL_ERROR "${csv}: ${count} lines, header ${header}\n"
+                        "recorded: ${expected} lines, header ${want_header}")
   endif()
 endforeach()
 

@@ -100,13 +100,6 @@ struct RunResult {
   double energy_max_node_joules = 0.0;     ///< hottest node
   double energy_mean_node_joules = 0.0;
   double energy_stddev_node_joules = 0.0;
-  /// Simple lifetime proxy: with an E-joule budget per node, when would the
-  /// first node die? budget / max-node power (extrapolated from this run).
-  [[nodiscard]] double first_death_seconds(double budget_joules,
-                                           double run_seconds) const {
-    if (energy_max_node_joules <= 0.0 || run_seconds <= 0.0) return 0.0;
-    return budget_joules / (energy_max_node_joules / run_seconds);
-  }
 
   // Traffic accounting summed over nodes.
   std::uint64_t events_dispatched = 0;  ///< engine events fired this run

@@ -101,6 +101,9 @@ AveragedPoint run_replicates(const ExperimentConfig& base, int replicates,
     point.delay.add(res.metrics.avg_delay);
     point.delivery.add(res.metrics.delivery_ratio);
     point.degree.add(res.average_degree);
+    point.max_node_energy.add(res.energy_max_node_joules);
+    point.mean_node_energy.add(res.energy_mean_node_joules);
+    point.stddev_node_energy.add(res.energy_stddev_node_joules);
     ++point.replicates;
   }
   return point;
@@ -110,7 +113,8 @@ std::uint64_t digest_of(const AveragedPoint& point) {
   stats::Digest d;
   for (const stats::Accumulator* a :
        {&point.energy, &point.active_energy, &point.delay, &point.delivery,
-        &point.degree}) {
+        &point.degree, &point.max_node_energy, &point.mean_node_energy,
+        &point.stddev_node_energy}) {
     d.add(a->count());
     d.add(a->mean());
     d.add(a->variance());

@@ -17,11 +17,16 @@ struct AveragedPoint {
   stats::Accumulator delay;          ///< seconds
   stats::Accumulator delivery;       ///< ratio
   stats::Accumulator degree;         ///< radio density actually realised
+  // Per-node energy over the run, J (§3's traffic concentration):
+  // the hottest node, the mean node and the σ across nodes.
+  stats::Accumulator max_node_energy;
+  stats::Accumulator mean_node_energy;
+  stats::Accumulator stddev_node_energy;
   int replicates = 0;
 };
 
 /// Runs `replicates` copies of `base` with seeds seed0, seed0+1, ... and
-/// averages the paper's three metrics.
+/// averages the paper's three metrics and the per-node energy spread.
 ///
 /// `jobs` > 1 runs the replicates on that many workers; `jobs` <= 0 uses
 /// the WSN_JOBS env default (hardware concurrency); `jobs` == 1 — or

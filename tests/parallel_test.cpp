@@ -129,7 +129,8 @@ ExperimentConfig small_config(core::Algorithm alg) {
 
 TEST(ParallelReplicates, DigestIdenticalAcrossJobCounts) {
   // The acceptance bar: WSN_JOBS ∈ {1, 2, 8} produce bit-identical
-  // accumulator streams for the same seeds.
+  // accumulator streams for the same seeds, the per-node energy spread
+  // included.
   const ExperimentConfig cfg = small_config(core::Algorithm::kGreedy);
   const AveragedPoint serial = run_replicates(cfg, 6, 11, /*jobs=*/1);
   const AveragedPoint two = run_replicates(cfg, 6, 11, /*jobs=*/2);
@@ -137,6 +138,7 @@ TEST(ParallelReplicates, DigestIdenticalAcrossJobCounts) {
   ASSERT_EQ(serial.replicates, 6);
   ASSERT_EQ(two.replicates, 6);
   ASSERT_EQ(eight.replicates, 6);
+  ASSERT_EQ(serial.max_node_energy.count(), 6u);
   EXPECT_EQ(digest_of(serial), digest_of(two));
   EXPECT_EQ(digest_of(serial), digest_of(eight));
 }

@@ -34,7 +34,7 @@ Rules (beyond what clang-tidy covers):
                       is disabled. Deliberate sites (the accessor itself,
                       batch guards around per-item loops) annotate with
                       `lint:trace-ok` on the line or the line above.
-  R7  one-callable    No std::function anywhere in src/. Event and timer
+  R7  one-callable    No std::function outside tests/. Event and timer
                       callbacks are sim::InlineFn and the replicate engine
                       takes its task as a template parameter; a
                       std::function reintroduces a second kind of callable
@@ -214,10 +214,11 @@ class Linter:
                                 "direct tracer sink access; use WSN_TRACE_EMIT "
                                 "(it carries the traced-off guard) or annotate "
                                 f"with {TRACE_MARK}")
-            if in_sim and STD_FUNCTION_PATTERN.search(clean):
+            if (not rel.startswith("tests/")
+                    and STD_FUNCTION_PATTERN.search(clean)):
                 self.report(path, idx, "one-callable",
-                            "std::function in src/; use sim::InlineFn or a "
-                            "template parameter")
+                            "std::function outside tests/; use sim::InlineFn, "
+                            "a template parameter or a callable struct")
             if (in_sim and DYNAMIC_CAST_PATTERN.search(clean)
                     and RTTI_MARK not in raw):
                 self.report(path, idx, "no-rtti",
