@@ -47,41 +47,44 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1'000)->Arg(10'000)->Arg(100'000);
 
-/// The CSMA timer pattern at the densest fig. 5 point: 350 nodes with a
-/// DIFS, a backoff and an ACK timer each. A DIFS expiry arms the backoff,
-/// a backoff expiry arms the ACK wait and re-arms DIFS, and an ACK expiry
-/// restarts DIFS; every fourth DIFS expiry cancels the pending ACK wait
-/// first, as a clean reception does.
+/// The CSMA timer pattern at the densest fig. 5 point: 350 nodes with one
+/// timer each, as `CsmaMac` has. A contention expiry (DIFS plus 0-31
+/// slots) arms the ACK wait, and an ACK expiry re-arms contention; every
+/// fourth stint is frozen at once and re-armed, as an arrival and the
+/// idle medium after it do.
 void BM_TimerRearm(benchmark::State& state) {
   constexpr int kNodes = 350;
-  struct CsmaTimers {
-    CsmaTimers(Simulator& sim, Rng& rng)
-        : difs{sim, [this] { on_difs(); }},
-          backoff{sim, [this] { on_backoff(); }},
-          ack{sim, [this] { difs.arm(Time::micros(50)); }},
-          rng_{&rng} {}
-    void on_difs() {
-      if (++difs_count % 4 == 0) ack.cancel();
-      backoff.arm(Time::micros(20 * rng_->uniform_int(0, 31)));
+  struct CsmaTimer {
+    CsmaTimer(Simulator& sim, Rng& rng)
+        : timer{sim, [this] { on_expiry(); }}, rng_{&rng} {}
+    void contend() {
+      timer.arm(Time::micros(50 + 20 * rng_->uniform_int(0, 31)));
     }
-    void on_backoff() {
-      ack.arm(Time::micros(300));
-      difs.arm(Time::micros(50 + rng_->uniform_int(0, 1'000)));
+    void on_expiry() {
+      waiting_ack = !waiting_ack;
+      if (waiting_ack) {
+        timer.arm(Time::micros(300));
+        return;
+      }
+      contend();
+      if (++stints % 4 == 0) {
+        timer.cancel();
+        contend();
+      }
     }
-    Timer difs;
-    Timer backoff;
-    Timer ack;
+    Timer timer;
     Rng* rng_;
-    int difs_count = 0;
+    bool waiting_ack = false;
+    int stints = 0;
   };
   std::int64_t events = 0;
   for (auto _ : state) {
     Simulator sim;
     Rng rng{3};
-    std::vector<std::unique_ptr<CsmaTimers>> nodes;
+    std::vector<std::unique_ptr<CsmaTimer>> nodes;
     for (int i = 0; i < kNodes; ++i) {
-      nodes.push_back(std::make_unique<CsmaTimers>(sim, rng));
-      nodes.back()->difs.arm(Time::micros(rng.uniform_int(0, 1'000)));
+      nodes.push_back(std::make_unique<CsmaTimer>(sim, rng));
+      nodes.back()->timer.arm(Time::micros(rng.uniform_int(0, 1'000)));
     }
     events += static_cast<std::int64_t>(sim.run_until(Time::millis(200)));
   }

@@ -12,13 +12,7 @@ CsmaMac::CsmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
       phy_{phy},
       rng_{rng},
       cw_{phy.cw_min},
-      difs_timer_{sim, [this] { on_difs_elapsed(); }},
-      backoff_timer_{sim,
-                     [this] {
-                       backoff_slots_ = 0;
-                       start_transmission();
-                     }},
-      ack_timer_{sim, [this] { on_ack_timeout(); }} {}
+      timer_{sim, [this] { on_timer(); }} {}
 
 void CsmaMac::send(net::Frame frame) {
   if (enqueue(std::move(frame)) && state_ == State::kIdle) start_contention();
@@ -29,55 +23,63 @@ void CsmaMac::on_power_change(bool alive) {
   backoff_slots_ = -1;
   cw_ = phy_.cw_min;
   set_state(State::kIdle);
-  difs_timer_.cancel();
-  backoff_timer_.cancel();
-  ack_timer_.cancel();
+  timer_.cancel();
 }
 
-std::uint32_t CsmaMac::draw_backoff() {
-  return static_cast<std::uint32_t>(rng_.uniform_int(0, cw_));
+std::int32_t CsmaMac::draw_backoff(sim::Rng& rng) const {
+  return static_cast<std::int32_t>(rng.uniform_int(0, cw_));
 }
 
 void CsmaMac::start_contention() {
   set_state(State::kContend);
   backoff_slots_ = -1;
-  if (!medium_busy()) difs_timer_.arm(phy_.difs);
-  // else: wait for medium_became_idle() to arm DIFS.
+  if (!medium_busy()) arm_contention();
+  // else: wait for medium_became_idle() to arm.
 }
 
-void CsmaMac::medium_became_busy() {
-  // Freeze: DIFS restarts and the remaining backoff resumes after the
-  // medium has been idle for DIFS again.
-  freeze_contention();
+void CsmaMac::arm_contention() {
+  // A fresh draw is read from a copy: `rng_` advances only at the commit
+  // (DESIGN.md, "One timer per CSMA MAC").
+  sim::Rng ahead = rng_;
+  const std::int32_t slots =
+      backoff_slots_ >= 0 ? backoff_slots_ : draw_backoff(ahead);
+  stint_start_ = sim_->now();
+  timer_.arm(phy_.difs + phy_.slot * slots);
+}
+
+void CsmaMac::commit_draw() {
+  if (backoff_slots_ >= 0) return;
+  backoff_slots_ = draw_backoff(rng_);
+  WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacBackoff, id_, trace::kNoPeer,
+                 backoff_slots_, cw_);
 }
 
 void CsmaMac::freeze_contention() {
-  difs_timer_.cancel();
-  if (!backoff_timer_.armed()) return;
-  // Charge the slots that elapsed in this stint. A boundary exactly at
-  // `now` counts: the per-slot model's tick there was scheduled a slot
+  if (state_ != State::kContend || !timer_.armed()) return;
+  timer_.cancel();
+  // Inside DIFS nothing is drawn or owed. Past it, a slot boundary exactly
+  // at `now` counts: the per-slot model's tick there was scheduled a slot
   // earlier than whatever is freezing us now, so it fired first.
-  const std::int64_t elapsed = (sim_->now() - stint_start_).as_nanos();
+  const std::int64_t elapsed =
+      (sim_->now() - stint_start_ - phy_.difs).as_nanos();
+  if (elapsed < 0) return;
+  commit_draw();
   backoff_slots_ -=
       static_cast<std::int32_t>(elapsed / phy_.slot.as_nanos());
-  backoff_timer_.cancel();
 }
 
-void CsmaMac::medium_became_idle() { difs_timer_.arm(phy_.difs); }
-
-void CsmaMac::on_difs_elapsed() {
-  if (medium_busy()) return;  // raced with an arrival; idle handler re-arms
-  if (backoff_slots_ < 0) {
-    backoff_slots_ = static_cast<std::int32_t>(draw_backoff());
-    WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacBackoff, id_, trace::kNoPeer,
-                   backoff_slots_, cw_);
-  }
-  if (backoff_slots_ == 0) {
+void CsmaMac::on_timer() {
+  if (state_ == State::kContend) {
+    commit_draw();
+    WSN_AUDIT_CHECK(sim_->now() == stint_start_ + phy_.difs +
+                                       phy_.slot * backoff_slots_,
+                    "CSMA stint expired off its committed backoff draw");
     start_transmission();
+  } else if (++queue_.front().attempts > phy_.max_retries) {  // ACK timeout
+    finish_current(false);
   } else {
-    // One timer for the whole stint; a freeze charges the elapsed slots.
-    stint_start_ = sim_->now();
-    backoff_timer_.arm(phy_.slot * backoff_slots_);
+    cw_ = std::min(cw_ * 2 + 1, phy_.cw_max);
+    start_contention();
   }
 }
 
@@ -94,7 +96,7 @@ void CsmaMac::on_tx_end(FrameKind sent) {
   if (sent == FrameKind::kAck) {
     // The frame that just ended was an ACK we sent on behalf of a received
     // unicast; it did not come from the queue. Resume whatever we were
-    // doing: kWaitAck keeps waiting (its timer is untouched), contention
+    // doing: kWaitAck keeps waiting (its timeout is untouched), contention
     // restarts, and an idle MAC with queued work starts contending.
     if (state_ == State::kContend ||
         (state_ == State::kIdle && !queue_.empty())) {
@@ -109,18 +111,9 @@ void CsmaMac::on_tx_end(FrameKind sent) {
   }
   if (queue_.front().frame.dst != net::kBroadcast) {
     set_state(State::kWaitAck);
-    ack_timer_.arm(phy_.ack_timeout());
+    timer_.arm(phy_.ack_timeout());
   } else {
     finish_current(true);
-  }
-}
-
-void CsmaMac::on_ack_timeout() {
-  if (++queue_.front().attempts > phy_.max_retries) {
-    finish_current(false);
-  } else {
-    cw_ = std::min(cw_ * 2 + 1, phy_.cw_max);
-    start_contention();
   }
 }
 
@@ -141,10 +134,9 @@ void CsmaMac::send_ack(net::NodeId to) {
   // instant, the ACK is skipped (sender will retry).
   sim_->schedule_in(phy_.sifs, [this, to] {
     if (!alive() || transmitting()) return;
-    // Preempt whatever contention was in progress. This can cancel a DIFS
-    // but never finds a backoff stint armed: the reception we acknowledge
-    // froze any stint at its start, and a new one needs DIFS > SIFS of
-    // idle medium after it ended. The freeze is kept as a guard.
+    // Preempt contention: this can cancel a stint inside its DIFS, never
+    // past it (the next stint was armed when the reception we acknowledge
+    // ended, with DIFS > SIFS to run). A pending ACK timeout is kept.
     freeze_contention();
     transmit_ack(to, phy_.ack_airtime());
   });
@@ -155,7 +147,7 @@ void CsmaMac::deliver(const Transmission& tx, std::uint32_t from_slot) {
   if (tx.kind == FrameKind::kAck) {
     if (state_ == State::kWaitAck && !queue_.empty() &&
         queue_.front().frame.dst == f.src) {
-      ack_timer_.cancel();
+      timer_.cancel();
       finish_current(true);
     }
     return;

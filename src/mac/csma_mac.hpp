@@ -28,7 +28,7 @@ class CsmaMac final : public MacBase {
  private:
   enum class State {
     kIdle,        ///< nothing to send
-    kContend,     ///< DIFS + backoff countdown in progress (or waiting for idle)
+    kContend,     ///< DIFS + backoff stint armed (or waiting for idle)
     kTransmit,    ///< frame on the air
     kWaitAck,     ///< unicast sent, ACK pending
   };
@@ -42,17 +42,22 @@ class CsmaMac final : public MacBase {
   void on_tx_end(FrameKind sent) override;
   void on_power_change(bool alive) override;
   void deliver(const Transmission& tx, std::uint32_t from_slot) override;
-  void medium_became_busy() override;
-  void medium_became_idle() override;
+  void medium_became_busy() override { freeze_contention(); }
+  void medium_became_idle() override { arm_contention(); }
   void start_contention();
-  void on_difs_elapsed();
-  /// Cancels DIFS and any backoff stint, keeping the slots still owed.
+  /// Arms the timer for DIFS plus the slots still owed or a fresh draw.
+  void arm_contention();
+  /// In kContend: cancels the timer. Past DIFS it commits the draw and
+  /// charges the slots that elapsed; the rest stay owed.
   void freeze_contention();
+  /// Draws the backoff from `rng_` (and traces it) unless already drawn.
+  void commit_draw();
+  /// Starts the transmission in kContend; retries or drops in kWaitAck.
+  void on_timer();
   void start_transmission();
-  void on_ack_timeout();
   void finish_current(bool success);
   void send_ack(net::NodeId to);
-  [[nodiscard]] std::uint32_t draw_backoff();
+  [[nodiscard]] std::int32_t draw_backoff(sim::Rng& rng) const;
 
   PhyParams phy_;
   sim::Rng rng_;
@@ -60,13 +65,10 @@ class CsmaMac final : public MacBase {
   State state_ = State::kIdle;
   std::uint32_t cw_;
   std::int32_t backoff_slots_ = -1;  ///< -1: not drawn yet for this attempt
-  /// When the armed backoff stint began counting down `backoff_slots_`.
-  sim::Time stint_start_;
-
-  sim::Timer difs_timer_;
-  /// Expires when a whole stint of `backoff_slots_` idle slots has elapsed.
-  sim::Timer backoff_timer_;
-  sim::Timer ack_timer_;
+  sim::Time stint_start_;  ///< when the armed stint's DIFS began
+  /// Expires after DIFS and a whole stint of idle slots in kContend, at
+  /// the ACK timeout in kWaitAck.
+  sim::Timer timer_;
 };
 
 }  // namespace wsn::mac

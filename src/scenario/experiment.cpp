@@ -287,7 +287,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
   result.pool_acquires = pool.total_acquires;
   result.pool_slots_created = pool.blocks_created;
   result.pool_slots_live = pool.blocks_live;
-  result.pool_bytes_reserved = pool.bytes_reserved;
   double total_energy = 0.0;
   double total_active = 0.0;
   stats::Accumulator per_node_energy;

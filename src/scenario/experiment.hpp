@@ -109,12 +109,12 @@ struct RunResult {
   std::uint64_t drops = 0;
   diffusion::ProtocolStats protocol;
 
-  // Message/transmission pool occupancy at the end of the run (benches
-  // report these; the live count bounds the protocol's working set).
+  // Message pool occupancy at the end of the run: slots recycle when
+  // acquisitions far outnumber the slots created, and a message still
+  // held at harvest shows in the live count.
   std::uint64_t pool_acquires = 0;       ///< pooled allocations, total
   std::uint64_t pool_slots_created = 0;  ///< distinct heap blocks ever made
   std::uint64_t pool_slots_live = 0;     ///< checked out at harvest time
-  std::uint64_t pool_bytes_reserved = 0;
 
   // Final data-gradient tree: one (node, downstream-neighbour) edge per
   // live data gradient at the end of the run.

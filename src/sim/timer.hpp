@@ -10,8 +10,8 @@ namespace wsn::sim {
 
 /// One-shot timer with restart/cancel, the building block for the protocol
 /// timers in this codebase (aggregation delay T_a, reinforcement wait T_p,
-/// truncation window T_n, gradient expiry, the MAC's DIFS, backoff, ACK and
-/// end-of-frame waits).
+/// truncation window T_n, gradient expiry, the CSMA MAC's one access timer
+/// for DIFS, backoff and the ACK wait, every MAC's end-of-frame wait).
 ///
 /// The timer embeds its own event-queue node, and the callback is built in
 /// that node once, at construction. `arm` relinks the node with a fresh

@@ -92,12 +92,14 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(digest_run(a), digest_run(b));
 }
 
-/// Metric digests pinned for three small configs, so a change to the
-/// receive path, the MACs or the energy model that moves any metric fails
-/// here and not only in the benchmark. A deliberate model change updates
-/// these values and says so. The event counts are pinned too, so a change
-/// to the event stream (a timer added or dropped) shows here even when it
-/// moves no metric.
+/// Metric digests pinned for four small configs and one dense one, so a
+/// change to the receive path, the MACs or the energy model that moves any
+/// metric fails here and not only in the benchmark. The dense config is
+/// dense_fig5's shape (350 nodes in 200x200 m, greedy, CSMA, 200 s), where
+/// same-nanosecond ties between contenders are common; at 80 nodes they
+/// are rare. A deliberate model change updates these values and says so.
+/// The event counts are pinned too, so a change to the event stream (a
+/// timer added or dropped) shows here even when it moves no metric.
 TEST(Determinism, GoldenMetricDigests) {
   ExperimentConfig csma_greedy;
   csma_greedy.field.nodes = 80;
@@ -123,18 +125,26 @@ TEST(Determinism, GoldenMetricDigests) {
       diffusion::InterestPropagation::kDirectional;
   directional_failures.interest_region = directional_failures.source_rect;
 
+  ExperimentConfig dense = csma_greedy;
+  dense.field.nodes = 350;
+  dense.duration = sim::Time::seconds(200.0);
+  dense.seed = 1;
+
   const RunResult a = run_experiment(csma_greedy);
   EXPECT_EQ(stats::digest_of(a.metrics), 0x8a321c51371868f3ULL);
-  EXPECT_EQ(a.events_dispatched, 56'119u);
+  EXPECT_EQ(a.events_dispatched, 46'089u);
   const RunResult b = run_experiment(opportunistic_failures);
   EXPECT_EQ(stats::digest_of(b.metrics), 0xb69ee5a02cb2fd52ULL);
-  EXPECT_EQ(b.events_dispatched, 51'426u);
+  EXPECT_EQ(b.events_dispatched, 42'213u);
   const RunResult c = run_experiment(tdma_failures);
   EXPECT_EQ(stats::digest_of(c.metrics), 0x7d60afa43c41a7abULL);
   EXPECT_EQ(c.events_dispatched, 66'069u);
   const RunResult d = run_experiment(directional_failures);
   EXPECT_EQ(stats::digest_of(d.metrics), 0xa0a7a80941697cdbULL);
-  EXPECT_EQ(d.events_dispatched, 39'622u);
+  EXPECT_EQ(d.events_dispatched, 33'223u);
+  const RunResult e = run_experiment(dense);
+  EXPECT_EQ(stats::digest_of(e.metrics), 0x53d678ddfada5e68ULL);
+  EXPECT_EQ(e.events_dispatched, 230'476u);
 }
 
 TEST(Determinism, DigestIsOrderSensitive) {

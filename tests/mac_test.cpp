@@ -614,22 +614,30 @@ TEST(Mac, BidirectionalTrafficCompletes) {
   EXPECT_EQ(rig.user(0).received.size(), 20u);
 }
 
-// Backoff freeze accounting. CsmaMac counts a backoff stint of n slots
-// with one timer and, when an arrival freezes it, charges
-// floor(elapsed / slot) slots. That must equal the per-slot model, in
-// which every slot boundary is a tick event scheduled one slot (20 us)
-// before it fires. Tie rule: a boundary that falls exactly on the
-// freezing instant counts. Its tick was scheduled 20 us earlier, the
+// Backoff freeze accounting. CsmaMac runs DIFS and a backoff stint of n
+// slots on one timer, armed for DIFS + n slots when the medium turns idle.
+// An arrival that freezes it inside DIFS charges nothing; past DIFS it
+// charges floor((elapsed - DIFS) / slot) slots. That must equal the
+// per-slot model, in which DIFS ends in its own event and every slot
+// boundary is a tick event scheduled one slot (20 us) before it fires.
+// Tie rule: a boundary that falls exactly on the freezing instant counts.
+// Its tick was scheduled 20 us earlier (DIFS's end 50 us earlier), the
 // arrival sweep that freezes only 1 us (propagation) earlier, so the tick
-// had the lower sequence number and fired first. An ACK cannot freeze an
-// armed stint: it goes out SIFS after a reception whose start already
-// froze the stint, and a new stint needs DIFS (> SIFS) of idle medium, so
-// send_ack's freeze is a guard that never charges a slot.
+// had the lower sequence number and fired first.
 //
-// With one timer per stint the transmission's expiry gets its sequence
-// number at stint start, so events of different nodes at the same
-// nanosecond can dispatch in a new order. That cannot change an outcome:
-// a transmission reaches other radios only after the propagation delay, a
+// The draw is committed from the MAC's stream, and traced as kMacBackoff,
+// at the expiry or at a freeze past DIFS. Arming reads it ahead from a
+// copy, so a power-down or an ACK inside DIFS leaves the stream as it
+// was. An ACK cannot freeze a stint past DIFS: it goes out SIFS after a
+// reception whose start froze any stint, and the next stint is armed when
+// that reception ends, with DIFS (> SIFS) to run. The same timer is the
+// ACK timeout in kWaitAck, and a freeze acts only in kContend, so an ACK
+// sent while waiting for our own ACK keeps the timeout.
+//
+// The expiry gets its sequence number when DIFS starts, so events of
+// different nodes at the same nanosecond can dispatch in a new order. That
+// cannot change an outcome (DESIGN.md, "One timer per CSMA MAC"): a
+// transmission reaches other radios only after the propagation delay, a
 // second arrival in the same nanosecond adds zero energy, and either order
 // corrupts the same frames.
 struct FreezeRun {
@@ -675,7 +683,7 @@ FreezeRun contend(std::optional<sim::Time> arrival) {
 struct Undisturbed {
   PhyParams phy;
   sim::Time airtime = sim::Time::micros(300);  // node 1's raw frame
-  sim::Time stint_start = phy.difs;            // DIFS from t = 0
+  sim::Time stint_start = phy.difs;            // slots count after DIFS
   FreezeRun free = contend(std::nullopt);
   std::int64_t n = free.slots_drawn;
   std::int64_t k = n / 2;
@@ -683,7 +691,7 @@ struct Undisturbed {
 
 TEST(MacBackoff, UndisturbedStintTransmitsAfterTheDrawnSlots) {
   const Undisturbed u;
-  EXPECT_EQ(u.free.drawn_at, u.stint_start);
+  EXPECT_EQ(u.free.drawn_at, u.stint_start + u.phy.slot * u.n);
   ASSERT_GE(u.n, 2) << "node 0's first draw must leave a slot to freeze in";
   EXPECT_EQ(u.free.tx_start, u.stint_start + u.phy.slot * u.n);
 }
@@ -712,9 +720,10 @@ TEST(MacBackoff, ArrivalDuringDifsConsumesNoSlot) {
   const sim::Time at = sim::Time::micros(30);
   ASSERT_LT(at, u.stint_start);
   const FreezeRun run = contend(at);
-  // DIFS restarts after the frame; the backoff is drawn only then.
+  // DIFS restarts after the frame; the backoff is drawn only when the
+  // stint armed then expires.
   EXPECT_EQ(run.slots_drawn, u.n);
-  EXPECT_EQ(run.drawn_at, at + u.airtime + u.phy.difs);
+  EXPECT_EQ(run.drawn_at, at + u.airtime + u.phy.difs + u.phy.slot * u.n);
   EXPECT_EQ(run.tx_start, at + u.airtime + u.phy.difs + u.phy.slot * u.n);
 }
 
@@ -769,8 +778,8 @@ FreezeRun run_tie(sim::Time prop, const Script& script) {
 TEST(MacBackoff, ContentionStartingAsTheLastArrivalEndsWaitsDifsFromThen) {
   // Frame X reaches node 0 over [1, 301) us. Node 0 starts contending at
   // 301 us, before or after X's end sweep: either it finds the medium
-  // busy and X's end signals idle, or it finds it idle. Both arm DIFS at
-  // 301 us.
+  // busy and X's end signals idle, or it finds it idle. Both arm DIFS and
+  // the n slots at 301 us.
   const Undisturbed u;
   const sim::Time end = u.phy.propagation + u.airtime;
   for (bool send_first : {true, false}) {
@@ -785,7 +794,8 @@ TEST(MacBackoff, ContentionStartingAsTheLastArrivalEndsWaitsDifsFromThen) {
           }
         });
     EXPECT_EQ(run.slots_drawn, u.n) << "send first: " << send_first;
-    EXPECT_EQ(run.drawn_at, end + u.phy.difs) << "send first: " << send_first;
+    EXPECT_EQ(run.drawn_at, end + u.phy.difs + u.phy.slot * u.n)
+        << "send first: " << send_first;
     EXPECT_EQ(run.tx_start, end + u.phy.difs + u.phy.slot * u.n)
         << "send first: " << send_first;
   }
@@ -793,11 +803,10 @@ TEST(MacBackoff, ContentionStartingAsTheLastArrivalEndsWaitsDifsFromThen) {
 
 TEST(MacBackoff, DifsExpiringAsAnArrivalStartsEitherOrder) {
   // With a propagation delay of DIFS, a frame begun at the instant node 0
-  // starts contending reaches it exactly when DIFS expires; the order of
-  // the send and the frame decides which event runs first. DIFS first:
-  // the backoff is drawn, then frozen with no slot spent. Arrival first:
-  // DIFS is cancelled and the draw waits for the next idle DIFS. Either
-  // way node 0 transmits a DIFS plus the same n slots after the frame.
+  // starts contending reaches it exactly when DIFS ends. In either order
+  // of the send and the frame, the freeze finds DIFS over: the backoff is
+  // drawn then and frozen with no slot spent, and node 0 transmits a DIFS
+  // plus the same n slots after the frame.
   const Undisturbed u;
   const sim::Time prop = u.phy.difs;
   const sim::Time at = sim::Time::micros(50);
@@ -816,8 +825,7 @@ TEST(MacBackoff, DifsExpiringAsAnArrivalStartsEitherOrder) {
           }
         });
     EXPECT_EQ(run.slots_drawn, u.n) << "DIFS first: " << difs_first;
-    EXPECT_EQ(run.drawn_at, difs_first ? expiry : idle_difs)
-        << "DIFS first: " << difs_first;
+    EXPECT_EQ(run.drawn_at, expiry) << "DIFS first: " << difs_first;
     EXPECT_EQ(run.tx_start, idle_difs + u.phy.slot * u.n)
         << "DIFS first: " << difs_first;
   }
@@ -826,8 +834,8 @@ TEST(MacBackoff, DifsExpiringAsAnArrivalStartsEitherOrder) {
 TEST(MacBackoff, NextArrivalStartingAsTheLastEndsFreezesTheNewDifs) {
   // A reaches node 0 over [11, 311) us and B over [311, 611) us. A's end
   // sweep always runs before B's start sweep at 311 us (it was scheduled
-  // earlier, when A began), so node 0 sees idle, arms DIFS, and B cancels
-  // it at once. The draw waits for DIFS after B.
+  // earlier, when A began), so node 0 sees idle, arms its stint, and B
+  // cancels it inside DIFS at once. The draw waits for the stint after B.
   const Undisturbed u;
   const sim::Time a_start = sim::Time::micros(10);
   const sim::Time b_start = a_start + u.airtime;
@@ -841,15 +849,14 @@ TEST(MacBackoff, NextArrivalStartingAsTheLastEndsFreezesTheNewDifs) {
         raw(b_start, u.airtime);
       });
   EXPECT_EQ(run.slots_drawn, u.n);
-  EXPECT_EQ(run.drawn_at, b_end + u.phy.difs);
+  EXPECT_EQ(run.drawn_at, b_end + u.phy.difs + u.phy.slot * u.n);
   EXPECT_EQ(run.tx_start, b_end + u.phy.difs + u.phy.slot * u.n);
 }
 
 TEST(MacBackoff, DifsExpiringAsAnIgnoredArrivalEnds) {
   // Node 0 is down when frame X's start sweep runs, so X never makes it
-  // busy. Back up, it contends so that DIFS expires exactly at X's end
-  // sweep (which runs first: it was scheduled when X began). X's end is
-  // no idle signal to node 0 and does not disturb the expiry.
+  // busy. Back up, it contends so that DIFS ends exactly at X's end sweep.
+  // X's end is no idle signal to node 0 and does not disturb the stint.
   const Undisturbed u;
   const sim::Time x_end = u.phy.propagation + u.airtime;
   const FreezeRun run =
@@ -861,8 +868,89 @@ TEST(MacBackoff, DifsExpiringAsAnIgnoredArrivalEnds) {
         send(x_end - u.phy.difs);
       });
   EXPECT_EQ(run.slots_drawn, u.n);
-  EXPECT_EQ(run.drawn_at, x_end);
+  EXPECT_EQ(run.drawn_at, x_end + u.phy.slot * u.n);
   EXPECT_EQ(run.tx_start, x_end + u.phy.slot * u.n);
+}
+
+TEST(MacBackoff, PowerDownDuringDifsDrawsNothing) {
+  // Node 0 starts contending at 0 and powers down 30 us into DIFS, which
+  // flushes its frame; back up at 100 us, it sends again. The draw that
+  // DIFS would have made never happened, so node 0 draws the undisturbed
+  // run's n and transmits a DIFS plus n slots after the new send.
+  const Undisturbed u;
+  const sim::Time up = sim::Time::micros(100);
+  const FreezeRun run =
+      run_tie(u.phy.propagation, [&](sim::Simulator& sim, MacBase& m0,
+                                     const auto& /*raw*/, const auto& send) {
+        send(sim::Time::zero());
+        sim.schedule_at(sim::Time::micros(30), [&m0] { m0.set_alive(false); });
+        sim.schedule_at(up, [&m0] { m0.set_alive(true); });
+        send(up);
+      });
+  EXPECT_EQ(run.slots_drawn, u.n);
+  EXPECT_EQ(run.tx_start, up + u.phy.difs + u.phy.slot * u.n);
+}
+
+/// Node 0's data attempts and retry drop for one unicast to node 2.
+struct AckWaitRun {
+  std::vector<sim::Time> attempts;
+  sim::Time dropped_at;
+  std::uint64_t acks_sent = 0;
+};
+
+/// Node 0 unicasts one frame to node 2, which is down, so every attempt
+/// times out and the frame is dropped after its retries. When `incoming`
+/// is set, node 1 begins a raw 40 us frame addressed to node 0 at that
+/// instant.
+AckWaitRun wait_for_ack(std::optional<sim::Time> incoming) {
+  MacRig rig{{{0, 0}, {10, 0}, {20, 0}}, 40.0};
+  trace::Tracer tracer{trace::Tracer::Options{
+      .path = "", .ring_capacity = 256, .seed = 0, .config_digest = 0}};
+  rig.sim().set_tracer(&tracer);
+  rig.mac(2).set_alive(false);
+  rig.mac(0).send(MacRig::frame(2));
+  if (incoming) {
+    rig.sim().schedule_at(*incoming, [&rig] {
+      net::Frame f = MacRig::frame(0);
+      f.src = 1;
+      rig.channel().begin_transmission(1, std::move(f), FrameKind::kData,
+                                       sim::Time::micros(40));
+    });
+  }
+  rig.sim().run();
+  rig.sim().set_tracer(nullptr);
+  AckWaitRun run;
+  for (const trace::Record& r : tracer.ring_snapshot()) {
+    if (r.node != 0) continue;
+    if (r.kind == trace::RecordKind::kMacTxStart && r.peer == 2) {
+      run.attempts.push_back(sim::Time::nanos(r.t_ns));
+    } else if (r.kind == trace::RecordKind::kMacDrop) {
+      run.dropped_at = sim::Time::nanos(r.t_ns);
+    }
+  }
+  run.acks_sent = rig.mac(0).stats().acks_sent;
+  return run;
+}
+
+TEST(MacBackoff, AckSentWhileWaitingForOwnAckKeepsTheTimeout) {
+  // Node 1's frame reaches node 0 just after node 0's first attempt ends,
+  // while node 0 waits for its own ACK. Node 0 acknowledges it a SIFS
+  // later, well inside its ACK timeout. That ACK must not touch the
+  // pending timeout: every retry and the final drop happen exactly when
+  // they do without node 1's frame.
+  const PhyParams phy;
+  const AckWaitRun quiet = wait_for_ack(std::nullopt);
+  ASSERT_EQ(quiet.attempts.size(),
+            static_cast<std::size_t>(phy.max_retries) + 1);
+  const sim::Time first_end = quiet.attempts[0] + phy.frame_airtime(64);
+  ASSERT_LT(phy.propagation + sim::Time::micros(40) + phy.sifs +
+                phy.ack_airtime(),
+            phy.ack_timeout());
+  const AckWaitRun busy = wait_for_ack(first_end);
+  EXPECT_EQ(busy.acks_sent, 1u);
+  EXPECT_EQ(busy.attempts, quiet.attempts);
+  EXPECT_EQ(busy.dropped_at, quiet.dropped_at);
+  EXPECT_GT(quiet.dropped_at, quiet.attempts.back());
 }
 
 // DCF oracle (Bianchi, "Performance analysis of the IEEE 802.11
