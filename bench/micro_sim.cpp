@@ -127,6 +127,7 @@ class SilentMac final : public wsn::mac::MacBase {
  private:
   void on_tx_end(wsn::mac::FrameKind /*sent*/) override {}
   void on_power_change(bool /*alive*/) override {}
+  void on_ack() override {}
   void deliver(const wsn::mac::Transmission& /*tx*/,
                std::uint32_t /*from_slot*/) override {}
 };
@@ -168,7 +169,7 @@ void BM_ChannelFanout(benchmark::State& state) {
     macs.reserve(topo.node_count());
     for (wsn::net::NodeId id = 0; id < topo.node_count(); ++id) {
       macs.push_back(
-          std::make_unique<SilentMac>(sim, channel, id, energy, 0));
+          std::make_unique<SilentMac>(sim, channel, id, phy, energy));
     }
     for (int i = 0; i < transmissions; ++i) {
       const wsn::net::NodeId src = source(i);
@@ -279,23 +280,6 @@ void BM_ExactCover(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactCover)->Arg(8)->Arg(12)->Arg(16)->Arg(20);
-
-void BM_SourceTransform(benchmark::State& state) {
-  const auto universe = static_cast<std::uint32_t>(state.range(0));
-  const auto family =
-      wsn::bench::random_set_cover_instance(universe, 16, 0.4, 42);
-  std::vector<std::vector<std::uint32_t>> sources;
-  for (const auto& s : family) {
-    std::vector<std::uint32_t> src;
-    for (auto e : s.elements) src.push_back(e % 5);
-    sources.push_back(std::move(src));
-  }
-  for (auto _ : state) {
-    auto t = wsn::agg::transform_to_sources(family, sources);
-    benchmark::DoNotOptimize(t);
-  }
-}
-BENCHMARK(BM_SourceTransform)->Arg(16)->Arg(64);
 
 void BM_RngNext(benchmark::State& state) {
   Rng rng{3};

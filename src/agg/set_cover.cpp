@@ -207,19 +207,4 @@ void collapse_to_sources(WeightedSet& set, std::size_t events) {
   if (total > 0.0) set.weight = set.weight * distinct / total;
 }
 
-std::vector<WeightedSet> transform_to_sources(
-    std::span<const WeightedSet> event_sets,
-    std::span<const std::vector<std::uint32_t>> event_sources) {
-  assert(event_sets.size() == event_sources.size());
-  std::vector<WeightedSet> out;
-  out.reserve(event_sets.size());
-  for (std::size_t i = 0; i < event_sets.size(); ++i) {
-    assert(event_sets[i].elements.size() == event_sources[i].size());
-    WeightedSet t{event_sources[i], event_sets[i].weight};
-    collapse_to_sources(t, event_sets[i].elements.size());
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
 }  // namespace wsn::agg

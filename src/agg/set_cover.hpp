@@ -63,15 +63,4 @@ SetCoverResult exact_weighted_set_cover(std::span<const WeightedSet> family,
 /// nothing.
 void collapse_to_sources(WeightedSet& set, std::size_t events);
 
-/// The paper's §4.3 source transform: given aggregates whose elements are
-/// *events* tagged with the source that produced them, produce the
-/// source-level instance. Each aggregate's element set becomes the set of
-/// distinct sources, and its weight becomes w·|S*|/|S| so the initial cost
-/// ratio is preserved.
-///
-/// `event_sources[i][j]` is the source index of element j of aggregate i.
-std::vector<WeightedSet> transform_to_sources(
-    std::span<const WeightedSet> event_sets,
-    std::span<const std::vector<std::uint32_t>> event_sources);
-
 }  // namespace wsn::agg

@@ -8,8 +8,7 @@ namespace wsn::mac {
 CsmaMac::CsmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
                  const PhyParams& phy, const EnergyParams& energy,
                  sim::Rng rng)
-    : MacBase{sim, channel, id, energy, phy.queue_limit},
-      phy_{phy},
+    : MacBase{sim, channel, id, phy, energy},
       rng_{rng},
       cw_{phy.cw_min},
       timer_{sim, [this] { on_timer(); }} {}
@@ -89,7 +88,7 @@ void CsmaMac::start_transmission() {
     return;
   }
   set_state(State::kTransmit);
-  transmit_head(phy_.frame_airtime(queue_.front().frame.bytes));
+  transmit_head();
 }
 
 void CsmaMac::on_tx_end(FrameKind sent) {
@@ -128,32 +127,10 @@ void CsmaMac::finish_current(bool success) {
   }
 }
 
-void CsmaMac::send_ack(net::NodeId to) {
-  // ACKs are sent a SIFS after reception, without carrier sense — they have
-  // priority over contending stations. If we are busy transmitting at that
-  // instant, the ACK is skipped (sender will retry).
-  sim_->schedule_in(phy_.sifs, [this, to] {
-    if (!alive() || transmitting()) return;
-    // Preempt contention: this can cancel a stint inside its DIFS, never
-    // past it (the next stint was armed when the reception we acknowledge
-    // ended, with DIFS > SIFS to run). A pending ACK timeout is kept.
-    freeze_contention();
-    transmit_ack(to, phy_.ack_airtime());
-  });
-}
-
-void CsmaMac::deliver(const Transmission& tx, std::uint32_t from_slot) {
-  const net::Frame& f = tx.frame;
-  if (tx.kind == FrameKind::kAck) {
-    if (state_ == State::kWaitAck && !queue_.empty() &&
-        queue_.front().frame.dst == f.src) {
-      timer_.cancel();
-      finish_current(true);
-    }
-    return;
-  }
-  if (f.dst == id_) send_ack(f.src);
-  hand_up(tx, from_slot);
+void CsmaMac::on_ack() {
+  if (state_ != State::kWaitAck) return;
+  timer_.cancel();
+  finish_current(true);
 }
 
 }  // namespace wsn::mac

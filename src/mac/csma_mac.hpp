@@ -41,7 +41,7 @@ class CsmaMac final : public MacBase {
   }
   void on_tx_end(FrameKind sent) override;
   void on_power_change(bool alive) override;
-  void deliver(const Transmission& tx, std::uint32_t from_slot) override;
+  void on_ack() override;
   void medium_became_busy() override { freeze_contention(); }
   void medium_became_idle() override { arm_contention(); }
   void start_contention();
@@ -56,10 +56,8 @@ class CsmaMac final : public MacBase {
   void on_timer();
   void start_transmission();
   void finish_current(bool success);
-  void send_ack(net::NodeId to);
   [[nodiscard]] std::int32_t draw_backoff(sim::Rng& rng) const;
 
-  PhyParams phy_;
   sim::Rng rng_;
 
   State state_ = State::kIdle;

@@ -28,7 +28,7 @@ void MacBase::set_alive(bool alive) {
 
 bool MacBase::enqueue(net::Frame frame) {
   if (!alive()) return false;
-  if (queue_.size() >= queue_limit_) {
+  if (queue_.size() >= phy_.queue_limit) {
     ++stats_.drops_queue_full;
     WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacDrop, id_, frame.dst,
                    trace::DropReason::kQueueFull, queue_.size());
@@ -57,20 +57,20 @@ void MacBase::begin_tx(const net::Frame& frame, FrameKind kind,
   tx_end_timer_.arm(airtime);
 }
 
-void MacBase::transmit_head(sim::Time airtime) {
+void MacBase::transmit_head() {
   const Outgoing& out = queue_.front();
-  begin_tx(out.frame, FrameKind::kData, airtime);
+  begin_tx(out.frame, FrameKind::kData, phy_.frame_airtime(out.frame.bytes));
   ++stats_.frames_sent;
   stats_.bytes_sent += out.frame.bytes;
   if (out.attempts > 0) ++stats_.retries;
 }
 
-void MacBase::transmit_ack(net::NodeId to, sim::Time airtime) {
+void MacBase::transmit_ack(net::NodeId to) {
   net::Frame ack;
   ack.src = id_;
   ack.dst = to;
   ack.bytes = 0;
-  begin_tx(ack, FrameKind::kAck, airtime);
+  begin_tx(ack, FrameKind::kAck, phy_.ack_airtime());
   ++stats_.acks_sent;
 }
 
@@ -109,8 +109,22 @@ void MacBase::complete_head(bool success) {
   audit_frame_conservation();
 }
 
-void MacBase::hand_up(const Transmission& tx, std::uint32_t from_slot) {
+void MacBase::deliver(const Transmission& tx, std::uint32_t from_slot) {
   const net::Frame& f = tx.frame;
+  if (tx.kind == FrameKind::kAck) {
+    if (!queue_.empty() && queue_.front().frame.dst == f.src) on_ack();
+    return;
+  }
+  if (f.dst == id_) {
+    // ACKs have priority over contending stations: no carrier sense. A
+    // contender is preempted as by a busy medium; a sender waiting for its
+    // own ACK keeps waiting.
+    sim_->schedule_in(phy_.sifs, [this, to = f.src] {
+      if (!alive() || transmitting()) return;
+      if (radio_->contending) medium_became_busy();
+      transmit_ack(to);
+    });
+  }
   WSN_TRACE_EMIT(sim_, trace::RecordKind::kMacRx, id_, f.src, tx.id, f.bytes);
   ++stats_.frames_delivered;
   if (user_ != nullptr) user_->mac_receive(f, from_slot);

@@ -7,6 +7,7 @@
 
 #include "mac/channel.hpp"
 #include "mac/energy.hpp"
+#include "mac/params.hpp"
 #include "net/types.hpp"
 #include "sim/audit.hpp"
 #include "sim/ring_queue.hpp"
@@ -47,13 +48,14 @@ struct MacStats {
 
 /// Base class for link layers (CSMA/CA and TDMA implementations provided).
 ///
-/// Owns the radio core every MAC shares: identity, liveness, the energy
-/// meter, the user hook, the outgoing queue and the transmit bookkeeping, so
-/// every MAC counter and MAC trace record except `kMacBackoff` has exactly
-/// one emission site, in MacBase or the channel sweeps it befriends.
-/// Concrete MACs implement only the access policy: when to transmit the
-/// queue head, what a clean received frame means, and what follows the end
-/// of their own transmission.
+/// Owns the radio core every MAC shares: identity, liveness, the PHY
+/// parameters, the energy meter, the user hook, the outgoing queue, the
+/// transmit bookkeeping and the link's receive side (the SIFS ACK and the
+/// one rule for accepting an ACK), so every MAC counter and MAC trace
+/// record except `kMacBackoff` has exactly one emission site, in MacBase or
+/// the channel sweeps it befriends. Concrete MACs implement only the access
+/// policy: when to transmit the queue head, what an accepted ACK means, and
+/// what follows the end of their own transmission.
 ///
 /// The receive state lives in the channel's packed `RadioRecord` for this
 /// node (alive, transmitting, contending, the clean arrival, the busy key
@@ -68,12 +70,12 @@ struct MacStats {
 class MacBase {
  public:
   MacBase(sim::Simulator& sim, Channel& channel, net::NodeId id,
-          const EnergyParams& energy, std::size_t queue_limit)
+          const PhyParams& phy, const EnergyParams& energy)
       : sim_{&sim},
         channel_{&channel},
         id_{id},
+        phy_{phy},
         meter_{energy},
-        queue_limit_{queue_limit},
         radio_{channel.attach(id, this)},
         tx_end_timer_{sim, [this] { end_tx(); }} {}
   virtual ~MacBase() = default;
@@ -134,11 +136,19 @@ class MacBase {
   virtual void on_tx_end(FrameKind sent) = 0;
   /// Called by `set_alive` after the shared power-down/up reset.
   virtual void on_power_change(bool alive) = 0;
+  /// An ACK from the queue head's destination arrived intact. The policy
+  /// decides whether it was waiting for one.
+  virtual void on_ack() = 0;
   /// A decodable frame addressed to this node or broadcast ended intact
   /// (not overlapped, not aborted); the channel keeps overheard unicasts
   /// and ACKs to itself. `from_slot` is the sender's position in
-  /// `neighbors()`.
-  virtual void deliver(const Transmission& tx, std::uint32_t from_slot) = 0;
+  /// `neighbors()`. An ACK goes to `on_ack` if it comes from the queue
+  /// head's destination. A data frame goes up to the user, and a unicast
+  /// is acknowledged one SIFS later, without carrier sense: skipped if the
+  /// radio is down or transmitting by then, and a contending radio hears
+  /// `medium_became_busy` first. Both MACs use this body; it is virtual
+  /// only so a probe of the sweeps can log deliveries without reacting.
+  virtual void deliver(const Transmission& tx, std::uint32_t from_slot);
   /// An arrival started while the radio was contending, neither
   /// transmitting nor receiving. Default: ignore.
   virtual void medium_became_busy() {}
@@ -154,31 +164,28 @@ class MacBase {
   /// Queue admission: stamps and queues `frame`, or counts and traces a
   /// queue-full drop. Returns whether the frame was queued.
   bool enqueue(net::Frame frame);
-  /// Puts the queue head on the air for `airtime`.
-  void transmit_head(sim::Time airtime);
-  /// Puts an ACK to `to` on the air for `airtime`.
-  void transmit_ack(net::NodeId to, sim::Time airtime);
+  /// Puts the queue head on the air for its frame's airtime.
+  void transmit_head();
   /// Retires the queue head and tells the user a unicast's outcome. Failure
   /// means its retries ran out: counted and traced as a drop first.
   void complete_head(bool success);
-  /// Hands a clean data frame addressed here (or broadcast) to the user,
-  /// with the sender's slot in `neighbors()`.
-  void hand_up(const Transmission& tx, std::uint32_t from_slot);
 
   sim::Simulator* sim_;
   Channel* channel_;
   net::NodeId id_;
+  PhyParams phy_;
   EnergyMeter meter_;
   MacUser* user_ = nullptr;
   MacStats stats_;
 
-  std::size_t queue_limit_;
   sim::RingQueue<Outgoing> queue_;
 
  private:
   friend class Channel;  // the sweeps count collisions and call the hooks
 
   void begin_tx(const net::Frame& frame, FrameKind kind, sim::Time airtime);
+  /// Puts an ACK to `to` on the air.
+  void transmit_ack(net::NodeId to);
   void end_tx();
   /// Counts and traces one corrupted arrival of a decodable frame.
   void count_collision(const Transmission& tx) {

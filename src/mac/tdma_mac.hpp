@@ -37,6 +37,10 @@ struct TdmaParams {
 /// anyway in a stretched slot, which is safe because the schedule is
 /// global). Unicast frames are acknowledged within the slot and retried in
 /// later cycles.
+///
+/// One timer runs the MAC. While a frame is queued it is armed for the
+/// node's next own slot boundary (one at `now` counts); after a unicast it
+/// times the ACK window. An idle MAC has nothing armed.
 class TdmaMac final : public MacBase {
  public:
   TdmaMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
@@ -50,16 +54,18 @@ class TdmaMac final : public MacBase {
  private:
   void on_tx_end(FrameKind sent) override;
   void on_power_change(bool alive) override;
-  void deliver(const Transmission& tx, std::uint32_t from_slot) override;
-  void on_slot_start();
-  void schedule_next_slot();
+  void on_ack() override;
+  /// While a frame is queued and the timer is idle, arms it for our next
+  /// slot boundary.
+  void arm_slot();
+  /// Closes the ACK window in `awaiting_ack_`, else starts our slot.
+  void on_timer();
 
-  PhyParams phy_;
   TdmaParams params_;
   sim::Time slot_;  ///< data + SIFS + ACK + guard
   std::uint32_t num_slots_;
-  bool awaiting_ack_ = false;
-  sim::Timer slot_timer_;
+  bool awaiting_ack_ = false;  ///< a unicast ended; its ACK window is open
+  sim::Timer timer_;
 };
 
 }  // namespace wsn::mac

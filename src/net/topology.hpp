@@ -38,7 +38,6 @@ class Topology {
            double carrier_sense_range = 0.0);
 
   [[nodiscard]] std::size_t node_count() const { return positions_.size(); }
-  [[nodiscard]] double radio_range() const { return range_; }
   [[nodiscard]] double carrier_sense_range() const { return cs_range_; }
 
   [[nodiscard]] Vec2 position(NodeId id) const { return positions_[id]; }

@@ -25,10 +25,10 @@ namespace wsn::scenario {
 /// The MACs share one allocation and the nodes a second, built in the
 /// topology's cell order, so objects of nearby nodes sit together; every
 /// id-indexed view (`mac`, `node`, `macs`, the channel's, `start`) keeps id
-/// order. Building the stack draws nothing and, for CSMA, schedules
-/// nothing (a TDMA MAC arms its first slot, at a time of its own), so the
-/// construction order moves no result. Callers give nodes their roles, then
-/// call start().
+/// order. Building the stack draws nothing and schedules nothing (a MAC
+/// arms a timer only once it has a frame to send), so the construction
+/// order moves no result. Callers give nodes their roles, then call
+/// start().
 ///
 /// Every node notes its items to `metrics` (none when null). `sim`,
 /// `topology` and `metrics` must outlive the network; the config and the

@@ -11,7 +11,8 @@ namespace wsn::sim {
 /// One-shot timer with restart/cancel, the building block for the protocol
 /// timers in this codebase (aggregation delay T_a, reinforcement wait T_p,
 /// truncation window T_n, gradient expiry, the CSMA MAC's one access timer
-/// for DIFS, backoff and the ACK wait, every MAC's end-of-frame wait).
+/// for DIFS, backoff and the ACK wait, the TDMA MAC's one timer for its
+/// slot and ACK window, every MAC's end-of-frame wait).
 ///
 /// The timer embeds its own event-queue node, and the callback is built in
 /// that node once, at construction. `arm` relinks the node with a fresh

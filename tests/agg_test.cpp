@@ -59,6 +59,20 @@ std::vector<WeightedSet> figure4_event_sets() {
   };
 }
 
+/// §4.3's source transform of `family`, one `collapse_to_sources` per set
+/// (as `GreedyNode` does it): `sources[i][j]` is the source index of
+/// element j of set i.
+std::vector<WeightedSet> collapse_each(
+    std::vector<WeightedSet> family,
+    const std::vector<std::vector<std::uint32_t>>& sources) {
+  for (std::size_t i = 0; i < family.size(); ++i) {
+    const std::size_t events = family[i].elements.size();
+    family[i].elements = sources[i];
+    collapse_to_sources(family[i], events);
+  }
+  return family;
+}
+
 TEST(SetCover, PaperFigure4EventExample) {
   const auto family = figure4_event_sets();
   const auto r = greedy_cover(family, 4);
@@ -76,7 +90,7 @@ TEST(SetCover, PaperFigure4SourceTransform) {
       {1, 1},     // b1,b2 from B
       {0, 1},     // a2 from A; b2 from B
   };
-  const auto transformed = transform_to_sources(family, sources);
+  const auto transformed = collapse_each(family, sources);
   ASSERT_EQ(transformed.size(), 3u);
   EXPECT_EQ(transformed[0].elements, (std::vector<std::uint32_t>{0, 1}));
   EXPECT_NEAR(transformed[0].weight, 10.0 / 3.0, 1e-12);
@@ -150,7 +164,7 @@ TEST(SetCover, ExactUncoverable) {
 TEST(SetCover, TransformHandlesEmptySets) {
   std::vector<WeightedSet> family{{{}, 4.0}};
   std::vector<std::vector<std::uint32_t>> sources{{}};
-  const auto t = transform_to_sources(family, sources);
+  const auto t = collapse_each(family, sources);
   ASSERT_EQ(t.size(), 1u);
   EXPECT_TRUE(t[0].elements.empty());
   EXPECT_DOUBLE_EQ(t[0].weight, 4.0);
@@ -182,9 +196,7 @@ TEST(SetCover, ReusedWorkspaceMatchesFresh) {
   cases.emplace_back(random_family(rng, 130, 20), 130);  // three words
   cases.emplace_back(figure4_event_sets(), 4);
   cases.emplace_back(
-      transform_to_sources(figure4_event_sets(),
-                           std::vector<std::vector<std::uint32_t>>{
-                               {0, 0, 1}, {1, 1}, {0, 1}}),
+      collapse_each(figure4_event_sets(), {{0, 0, 1}, {1, 1}, {0, 1}}),
       2);
   cases.emplace_back(
       std::vector<WeightedSet>{

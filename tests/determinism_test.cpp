@@ -138,7 +138,7 @@ TEST(Determinism, GoldenMetricDigests) {
   EXPECT_EQ(b.events_dispatched, 42'213u);
   const RunResult c = run_experiment(tdma_failures);
   EXPECT_EQ(stats::digest_of(c.metrics), 0x7d60afa43c41a7abULL);
-  EXPECT_EQ(c.events_dispatched, 66'069u);
+  EXPECT_EQ(c.events_dispatched, 33'668u);
   const RunResult d = run_experiment(directional_failures);
   EXPECT_EQ(stats::digest_of(d.metrics), 0xa0a7a80941697cdbULL);
   EXPECT_EQ(d.events_dispatched, 33'223u);

@@ -603,6 +603,47 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MacKind::kCsma, MacKind::kTdma),
     [](const auto& info) { return mac_kind_name(info.param); });
 
+/// An ACK completes the queue head only if it comes from the head's
+/// destination. Node 0 unicasts to the dead node 1; as its frame ends, an
+/// ACK to node 0 is put on the air from node 2 (ignored: the frame fails
+/// after its retries) or, as a control, from node 1, revived after missing
+/// the frame (the frame succeeds).
+class MacAckFilter : public ::testing::TestWithParam<MacKind> {};
+
+TEST_P(MacAckFilter, OnlyTheHeadsDestinationCanAck) {
+  for (const net::NodeId acker : {2u, 1u}) {
+    SCOPED_TRACE(::testing::Message() << "ACK from node " << acker);
+    MacRig rig{{{0, 0}, {20, 0}, {-20, 0}}, 40.0, 0.0, GetParam()};
+    rig.mac(1).set_alive(false);
+    rig.mac(0).send(MacRig::frame(1));
+    // Nothing else is on the air, so node 0's medium is busy exactly while
+    // it transmits.
+    sim::Time t;
+    const auto step_while = [&](bool busy) {
+      while (rig.mac(0).medium_busy() == busy && t < sim::Time::millis(50)) {
+        t += sim::Time::micros(1);
+        rig.sim().run_until(t);
+      }
+    };
+    step_while(false);
+    step_while(true);
+    if (acker == 1) rig.mac(1).set_alive(true);
+    net::Frame ack;
+    ack.src = acker;
+    ack.dst = 0;
+    rig.channel().begin_transmission(acker, ack, FrameKind::kAck,
+                                     rig.phy().ack_airtime());
+    rig.sim().run_until(sim::Time::seconds(1.0));
+    EXPECT_EQ(rig.user(0).succeeded, acker == 1 ? 1 : 0);
+    EXPECT_EQ(rig.user(0).failed, acker == 1 ? 0 : 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothMacs, MacAckFilter,
+    ::testing::Values(MacKind::kCsma, MacKind::kTdma),
+    [](const auto& info) { return mac_kind_name(info.param); });
+
 TEST(Mac, BidirectionalTrafficCompletes) {
   MacRig rig{{{0, 0}, {20, 0}}, 40.0};
   for (int i = 0; i < 20; ++i) {
@@ -1063,7 +1104,9 @@ class RecorderMac final : public MacBase {
  public:
   RecorderMac(sim::Simulator& sim, Channel& channel, net::NodeId id,
               const EnergyParams& energy, SweepLog& log, bool contends)
-      : MacBase{sim, channel, id, energy, 0}, log_{&log}, contends_{contends} {
+      : MacBase{sim, channel, id, PhyParams{}, energy},
+        log_{&log},
+        contends_{contends} {
     set_contending(contends_);
   }
 
@@ -1075,6 +1118,7 @@ class RecorderMac final : public MacBase {
   void on_power_change(bool alive) override {
     set_contending(alive && contends_);
   }
+  void on_ack() override {}
   void medium_became_busy() override {
     const auto in_range = channel_->topology().neighbors(0);
     log_->starts.emplace_back(

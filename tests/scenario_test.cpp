@@ -453,12 +453,12 @@ TEST(Experiment, TreeEdgesAreValidNodePairs) {
   }
 }
 
-TEST(Network, BuildsEveryLayerByIdAndSchedulesOnlyTdmaSlots) {
-  // Building the stack schedules nothing for CSMA and one first-slot event
-  // per TDMA MAC, and wires MAC and node `id` to radio `id`. So the order
-  // the stack is built in cannot move a result. The objects sit in the
-  // topology's cell order, which here is not the id order: 40 m cells put
-  // ids 0, 1, 3, 4 in the first and 2, 5 in the second.
+TEST(Network, BuildsEveryLayerByIdAndSchedulesNothing) {
+  // Building the stack schedules nothing for either MAC and wires MAC and
+  // node `id` to radio `id`. So the order the stack is built in cannot
+  // move a result. The objects sit in the topology's cell order, which
+  // here is not the id order: 40 m cells put ids 0, 1, 3, 4 in the first
+  // and 2, 5 in the second.
   const net::Topology topo{
       {{0, 0}, {30, 0}, {60, 0}, {0, 30}, {30, 30}, {60, 30}}, 40.0};
   const std::vector<net::NodeId> cell_order{0, 1, 3, 4, 2, 5};
@@ -475,8 +475,7 @@ TEST(Network, BuildsEveryLayerByIdAndSchedulesOnlyTdmaSlots) {
       sim::Simulator sim;
       Network network{sim, topo, config, sim::Rng{1}, nullptr};
       ASSERT_EQ(network.size(), topo.node_count());
-      EXPECT_EQ(sim.events_pending(),
-                type == MacType::kCsma ? 0u : topo.node_count());
+      EXPECT_EQ(sim.events_pending(), 0u);
       for (net::NodeId id = 0; id < network.size(); ++id) {
         EXPECT_EQ(network.mac(id).id(), id);
         EXPECT_EQ(network.macs()[id], &network.mac(id));

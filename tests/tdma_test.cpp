@@ -97,6 +97,20 @@ TEST(Tdma, ThroughputOneFramePerCycle) {
   EXPECT_GE(rig.user(1).received.size(), 3u);
 }
 
+TEST(Tdma, IdleMacSchedulesNothing) {
+  // A MAC arms its slot only while a frame is queued: with no traffic,
+  // several cycles dispatch no event.
+  MacRig rig{{{0, 0}, {20, 0}, {35, 0}}, 40.0, 0.0, MacKind::kTdma};
+  EXPECT_EQ(rig.sim().events_pending(), 0u);
+  rig.sim().run_until(rig.tdma_cycle() * 5);
+  EXPECT_EQ(rig.sim().events_dispatched(), 0u);
+  // The ACK closes the window: nothing stays armed on either side.
+  rig.mac(0).send(MacRig::frame(1));
+  rig.sim().run_until(rig.tdma_cycle() * 7);
+  EXPECT_EQ(rig.user(0).succeeded, 1);
+  EXPECT_EQ(rig.sim().events_pending(), 0u);
+}
+
 TEST(TdmaIntegration, DiffusionRunsOverTdma) {
   scenario::ExperimentConfig cfg;
   cfg.field.nodes = 60;

@@ -71,6 +71,10 @@ Rules (beyond what clang-tidy covers):
                       next to the portable body it must match bit for bit
                       (tests compare the two); a second site would have no
                       such twin.
+  R13 one-mac-timer   No schedule_in( or schedule_at( in src/mac/csma_mac.cpp
+                      or src/mac/tdma_mac.cpp. An access policy runs on its
+                      one sim::Timer, which it can cancel and re-arm; the
+                      only MAC-layer one-shot is MacBase's SIFS ACK.
 
 Exit status 0 when clean; 1 with one `path:line: [rule] message` per finding.
 """
@@ -117,6 +121,8 @@ ONE_OBSERVER_FILES = {"src/diffusion/node.cpp", "src/stats/metrics.hpp",
 SIMD_PATTERN = re.compile(r"<(?:emm|imm)intrin\.h>|\b_mm_\w*")
 SIMD_FILE = "src/net/chunk_masks.hpp"
 ONE_STACK_FILES = {"src/core/algorithm.hpp", "src/core/algorithm.cpp"}
+ONE_SHOT_PATTERN = re.compile(r"\bschedule_(?:in|at)\s*\(")
+ACCESS_POLICY_FILES = {"src/mac/csma_mac.cpp", "src/mac/tdma_mac.cpp"}
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -244,6 +250,10 @@ class Linter:
                             "SIMD intrinsics outside src/net/chunk_masks.hpp; "
                             "keep vector code in the one kernel with its "
                             "portable twin")
+            if rel in ACCESS_POLICY_FILES and ONE_SHOT_PATTERN.search(clean):
+                self.report(path, idx, "one-mac-timer",
+                            "one-shot in an access policy; run it on the "
+                            "MAC's one sim::Timer")
             if in_sim and WALL_CLOCK_PATTERN.search(clean):
                 self.report(path, idx, "wall-clock",
                             "wall-clock read in sim code; use "
