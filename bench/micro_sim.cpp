@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -197,7 +198,8 @@ BENCHMARK(BM_ChannelFanout)
 /// Builds the neighbour lists of a uniform field with the 88 m carrier-sense
 /// range: sweep_failures' field (200 nodes in 200 m), the fig-5 densest
 /// point (350 nodes in 200 m) and the same density at 10k nodes (1069 m).
-/// Items are nodes built per second.
+/// Items are nodes built per second; the label names the scan's kernel,
+/// which CPUID picks, so panels from different hosts compare like with like.
 void BM_TopologyBuild(benchmark::State& state) {
   wsn::net::FieldSpec spec;
   spec.nodes = static_cast<std::size_t>(state.range(0));
@@ -212,6 +214,7 @@ void BM_TopologyBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(spec.nodes));
+  state.SetLabel(std::string{wsn::net::Topology::scan_kernel_name()});
 }
 BENCHMARK(BM_TopologyBuild)
     ->Args({200, 200})
@@ -225,6 +228,7 @@ BENCHMARK(BM_TopologyBuild)
 /// teardown. One round primes the heap first. Time is per set-up, and
 /// `minflt` counts the minor page faults per set-up (getrusage), which a
 /// heap trimmed at teardown and faulted back in at the next set-up shows.
+/// The label names the neighbour scan's kernel, as in BM_TopologyBuild.
 void BM_DenseSetup(benchmark::State& state) {
   constexpr std::uint64_t kSeeds = 24;
   wsn::scenario::ExperimentConfig config;
@@ -249,6 +253,7 @@ void BM_DenseSetup(benchmark::State& state) {
   }
   state.counters["minflt"] = benchmark::Counter(
       minor_faults() - faults_before, benchmark::Counter::kAvgIterations);
+  state.SetLabel(std::string{wsn::net::Topology::scan_kernel_name()});
 }
 BENCHMARK(BM_DenseSetup)->Unit(benchmark::kMicrosecond);
 

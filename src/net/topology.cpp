@@ -1,11 +1,9 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -81,15 +79,21 @@ class CellGrid {
       }
       block_start_[c + 1] = block_start_[c] + size / kChunk * kChunk;
     }
+    // The ids are padded with kNoNode, since the list writer loads whole
+    // chunks. Each node's index in its own cell's block is kept as it is
+    // placed there.
     std::vector cursor(block_start_.begin(), block_start_.end() - 1);
-    block_ids_.resize(block_start_[cell_count]);
+    block_ids_.assign(block_start_[cell_count], kNoNode);
     xs_.assign(block_ids_.size(), std::numeric_limits<double>::infinity());
     ys_.assign(block_ids_.size(), std::numeric_limits<double>::infinity());
+    own_.resize(n);
     for (NodeId i = 0; i < n; ++i) {
       const Bounds b = bounds(cell_of_[i]);
       for (std::size_t y = b.y0; y <= b.y1; ++y) {
         for (std::size_t x = b.x0; x <= b.x1; ++x) {
-          const std::uint32_t e = cursor[y * nx_ + x]++;
+          const std::size_t c = y * nx_ + x;
+          const std::uint32_t e = cursor[c]++;
+          if (c == cell_of_[i]) own_[i] = e - block_start_[c];
           block_ids_[e] = i;
           xs_[e] = positions[i].x;
           ys_[e] = positions[i].y;
@@ -102,16 +106,11 @@ class CellGrid {
     for (NodeId i = 0; i < n; ++i) order[start[cell_of_[i]]++] = i;
   }
 
-  /// Node i's padded 3×3 block, i among them: ids, and coordinates alike.
-  struct Block {
-    std::span<const NodeId> ids;
-    const double *xs, *ys;
-  };
-  [[nodiscard]] Block block_of(NodeId i) const {
+  /// Node i's padded 3×3 block, i among them.
+  [[nodiscard]] ScanBlock block_of(NodeId i) const {
     const std::uint32_t first = block_start_[cell_of_[i]];
-    return {std::span{block_ids_}.subspan(
-                first, block_start_[cell_of_[i] + 1] - first),
-            xs_.data() + first, ys_.data() + first};
+    return {block_ids_.data() + first, xs_.data() + first, ys_.data() + first,
+            (block_start_[cell_of_[i] + 1] - first) / kChunk, own_[i]};
   }
 
  private:
@@ -134,6 +133,7 @@ class CellGrid {
   std::vector<NodeId> block_ids_;
   std::vector<double> xs_;
   std::vector<double> ys_;
+  std::vector<std::uint32_t> own_;  ///< per node, its index in its block
 };
 
 /// Hop counts from `from` by breadth-first search over a flat frontier (-1
@@ -190,46 +190,33 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
   const double range_sq = range_ * range_;
   const double cs_sq = cs_range_ * cs_range_;
 
-  // Each node masks its block chunk by chunk. Its own bit (distance 0) is
-  // set where 0 < range² and where 0 < cs², so the popcounts less those size
-  // its list; walking the decodable bits, then the carrier-sense-only ones,
-  // and skipping i writes both parts in ascending id.
+  // Each node masks its block chunk by chunk and clears its own bit; the
+  // popcounts size its list, and writing the decodable ids, then the
+  // carrier-sense-only ones, fills both parts in ascending id.
+  const ScanKernel kernel = scan_kernel();
   std::vector<ChunkMasks> masks;
   for (NodeId i = 0; i < n; ++i) {
-    const CellGrid::Block b = grid.block_of(i);
-    masks.resize(b.ids.size() / kChunk);
-    std::size_t decodable = 0;
-    std::size_t audible = 0;
-    for (std::size_t w = 0; w < masks.size(); ++w) {
-      masks[w] = chunk_masks(positions_[i], b.xs + w * kChunk,
-                             b.ys + w * kChunk, range_sq, cs_sq);
-      decodable += static_cast<std::size_t>(std::popcount(masks[w].decodable));
-      audible += static_cast<std::size_t>(std::popcount(masks[w].audible));
-    }
-    slot_offsets_[i + 1] = slot_offsets_[i] + decodable - (range_sq > 0.0);
+    const ScanBlock b = grid.block_of(i);
+    masks.resize(b.chunks);
+    const ListSizes sizes =
+        mask_block(kernel, positions_[i], b, range_sq, cs_sq, masks.data());
+    slot_offsets_[i + 1] = slot_offsets_[i] + sizes.decodable;
     std::vector<NodeId>& list = audible_lists_[i];
-    list.resize(audible - (cs_sq > 0.0));
-    NodeId* out = list.data();
-    for (const bool cs_only : {false, true}) {
-      for (std::size_t w = 0; w < masks.size(); ++w) {
-        std::uint64_t bits = cs_only ? masks[w].audible & ~masks[w].decodable
-                                     : masks[w].decodable;
-        for (; bits != 0; bits &= bits - 1) {
-          const NodeId j = b.ids[w * kChunk + std::countr_zero(bits)];
-          if (j != i) *out++ = j;
-        }
-      }
-    }
+    list.resize(sizes.audible);
+    write_list(kernel, b, masks.data(), list.data());
   }
 #if WSN_AUDIT_ENABLED
-  // Both parts strictly ascending, and every entry mirrored in the same
-  // part of its peer's list (audibility is symmetric).
+  // Every entry a node id, both parts strictly ascending, and every entry
+  // mirrored in the same part of its peer's list (audibility is symmetric).
   const auto part = [this](NodeId i, bool decodable) {
     const auto all = audible(i);
     return decodable ? all.first(decodable_prefix(i))
                      : all.subspan(decodable_prefix(i));
   };
   for (NodeId i = 0; i < n; ++i) {
+    WSN_AUDIT_CHECK(std::ranges::all_of(audible(i),
+                                        [n](NodeId j) { return j < n; }),
+                    "an audible list entry is not a node id");
     for (const bool decodable : {true, false}) {
       const auto mine = part(i, decodable);
       WSN_AUDIT_CHECK(
@@ -265,6 +252,10 @@ Topology::Topology(std::vector<Vec2> positions, double radio_range,
                     "reverse slots do not cover a neighbour list");
   }
 #endif
+}
+
+std::string_view Topology::scan_kernel_name() {
+  return kernel_name(scan_kernel());
 }
 
 bool Topology::in_range(NodeId a, NodeId b) const {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "net/types.hpp"
@@ -21,10 +22,13 @@ class Topology {
   /// range wide (at most n cells, widened for sparse far-flung fields), so
   /// a node's audible nodes lie in the 3×3 block around its cell, whose
   /// members each cell keeps in ascending id with their coordinates. Each
-  /// node masks its block, two members per SSE2 step: one decodable and one
-  /// audible bit per member. The popcounts size its list exactly; walking
-  /// the decodable bits, then the carrier-sense-only ones, writes both
-  /// parts sorted by id. O(n) for uniform fields.
+  /// node masks its block: one decodable and one audible bit per member,
+  /// eight members per AVX-512 step where CPUID reports avx512f, two per
+  /// SSE2 step on other x86-64 CPUs. With its own bit cleared, the
+  /// popcounts size its list exactly; writing the decodable ids, then the
+  /// carrier-sense-only ones (a compress-store per 16 members, or a bit
+  /// walk), fills both parts sorted by id. Every kernel writes the same
+  /// lists. O(n) for uniform fields.
   ///
   /// `carrier_sense_range` is the distance out to which a transmission is
   /// still *audible* — it occupies the channel, costs receive energy and
@@ -36,6 +40,9 @@ class Topology {
   /// every position is finite.
   Topology(std::vector<Vec2> positions, double radio_range,
            double carrier_sense_range = 0.0);
+
+  /// The neighbour-scan kernel this CPU runs: "avx512", "sse2" or "scalar".
+  [[nodiscard]] static std::string_view scan_kernel_name();
 
   [[nodiscard]] std::size_t node_count() const { return positions_.size(); }
   [[nodiscard]] double carrier_sense_range() const { return cs_range_; }

@@ -18,6 +18,9 @@
 namespace wsn::net {
 namespace {
 
+constexpr ScanKernel kKernels[] = {ScanKernel::kScalar, ScanKernel::kSse2,
+                                   ScanKernel::kAvx512};
+
 TEST(Vec2, BasicOps) {
   const Vec2 a{3.0, 4.0};
   EXPECT_DOUBLE_EQ(a.norm(), 5.0);
@@ -414,13 +417,14 @@ TEST(TopologyBruteForce, TwoThousandNodes) {
   expect_matches_brute_force(uniform_field(2000, 600.0, 9), 40.0, 88.0);
 }
 
-// The SSE2 body (chunk_masks on x86-64; the portable body elsewhere)
-// against the portable one, bit for bit, on random chunks drawn from the
-// hard cases: members exactly at the radio range and at the carrier-sense
-// range with the nearest doubles on both sides, at zero distance, at
-// ±DBL_MAX (differences overflow to inf) and in +inf padding lanes, with
-// a denorm_min range (range² rounds to 0) and an overflowing one.
-TEST(ChunkMasks, ScalarBodyMatchesSse2Body) {
+// Every body this CPU runs (scalar, SSE2 on x86-64, AVX-512 where CPUID
+// reports avx512f) against the portable one, bit for bit, on random chunks
+// drawn from the hard cases: members exactly at the radio range and at the
+// carrier-sense range with the nearest doubles on both sides, at zero
+// distance, at ±DBL_MAX (differences overflow to inf) and in +inf padding
+// lanes, with a denorm_min range (range² rounds to 0) and an overflowing
+// one. The AVX-512 body goes last, so a CPU without it skips only it.
+TEST(ChunkMasks, EveryBodyMatchesScalarBody) {
   constexpr double kMax = std::numeric_limits<double>::max();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kTiny = std::numeric_limits<double>::denorm_min();
@@ -441,52 +445,128 @@ TEST(ChunkMasks, ScalarBodyMatchesSse2Body) {
                         {{0, 0}, kTiny * kTiny, kTiny * kTiny},
                         {{0, 0}, kTiny, 1600},
                         {{-kMax, 0}, kMax * kMax, kMax * kMax}};
-  sim::Rng rng{11};
-  std::array<double, kChunk> xs{};
-  std::array<double, kChunk> ys{};
-  for (const Case& c : cases) {
-    for (int trial = 0; trial < 300; ++trial) {
-      for (std::size_t k = 0; k < kChunk; ++k) {
-        const auto pick = rng.uniform_int(0, 3);
-        Vec2 q = c.p + Vec2{rng.uniform(-100.0, 100.0),
-                            rng.uniform(-100.0, 100.0)};
-        if (pick == 0) {
-          q = c.p + offsets[static_cast<std::size_t>(rng.uniform_int(
-                        0, static_cast<std::int64_t>(offsets.size()) - 1))];
-        } else if (pick == 1) {
-          q = {rng.chance(0.5) ? kMax : -kMax, rng.chance(0.5) ? kMax : -kMax};
-        } else if (pick == 2) {
-          q = {kInf, kInf};
-        }
-        xs[k] = q.x;
-        ys[k] = q.y;
+  for (const ScanKernel kernel : kKernels) {
+    if (!kernel_runs(kernel)) {
+      if (kernel == ScanKernel::kAvx512) {
+        GTEST_SKIP() << "no avx512f on this CPU: the AVX-512 body is unchecked";
       }
-      const ChunkMasks want = chunk_masks_scalar(c.p, xs.data(), ys.data(),
-                                                 c.range_sq, c.cs_sq);
-      const ChunkMasks got =
-          chunk_masks(c.p, xs.data(), ys.data(), c.range_sq, c.cs_sq);
-      ASSERT_EQ(got.decodable, want.decodable) << "trial " << trial;
-      ASSERT_EQ(got.audible, want.audible) << "trial " << trial;
+      continue;
     }
-  }
+    SCOPED_TRACE(kernel_name(kernel));
+    sim::Rng rng{11};
+    std::array<double, kChunk> xs{};
+    std::array<double, kChunk> ys{};
+    for (const Case& c : cases) {
+      for (int trial = 0; trial < 300; ++trial) {
+        for (std::size_t k = 0; k < kChunk; ++k) {
+          const auto pick = rng.uniform_int(0, 3);
+          Vec2 q = c.p + Vec2{rng.uniform(-100.0, 100.0),
+                              rng.uniform(-100.0, 100.0)};
+          if (pick == 0) {
+            q = c.p + offsets[static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<std::int64_t>(offsets.size()) - 1))];
+          } else if (pick == 1) {
+            q = {rng.chance(0.5) ? kMax : -kMax,
+                 rng.chance(0.5) ? kMax : -kMax};
+          } else if (pick == 2) {
+            q = {kInf, kInf};
+          }
+          xs[k] = q.x;
+          ys[k] = q.y;
+        }
+        const ChunkMasks want = chunk_masks_scalar(c.p, xs.data(), ys.data(),
+                                                   c.range_sq, c.cs_sq);
+        const ChunkMasks got = chunk_masks(kernel, c.p, xs.data(), ys.data(),
+                                           c.range_sq, c.cs_sq);
+        ASSERT_EQ(got.decodable, want.decodable) << "trial " << trial;
+        ASSERT_EQ(got.audible, want.audible) << "trial " << trial;
+      }
+    }
 
-  // The bits mean what they say: zero distance is in range, exactly at a
-  // range is out, the next double in is in, and padding is never in.
-  xs.fill(kInf);
-  ys.fill(kInf);
-  for (const auto& [k, x] :
-       {std::pair<std::size_t, double>{0, 0.0}, {1, 40.0},
-        {2, std::nextafter(40.0, 0.0)}, {3, 88.0},
-        {63, std::nextafter(88.0, 0.0)}}) {
-    xs[k] = x;
-    ys[k] = 0.0;
-  }
-  for (const bool sse2 : {false, true}) {
+    // The bits mean what they say: zero distance is in range, exactly at a
+    // range is out, the next double in is in, and padding is never in.
+    xs.fill(kInf);
+    ys.fill(kInf);
+    for (const auto& [k, x] :
+         {std::pair<std::size_t, double>{0, 0.0}, {1, 40.0},
+          {2, std::nextafter(40.0, 0.0)}, {3, 88.0},
+          {63, std::nextafter(88.0, 0.0)}}) {
+      xs[k] = x;
+      ys[k] = 0.0;
+    }
     const ChunkMasks m =
-        sse2 ? chunk_masks({0, 0}, xs.data(), ys.data(), 1600, 7744)
-             : chunk_masks_scalar({0, 0}, xs.data(), ys.data(), 1600, 7744);
+        chunk_masks(kernel, {0, 0}, xs.data(), ys.data(), 1600, 7744);
     EXPECT_EQ(m.decodable, 0b101u);
     EXPECT_EQ(m.audible, 0b111u | (std::uint64_t{1} << 63));
+  }
+}
+
+// Each kernel's list writer against a plain bit walk. One chunk, its bits
+// decodable: empty and full masks, one lane alone and all but one lane at
+// the edges of the 16-member steps (0, 15, 16, 63), and random masks, into
+// a buffer whose guard past the expected end must stay untouched. Then a
+// 128-member block, alternately decodable and carrier-sense-only from the
+// scanning node, its own index at those lanes and at 64 and 127:
+// mask_block clears its bit, and write_list fills a list sized exactly,
+// whose last entry is the block's last selected member.
+TEST(ChunkMasks, CompactionMatchesBitWalk) {
+  constexpr NodeId kGuard = 0xdeadbeef;
+  std::array<NodeId, 2 * kChunk> ids{};
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ids[k] = static_cast<NodeId>(3 * k + 1);
+  }
+  std::vector<std::uint64_t> patterns{0, ~std::uint64_t{0}};
+  for (const std::size_t lane : {0, 15, 16, 63}) {
+    patterns.push_back(~(std::uint64_t{1} << lane));
+    patterns.push_back(std::uint64_t{1} << lane);
+  }
+  sim::Rng rng{13};
+  for (int r = 0; r < 200; ++r) patterns.push_back(rng.next());
+  for (const ScanKernel kernel : kKernels) {
+    if (!kernel_runs(kernel)) {
+      if (kernel == ScanKernel::kAvx512) {
+        GTEST_SKIP() << "no avx512f on this CPU: the AVX-512 compaction is "
+                        "unchecked";
+      }
+      continue;
+    }
+    SCOPED_TRACE(kernel_name(kernel));
+    for (const std::uint64_t bits : patterns) {
+      std::vector<NodeId> want;
+      for (std::size_t k = 0; k < kChunk; ++k) {
+        if ((bits >> k) & 1) want.push_back(ids[k]);
+      }
+      std::vector<NodeId> got(want.size() + kChunk, kGuard);
+      const ChunkMasks m{bits, bits};
+      write_list(kernel, {ids.data(), nullptr, nullptr, 1, 0}, &m, got.data());
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+          << std::hex << bits;
+      EXPECT_TRUE(std::all_of(got.begin() + static_cast<std::ptrdiff_t>(
+                                                 want.size()),
+                              got.end(), [](NodeId j) { return j == kGuard; }))
+          << std::hex << bits;
+    }
+
+    std::array<double, 2 * kChunk> xs{};
+    const std::array<double, 2 * kChunk> ys{};
+    for (std::size_t k = 1; k < xs.size(); k += 2) xs[k] = 60.0;
+    for (const std::size_t own : {0, 15, 16, 63, 64, 127}) {
+      const ScanBlock b{ids.data(), xs.data(), ys.data(), 2, own};
+      std::array<ChunkMasks, 2> masks{};
+      const ListSizes sizes =
+          mask_block(kernel, {xs[own], 0}, b, 1600, 7744, masks.data());
+      std::vector<NodeId> want;
+      for (const std::size_t parity : {own % 2, 1 - own % 2}) {
+        for (std::size_t k = parity; k < ids.size(); k += 2) {
+          if (k != own) want.push_back(ids[k]);
+        }
+      }
+      ASSERT_EQ(sizes.decodable, kChunk - 1) << "own " << own;
+      ASSERT_EQ(sizes.audible, want.size()) << "own " << own;
+      std::vector<NodeId> list(sizes.audible);
+      write_list(kernel, b, masks.data(), list.data());
+      EXPECT_EQ(list, want) << "own " << own;
+    }
   }
 }
 

@@ -64,13 +64,18 @@ Rules (beyond what clang-tidy covers):
                       to the run's MetricsCollector in the same function
                       that traces it, so every counted note has its trace
                       record.
-  R12 one-simd-site   No <emmintrin.h>/<immintrin.h> include and no _mm_
-                      identifier in src/, tests/, bench/, examples/ or
-                      tools/ outside src/net/chunk_masks.hpp. The neighbour
-                      scan's kernel is the one place that uses intrinsics,
-                      next to the portable body it must match bit for bit
-                      (tests compare the two); a second site would have no
-                      such twin.
+  R12 one-simd-site   No <*intrin.h> include, no _mm_/_mm256_/_mm512_
+                      identifier and no __m128*/__m256*/__m512*/__mmask*
+                      type in src/, tests/, bench/, examples/ or tools/
+                      outside src/net/chunk_masks.hpp. The neighbour scan's
+                      kernel is the one place that uses intrinsics, next to
+                      the portable body its vector bodies must match bit for
+                      bit (tests compare them); a second site would have no
+                      such twin. Inside it, the plain _mm256_/_mm512_
+                      add/sub/mul forms and any fused multiply-add are
+                      findings too: GCC fuses the plain forms into an FMA,
+                      whose single rounding moves members exactly at the
+                      range, so the AVX-512 body uses the _round_ forms.
   R13 one-mac-timer   No schedule_in( or schedule_at( in src/mac/csma_mac.cpp
                       or src/mac/tdma_mac.cpp. An access policy runs on its
                       one sim::Timer, which it can cancel and re-arm; the
@@ -118,8 +123,12 @@ EVENT_HANDLE_PATTERN = re.compile(r"\bEventHandle\b")
 ITEM_NOTE_PATTERN = re.compile(r"\bon_event_(?:generated|delivered)\s*\(")
 ONE_OBSERVER_FILES = {"src/diffusion/node.cpp", "src/stats/metrics.hpp",
                       "src/stats/metrics.cpp"}
-SIMD_PATTERN = re.compile(r"<(?:emm|imm)intrin\.h>|\b_mm_\w*")
+SIMD_PATTERN = re.compile(
+    r"<\w*intrin\.h>|\b_mm(?:256|512)?_\w*|\b__m(?:128|256|512|mask)\w*")
 SIMD_FILE = "src/net/chunk_masks.hpp"
+FUSABLE_PATTERN = re.compile(
+    r"\b_mm(?:256|512)_(?:add|sub|mul)_p[sd]\b|fn?m(?:add|sub)|"
+    r"\b(?:std::)?fma\s*\(")
 ONE_STACK_FILES = {"src/core/algorithm.hpp", "src/core/algorithm.cpp"}
 ONE_SHOT_PATTERN = re.compile(r"\bschedule_(?:in|at)\s*\(")
 ACCESS_POLICY_FILES = {"src/mac/csma_mac.cpp", "src/mac/tdma_mac.cpp"}
@@ -250,6 +259,11 @@ class Linter:
                             "SIMD intrinsics outside src/net/chunk_masks.hpp; "
                             "keep vector code in the one kernel with its "
                             "portable twin")
+            if rel == SIMD_FILE and FUSABLE_PATTERN.search(clean):
+                self.report(path, idx, "one-simd-site",
+                            "fusable or fused arithmetic in the scan kernel; "
+                            "use the _round_ forms, which GCC keeps as "
+                            "separate multiplies and adds")
             if rel in ACCESS_POLICY_FILES and ONE_SHOT_PATTERN.search(clean):
                 self.report(path, idx, "one-mac-timer",
                             "one-shot in an access policy; run it on the "
